@@ -5,7 +5,7 @@ import numpy as np
 
 from gbmpatch import (CLASS_CODES, ConfusionMatrix, basic_metrics,
                       confusion_text, mcc_multiclass, metrics_csv,
-                      micro_average, one_vs_rest)
+                      micro_average, one_vs_rest, score)
 
 rng = np.random.default_rng(5)
 
@@ -43,5 +43,5 @@ b0 = basic_metrics(one_vs_rest(ConfusionMatrix(3, np.diag([7, 3, 0])), 2))
 print(f"\nempty class: f1={b0.f1}, flagged undefined: {sorted(b0.undefined)}")
 
 print("\ncsv form:")
-per_class = [basic_metrics(one_vs_rest(cm, i)) for i in range(9)]
+per_class, micro = score(cm)
 print(metrics_csv(per_class, micro, CLASS_CODES))

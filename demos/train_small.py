@@ -16,7 +16,7 @@ import numpy as np
 from gbmpatch import (CLASS_CODES, EncoderConfig, HeadConfig, TrainConfig,
                       cross_validate, load_preprocessed, lr_at,
                       stratified_kfold)
-from gbmpatch.cli import _bundle_dict, format_report
+from gbmpatch.cli import format_report
 from gbmpatch.data import generate_synthetic
 
 root = Path(tempfile.mkdtemp(prefix="gbm-train-"))
@@ -63,5 +63,5 @@ for r in result.fold_results:
 print(f"\npooled confusion total = {result.confusion.total} "
       f"(= dataset size {len(labels)})")
 print()
-print(format_report([_bundle_dict(b) for b in result.per_class],
-                    _bundle_dict(result.micro), CLASS_CODES))
+print(format_report([b.as_dict() for b in result.per_class],
+                    result.micro.as_dict(), CLASS_CODES))

@@ -25,7 +25,8 @@ from .head import (HeadConfig, aggregate_features, head_forward, init_head,
                    predict)
 from .metrics import (BinaryCounts, ConfusionMatrix, METRIC_NAMES,
                       MetricBundle, basic_metrics, confusion_text,
-                      mcc_multiclass, metrics_csv, micro_average, one_vs_rest)
+                      mcc_multiclass, metrics_csv, micro_average, one_vs_rest,
+                      score)
 from .model import PatchClassifier
 from .tensor import Tensor, cross_entropy, finite_diff_check
 

@@ -17,6 +17,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from .data import write_atomic
 from .encoder import EncoderConfig
 from .errors import DataError
 from .head import HeadConfig
@@ -41,7 +42,7 @@ def save_checkpoint(path, params: Dict[str, "np.ndarray"], meta: dict):
         blobs.append(arr.tobytes())
         offset += arr.nbytes
     lines.append(b"DATA")
-    Path(path).write_bytes(b"\n".join(lines) + b"\n" + b"".join(blobs))
+    write_atomic(path, b"\n".join(lines) + b"\n" + b"".join(blobs))
 
 
 def _parse_shape(text: str, path) -> tuple:

@@ -13,36 +13,28 @@ from __future__ import annotations
 import argparse
 import datetime as _dt
 import json
-import os
 import sys
-from dataclasses import asdict
+from dataclasses import fields
 from pathlib import Path
-
-import numpy as np
 
 from .checkpoint import load_model, save_model
 from .cv import TrainConfig, cross_validate
 from .data import (CLASS_CODES, DEFAULT_PROFILE, DatasetManifest,
-                   generate_synthetic, load_preprocessed)
+                   generate_synthetic, load_preprocessed, write_atomic)
 from .encoder import EncoderConfig
 from .errors import (ContractError, DataError, DimensionError, NumericError,
                      ParameterError)
 from .head import HeadConfig
-from .metrics import (ConfusionMatrix, METRIC_NAMES, basic_metrics,
-                      confusion_text, metrics_csv, micro_average, one_vs_rest)
-from .model import PatchClassifier
+from .metrics import (METRIC_NAMES, accumulate, confusion_text, metrics_csv,
+                      score)
 
 RUN_MANIFEST = "run.json"
 
-# flat key set shared by the JSON config file and the cv flags
-CV_DEFAULTS = {
-    "folds": 5, "epochs": 20, "warmup_epochs": 1, "batch_size": 32,
-    "lr_max": 1e-5, "lr_min": 1e-6, "weight_decay": 0.01, "seed": 0,
-    "freeze_encoder": False,
-    "image_size": 224, "tile_size": 14, "dim": 32, "depth": 2, "heads": 4,
-    "registers": 4, "mlp_ratio": 4,
-    "bottleneck": 16, "dropout": 0.5,
-}
+# the cv settings are the fields of these configs, in this order, minus
+# the ones the command leaves at their defaults
+CV_CONFIGS = (TrainConfig, EncoderConfig, HeadConfig)
+UNEXPOSED = frozenset({"beta1", "beta2", "eps", "early_stop_train_acc",
+                       "channels", "n_classes"})
 
 
 def _say(msg: str):
@@ -51,18 +43,6 @@ def _say(msg: str):
 
 def _fail(msg: str):
     print(f"error: {msg}", file=sys.stderr, flush=True)
-
-
-def _write_atomic(path: Path, text: str):
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
-def _bundle_dict(bundle) -> dict:
-    out = {name: float(getattr(bundle, name)) for name in METRIC_NAMES}
-    out["undefined"] = sorted(bundle.undefined)
-    return out
 
 
 def format_report(per_class: list, micro: dict, class_names=CLASS_CODES) -> str:
@@ -83,15 +63,6 @@ def format_report(per_class: list, micro: dict, class_names=CLASS_CODES) -> str:
         row += f"{micro[name]:>{width + 2}.4f}"
         lines.append(row)
     return "\n".join(lines) + "\n"
-
-
-def _evaluate_model(model: PatchClassifier, images, labels):
-    preds = model.predict(images)
-    cm = ConfusionMatrix(model.head_cfg.n_classes)
-    cm.add(preds, labels)
-    per_class = [basic_metrics(one_vs_rest(cm, k))
-                 for k in range(model.head_cfg.n_classes)]
-    return cm, per_class, micro_average(cm)
 
 
 # ----------------------------------------------------------------------
@@ -121,8 +92,27 @@ def cmd_gen_data(args) -> int:
 # cv
 
 
+def _cv_fields(config) -> list:
+    return [f for f in fields(config) if f.name not in UNEXPOSED]
+
+
+def _default_settings() -> dict:
+    """The flat key set shared by the JSON config file and the cv flags."""
+    return {f.name: f.default for config in CV_CONFIGS
+            for f in _cv_fields(config)}
+
+
+def _check_type(key: str, value, default):
+    # an int may stand in for a float; a bool never stands in for a number
+    kind = type(default)
+    ok = isinstance(value, (int, float) if kind is float else kind)
+    if not ok or isinstance(value, bool) != (kind is bool):
+        raise ParameterError(
+            f"config key {key!r} must be {kind.__name__}, got {value!r}")
+
+
 def _resolve_settings(args) -> dict:
-    settings = dict(CV_DEFAULTS)
+    settings = _default_settings()
     if args.config:
         path = Path(args.config)
         if not path.is_file():
@@ -138,6 +128,8 @@ def _resolve_settings(args) -> dict:
             raise ParameterError(
                 f"unknown config keys {unknown}; valid keys: "
                 f"{sorted(settings)}")
+        for key, value in loaded.items():
+            _check_type(key, value, settings[key])
         settings.update(loaded)
     for key in settings:
         value = getattr(args, key, None)
@@ -146,23 +138,11 @@ def _resolve_settings(args) -> dict:
     return settings
 
 
-def _split_settings(settings: dict):
-    enc = EncoderConfig(image_size=settings["image_size"],
-                        tile_size=settings["tile_size"],
-                        dim=settings["dim"], depth=settings["depth"],
-                        heads=settings["heads"],
-                        registers=settings["registers"],
-                        mlp_ratio=settings["mlp_ratio"])
-    head = HeadConfig(bottleneck=settings["bottleneck"],
-                      dropout=settings["dropout"])
-    train = TrainConfig(folds=settings["folds"], epochs=settings["epochs"],
-                        warmup_epochs=settings["warmup_epochs"],
-                        batch_size=settings["batch_size"],
-                        lr_max=settings["lr_max"], lr_min=settings["lr_min"],
-                        weight_decay=settings["weight_decay"],
-                        seed=settings["seed"],
-                        freeze_encoder=bool(settings["freeze_encoder"]))
-    return enc, head, train
+def _build_configs(settings: dict) -> tuple:
+    """One config per entry of CV_CONFIGS, from the flat settings."""
+    return tuple(config(**{f.name: settings[f.name]
+                           for f in _cv_fields(config)})
+                 for config in CV_CONFIGS)
 
 
 def _make_run_dir(base: Path) -> Path:
@@ -189,7 +169,7 @@ def _point_latest(base: Path, run: Path):
 
 def cmd_cv(args) -> int:
     settings = _resolve_settings(args)
-    enc_cfg, head_cfg, train_cfg = _split_settings(settings)
+    train_cfg, enc_cfg, head_cfg = _build_configs(settings)
 
     manifest = DatasetManifest.load(args.data)
     _say(f"loaded {len(manifest.entries)} patches from {args.data}")
@@ -221,8 +201,8 @@ def cmd_cv(args) -> int:
     (run_dir / "confusion.txt").write_text(
         confusion_text(result.confusion, CLASS_CODES)
         + "\n" + confusion_text(result.confusion, CLASS_CODES, normalized=True))
-    report = format_report([_bundle_dict(b) for b in result.per_class],
-                           _bundle_dict(result.micro))
+    report = format_report([b.as_dict() for b in result.per_class],
+                           result.micro.as_dict())
     (run_dir / "report.txt").write_text(report)
     save_model(run_dir / "model.ckpt", best["model"],
                {"fold": best["fold"], "micro_f1": best["f1"],
@@ -232,19 +212,19 @@ def cmd_cv(args) -> int:
         "created": _dt.datetime.now().isoformat(timespec="seconds"),
         "data": str(args.data),
         "settings": settings,
-        "per_class": [_bundle_dict(b) for b in result.per_class],
-        "micro": _bundle_dict(result.micro),
+        "per_class": [b.as_dict() for b in result.per_class],
+        "micro": result.micro.as_dict(),
         "fold_average": result.fold_average,
         "confusion": result.confusion.counts.tolist(),
         "folds": [{"fold": r.fold, "epochs_run": r.epochs_run,
                    "final_loss": r.epoch_losses[-1],
-                   "micro": _bundle_dict(r.micro)}
+                   "micro": r.micro.as_dict()}
                   for r in result.fold_results],
         "best_fold": best["fold"],
         "artifacts": artifacts,
     }
     # run.json lands last: its presence marks the run as complete
-    _write_atomic(run_dir / RUN_MANIFEST, json.dumps(payload, indent=1) + "\n")
+    write_atomic(run_dir / RUN_MANIFEST, json.dumps(payload, indent=1) + "\n")
     _point_latest(Path(args.out), run_dir)
 
     _say("")
@@ -263,15 +243,15 @@ def cmd_eval(args) -> int:
     manifest = DatasetManifest.load(args.data)
     images, labels = load_preprocessed(manifest,
                                        size=model.enc_cfg.image_size)
-    cm, per_class, micro = _evaluate_model(model, images, labels)
-    report = format_report([_bundle_dict(b) for b in per_class],
-                           _bundle_dict(micro))
+    cm = accumulate(model.predict(images), labels, model.head_cfg.n_classes)
+    per_class, micro = score(cm)
+    report = format_report([b.as_dict() for b in per_class], micro.as_dict())
     _say(f"checkpoint {args.checkpoint} "
          f"(trained fold {meta.get('fold', '?')}) on {args.data}:")
     _say("")
     _say(report.rstrip("\n"))
     if args.csv:
-        _write_atomic(Path(args.csv), metrics_csv(per_class, micro, CLASS_CODES))
+        write_atomic(args.csv, metrics_csv(per_class, micro, CLASS_CODES))
         _say(f"\nwrote {args.csv}")
     if args.confusion:
         _say("")
@@ -338,10 +318,10 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--config", help="JSON file of flat settings; flags win")
     c.add_argument("--verbose", action="store_true",
                    help="print every epoch")
-    for key, default in CV_DEFAULTS.items():
+    for key, default in _default_settings().items():
         flag = "--" + key.replace("_", "-")
         if isinstance(default, bool):
-            c.add_argument(flag, action="store_const", const=True,
+            c.add_argument(flag, action=argparse.BooleanOptionalAction,
                            default=None)
         else:
             c.add_argument(flag, type=type(default), default=None,

@@ -18,8 +18,8 @@ from .data import CLASS_CODES
 from .encoder import EncoderConfig
 from .errors import NumericError, ParameterError, StratificationError
 from .head import HeadConfig
-from .metrics import (ConfusionMatrix, MetricBundle, basic_metrics,
-                      micro_average, one_vs_rest)
+from .metrics import (METRIC_NAMES, ConfusionMatrix, MetricBundle, accumulate,
+                      score)
 from .model import PatchClassifier
 
 
@@ -186,14 +186,6 @@ def adam_step(params: Dict[str, "object"], state: AdamState, lr: float,
 # training
 
 
-def _evaluate(model: PatchClassifier, images, labels, n_classes: int):
-    preds = model.predict(images)
-    cm = ConfusionMatrix(n_classes)
-    cm.add(preds, labels)
-    per_class = [basic_metrics(one_vs_rest(cm, k)) for k in range(n_classes)]
-    return cm, micro_average(cm), per_class
-
-
 def train_fold(images: np.ndarray, labels: np.ndarray,
                assignment: FoldAssignment, enc_cfg: EncoderConfig,
                head_cfg: HeadConfig, cfg: TrainConfig,
@@ -243,9 +235,9 @@ def train_fold(images: np.ndarray, labels: np.ndarray,
             if (preds == labels[tr]).mean() >= cfg.early_stop_train_acc:
                 break
 
-    cm, micro, per_class = _evaluate(model, images[assignment.val_idx],
-                                     labels[assignment.val_idx],
-                                     head_cfg.n_classes)
+    val = assignment.val_idx
+    cm = accumulate(model.predict(images[val]), labels[val], head_cfg.n_classes)
+    per_class, micro = score(cm)
     result = FoldResult(fold=assignment.fold, confusion=cm, micro=micro,
                         per_class=per_class, epoch_losses=epoch_losses,
                         epochs_run=epochs_run)
@@ -274,13 +266,10 @@ def cross_validate(images: np.ndarray, labels: np.ndarray,
             on_fold(result, model)
         results.append(result)
         total = total.merge(result.confusion)
-    per_class = [basic_metrics(one_vs_rest(total, k))
-                 for k in range(head_cfg.n_classes)]
+    per_class, micro = score(total)
     fold_average = {
         name: float(np.mean([getattr(r.micro, name) for r in results]))
-        for name in ("accuracy", "precision", "recall", "specificity",
-                     "f1", "mcc")
+        for name in METRIC_NAMES
     }
-    return CVResult(fold_results=results, confusion=total,
-                    micro=micro_average(total), per_class=per_class,
-                    fold_average=fold_average)
+    return CVResult(fold_results=results, confusion=total, micro=micro,
+                    per_class=per_class, fold_average=fold_average)

@@ -197,6 +197,24 @@ def preprocess(img: ImagePatch, size: int = 224,
 # dataset manifest
 
 
+def write_atomic(path, content) -> Path:
+    """Write text or bytes to a sibling temp file, then swap it into place.
+
+    Readers see either the old file or the complete new one, never a
+    partial write; the temp file is removed if the write or swap fails.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    if isinstance(content, str):
+        content = content.encode("utf-8")
+    try:
+        tmp.write_bytes(content)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+    return path
+
+
 @dataclass
 class DatasetManifest:
     """On-disk description of a labeled patch dataset."""
@@ -223,11 +241,8 @@ class DatasetManifest:
         }
         # written last and swapped in atomically: a half-finished dataset
         # never carries a valid-looking manifest
-        path = Path(self.root) / MANIFEST_NAME
-        tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(payload, indent=1) + "\n")
-        os.replace(tmp, path)
-        return path
+        return write_atomic(Path(self.root) / MANIFEST_NAME,
+                            json.dumps(payload, indent=1) + "\n")
 
     @classmethod
     def load(cls, root) -> "DatasetManifest":

@@ -12,13 +12,12 @@ from typing import Dict
 
 import numpy as np
 
+from .data import N_CLASSES
 from .encoder import EncoderConfig, split_tokens
 from .errors import DimensionError, ParameterError
 from .tensor import Tensor, concat, dropout, reshape, silu, tensor_mean
 
 HeadWeights = Dict[str, Tensor]
-
-N_CLASSES = 9
 
 
 @dataclass(frozen=True)

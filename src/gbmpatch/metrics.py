@@ -51,7 +51,10 @@ class MetricBundle:
     undefined: frozenset = field(default_factory=frozenset)
 
     def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in METRIC_NAMES}
+        """The six scores as floats plus the sorted ``undefined`` names."""
+        out = {name: float(getattr(self, name)) for name in METRIC_NAMES}
+        out["undefined"] = sorted(self.undefined)
+        return out
 
 
 class ConfusionMatrix:
@@ -181,8 +184,20 @@ def mcc_multiclass(cm: ConfusionMatrix) -> float:
     return value
 
 
+def pooled_counts(cm: ConfusionMatrix) -> BinaryCounts:
+    """The one-vs-rest counts of every class, summed, in closed form.
+
+    Each off-diagonal sample is one class's false negative and another's
+    false positive, and a true negative for the other K-2 classes; each
+    diagonal sample is one true positive and K-1 true negatives.
+    """
+    trace, total = cm.trace, cm.total
+    return BinaryCounts(tp=trace, tn=(cm.n_classes - 2) * total + trace,
+                        fp=total - trace, fn=total - trace)
+
+
 def micro_average(cm: ConfusionMatrix) -> MetricBundle:
-    """Pool one-vs-rest counts over all classes, then score the pool.
+    """Score the pooled one-vs-rest counts of all classes.
 
     Precision, recall, F1, and specificity come from the pooled counts.
     Accuracy is overall correctness (trace/total), which is the value the
@@ -191,19 +206,19 @@ def micro_average(cm: ConfusionMatrix) -> MetricBundle:
     """
     if cm.total == 0:
         raise ContractError("micro average needs a non-empty matrix")
-    pooled = BinaryCounts(
-        tp=sum(one_vs_rest(cm, i).tp for i in range(cm.n_classes)),
-        tn=sum(one_vs_rest(cm, i).tn for i in range(cm.n_classes)),
-        fp=sum(one_vs_rest(cm, i).fp for i in range(cm.n_classes)),
-        fn=sum(one_vs_rest(cm, i).fn for i in range(cm.n_classes)),
-    )
-    bundle = basic_metrics(pooled)
+    bundle = basic_metrics(pooled_counts(cm))
     mcc, defined = _rk_statistic(cm)
     undefined = set(bundle.undefined) - {"mcc"}
     if not defined:
         undefined.add("mcc")
     return replace(bundle, accuracy=cm.trace / cm.total, mcc=mcc,
                    undefined=frozenset(undefined))
+
+
+def score(cm: ConfusionMatrix) -> tuple[list, MetricBundle]:
+    """(per-class one-vs-rest bundles, micro bundle) of one matrix."""
+    per_class = [basic_metrics(one_vs_rest(cm, k)) for k in range(cm.n_classes)]
+    return per_class, micro_average(cm)
 
 
 def normalize_rows(cm: ConfusionMatrix) -> tuple[np.ndarray, np.ndarray]:

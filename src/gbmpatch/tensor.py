@@ -75,15 +75,8 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    @property
-    def is_leaf(self) -> bool:
-        return not self._parents
-
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
 
     def zero_grad(self):
         self.grad = None

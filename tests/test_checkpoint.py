@@ -54,6 +54,20 @@ class TestRawFormat:
         with pytest.raises(DataError, match="DATA"):
             load_checkpoint(path)
 
+    def test_failed_save_leaves_existing_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, {"x": np.zeros(8, np.float32)}, {"v": 1})
+        before = path.read_bytes()
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("os.replace", refuse)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, {"x": np.ones(8, np.float32)}, {"v": 2})
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+
     def test_truncated_blob(self, tmp_path):
         path = tmp_path / "w.ckpt"
         save_checkpoint(path, {"x": np.zeros(8, np.float32)}, {})

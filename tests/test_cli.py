@@ -150,6 +150,51 @@ class TestConfigFile:
         assert code == 2
         assert "learningrate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry", [{"dim": "32"}, {"epochs": 1.5},
+                                       {"dim": True},
+                                       {"freeze_encoder": "false"}])
+    def test_wrong_value_type_is_usage_error(self, dataset, tmp_path, capsys,
+                                             entry):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(entry))
+        code = main(["cv", "--data", str(dataset),
+                     "--out", str(tmp_path / "runs"), "--config", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert next(iter(entry)) in err
+
+    def test_int_accepted_for_float(self, dataset, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"lr_max": 1, "lr_min": 1, "folds": 3,
+                                    "epochs": 1, "warmup_epochs": 0}))
+        out = tmp_path / "runs"
+        assert main(["cv", "--data", str(dataset), "--out", str(out),
+                     "--config", str(path)] + SMALL_NET) == 0
+        run = json.loads((out / "latest" / "run.json").read_text())
+        assert run["settings"]["lr_max"] == 1
+
+    def test_no_flag_overrides_config_true(self, dataset, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"freeze_encoder": True}))
+        out = tmp_path / "runs"
+        code = main(["cv", "--data", str(dataset), "--out", str(out),
+                     "--config", str(path), "--no-freeze-encoder",
+                     "--folds", "3", "--epochs", "1", "--warmup-epochs", "0"]
+                    + SMALL_NET)
+        assert code == 0
+        run = json.loads((out / "latest" / "run.json").read_text())
+        assert run["settings"]["freeze_encoder"] is False
+
+    def test_settings_keys_pinned(self, finished_run):
+        _, run = finished_run
+        settings = json.loads((run / "run.json").read_text())["settings"]
+        assert list(settings) == [
+            "folds", "epochs", "warmup_epochs", "batch_size", "lr_max",
+            "lr_min", "weight_decay", "seed", "freeze_encoder",
+            "image_size", "tile_size", "dim", "depth", "heads", "registers",
+            "mlp_ratio", "bottleneck", "dropout"]
+
     def test_missing_config_rejected(self, dataset, tmp_path):
         assert main(["cv", "--data", str(dataset),
                      "--out", str(tmp_path / "runs"),

@@ -159,14 +159,18 @@ class TestMicroAverage:
 
     def test_pooled_counts_match_summing_one_vs_rest(self):
         rng = np.random.default_rng(13)
-        cm = random_cm(rng, k=3)
-        pooled = [M.one_vs_rest(cm, i) for i in range(3)]
-        tp = sum(b.tp for b in pooled)
-        fp = sum(b.fp for b in pooled)
-        tn = sum(b.tn for b in pooled)
-        bundle = M.micro_average(cm)
-        assert bundle.precision == tp / (tp + fp)
-        assert bundle.specificity == tn / (tn + fp)
+        for k in range(2, 10):
+            for _ in range(10):
+                cm = random_cm(rng, k=k)
+                per_class = [M.one_vs_rest(cm, i) for i in range(k)]
+                tp, tn, fp, fn = (sum(getattr(b, c) for b in per_class)
+                                  for c in ("tp", "tn", "fp", "fn"))
+                assert M.pooled_counts(cm) == BinaryCounts(tp=tp, tn=tn,
+                                                           fp=fp, fn=fn)
+                bundle = M.micro_average(cm)
+                assert bundle.precision == tp / (tp + fp)
+                assert bundle.recall == tp / (tp + fn)
+                assert bundle.specificity == tn / (tn + fp)
 
 
 class TestMccMulticlass:
