@@ -13,11 +13,10 @@ from .cv import (AdamState, CVResult, FoldAssignment, FoldResult,
                  TrainConfig, adam_step, cross_validate, lr_at,
                  stratified_kfold, train_fold)
 from .data import (CLASS_CODES, DEFAULT_PROFILE, DatasetManifest, ImagePatch,
-                   NormalizationStats, generate_synthetic, load_ppm,
-                   load_preprocessed, normalize, preprocess, resize_bilinear,
-                   save_ppm, to_tensor)
-from .encoder import (EncoderConfig, embed, encode, encode_batch,
-                      init_encoder, split_tokens, tile_image)
+                   generate_synthetic, load_ppm, load_preprocessed, normalize,
+                   preprocess, resize_bilinear, save_ppm, to_tensor)
+from .encoder import (EncoderConfig, embed, encode_batch, init_encoder,
+                      split_tokens, tile_image)
 from .errors import (ContractError, DataError, DimensionError, GbmPatchError,
                      NumericError, ParameterError, PpmParseError,
                      StratificationError)

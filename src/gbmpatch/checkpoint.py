@@ -11,6 +11,7 @@ the configuration that produced it.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict
 from pathlib import Path
 from typing import Dict, Optional, Tuple
@@ -34,9 +35,7 @@ def save_checkpoint(path, params: Dict[str, "np.ndarray"], meta: dict):
     blobs = []
     offset = 0
     for name, value in params.items():
-        raw = (value.data if hasattr(value, "data")
-               and not isinstance(value, np.ndarray) else value)
-        arr = np.asarray(raw).astype(BLOB_DTYPE, copy=False)
+        arr = np.asarray(value).astype(BLOB_DTYPE, copy=False)
         shape = ",".join(str(n) for n in arr.shape)
         lines.append(f"{name}\t({shape})\t{offset}".encode("ascii"))
         blobs.append(arr.tobytes())
@@ -52,9 +51,12 @@ def _parse_shape(text: str, path) -> tuple:
     if not inner:
         return ()
     try:
-        return tuple(int(n) for n in inner.split(","))
+        shape = tuple(int(n) for n in inner.split(","))
     except ValueError:
         raise DataError(f"bad shape field {text!r} in {path}")
+    if any(n < 0 for n in shape):
+        raise DataError(f"negative dimension in shape field {text!r} in {path}")
+    return shape
 
 
 def load_checkpoint(path) -> Tuple[Dict[str, np.ndarray], dict]:
@@ -70,6 +72,8 @@ def load_checkpoint(path) -> Tuple[Dict[str, np.ndarray], dict]:
         meta = json.loads(lines[1].decode("utf-8"))
     except (IndexError, ValueError) as exc:
         raise DataError(f"{path} metadata line is unreadable: {exc}")
+    if not isinstance(meta, dict):
+        raise DataError(f"{path} metadata is not a JSON object")
     try:
         count = int(lines[2])
     except (IndexError, ValueError):
@@ -82,19 +86,24 @@ def load_checkpoint(path) -> Tuple[Dict[str, np.ndarray], dict]:
     params: Dict[str, np.ndarray] = {}
     itemsize = np.dtype(BLOB_DTYPE).itemsize
     for entry in entries:
-        fields = entry.decode("utf-8").split("\t")
-        if len(fields) != 3:
+        try:
+            name, shape_text, offset_text = entry.decode("utf-8").split("\t")
+            offset = int(offset_text)
+        except ValueError:
             raise DataError(f"malformed listing line {entry!r} in {path}")
-        name, shape_text, offset_text = fields
+        if offset < 0:
+            raise DataError(f"negative offset in listing line {entry!r} in {path}")
         shape = _parse_shape(shape_text, path)
-        offset = int(offset_text)
-        nbytes = int(np.prod(shape, dtype=np.int64)) * itemsize
+        nbytes = math.prod(shape) * itemsize
         if offset + nbytes > len(blob):
             raise DataError(
                 f"{path}: parameter {name} needs bytes [{offset}, "
                 f"{offset + nbytes}) but blob holds {len(blob)}")
-        params[name] = np.frombuffer(
-            blob[offset:offset + nbytes], dtype=BLOB_DTYPE).reshape(shape).copy()
+        try:
+            params[name] = np.frombuffer(
+                blob[offset:offset + nbytes], dtype=BLOB_DTYPE).reshape(shape).copy()
+        except ValueError as exc:
+            raise DataError(f"{path}: parameter {name} shape {shape}: {exc}")
     return params, meta
 
 
@@ -105,7 +114,8 @@ def save_model(path, model: PatchClassifier, extra_meta: Optional[dict] = None):
     }
     if extra_meta:
         meta.update(extra_meta)
-    save_checkpoint(path, model.parameters(), meta)
+    save_checkpoint(path, {k: v.data for k, v in model.parameters().items()},
+                    meta)
 
 
 def load_model(path) -> Tuple[PatchClassifier, dict]:

@@ -194,7 +194,11 @@ def train_fold(images: np.ndarray, labels: np.ndarray,
     labels = np.asarray(labels, dtype=np.int64)
     model = PatchClassifier(enc_cfg, head_cfg,
                             seed=cfg.seed * 1000 + assignment.fold)
-    params = model.parameters("head" if cfg.freeze_encoder else "all")
+    if cfg.freeze_encoder:
+        # untracked weights: the encoder forward records no graph
+        for p in model.encoder.values():
+            p.requires_grad = False
+    params = {k: p for k, p in model.parameters().items() if p.requires_grad}
     state = AdamState(params)
 
     tr = assignment.train_idx

@@ -38,21 +38,9 @@ def class_index(code: str) -> int:
         raise DataError(f"unknown class code {code!r}; expected one of {CLASS_CODES}")
 
 
-@dataclass(frozen=True)
-class NormalizationStats:
-    """Per-channel mean/std applied after the [0, 1] rescale."""
-
-    mean: tuple = (0.485, 0.456, 0.406)
-    std: tuple = (0.229, 0.224, 0.225)
-
-    def __post_init__(self):
-        if len(self.mean) != 3 or len(self.std) != 3:
-            raise DataError("normalization stats need 3 channels")
-        if any(s <= 0 for s in self.std):
-            raise DataError(f"std entries must be positive, got {self.std}")
-
-
-IMAGENET_STATS = NormalizationStats()
+# per-channel mean/std applied after the [0, 1] rescale
+IMAGENET_MEAN = (0.485, 0.456, 0.406)
+IMAGENET_STD = (0.229, 0.224, 0.225)
 
 
 @dataclass
@@ -127,7 +115,7 @@ def load_ppm(path) -> ImagePatch:
 
 def save_ppm(img: ImagePatch, path):
     header = f"P6\n{img.width} {img.height}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + img.pixels.tobytes())
+    write_atomic(path, header + img.pixels.tobytes())
 
 
 # ----------------------------------------------------------------------
@@ -173,24 +161,18 @@ def to_tensor(img: ImagePatch, size: int = 224) -> np.ndarray:
     return (img.pixels.astype(np.float32) / 255.0).transpose(2, 0, 1)
 
 
-def normalize(t: np.ndarray, stats: NormalizationStats = IMAGENET_STATS) -> np.ndarray:
+def normalize(t: np.ndarray) -> np.ndarray:
+    """Per-channel (t - mean) / std with the ImageNet statistics."""
     if t.ndim != 3 or t.shape[0] != 3:
         raise DimensionError(f"expected a (3, H, W) tensor, got {t.shape}")
-    mean = np.asarray(stats.mean, dtype=t.dtype).reshape(3, 1, 1)
-    std = np.asarray(stats.std, dtype=t.dtype).reshape(3, 1, 1)
+    mean = np.asarray(IMAGENET_MEAN, dtype=t.dtype).reshape(3, 1, 1)
+    std = np.asarray(IMAGENET_STD, dtype=t.dtype).reshape(3, 1, 1)
     return (t - mean) / std
 
 
-def denormalize(t: np.ndarray, stats: NormalizationStats = IMAGENET_STATS) -> np.ndarray:
-    mean = np.asarray(stats.mean, dtype=t.dtype).reshape(3, 1, 1)
-    std = np.asarray(stats.std, dtype=t.dtype).reshape(3, 1, 1)
-    return t * std + mean
-
-
-def preprocess(img: ImagePatch, size: int = 224,
-               stats: NormalizationStats = IMAGENET_STATS) -> np.ndarray:
+def preprocess(img: ImagePatch, size: int = 224) -> np.ndarray:
     """resize -> to_tensor -> normalize, in that order."""
-    return normalize(to_tensor(resize_bilinear(img, size, size), size), stats)
+    return normalize(to_tensor(resize_bilinear(img, size, size), size))
 
 
 # ----------------------------------------------------------------------
@@ -251,25 +233,38 @@ class DatasetManifest:
         if not path.is_file():
             raise DataError(f"no {MANIFEST_NAME} under {root}")
         try:
-            payload = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
+            payload = json.loads(path.read_bytes())
+        except ValueError as exc:
             raise DataError(f"malformed manifest {path}: {exc}")
+        if not isinstance(payload, dict):
+            raise DataError(f"manifest {path} is not a JSON object")
+        items = payload.get("entries", [])
+        if not isinstance(items, list):
+            raise DataError(f"manifest {path}: entries is not a list")
         entries = []
-        for item in payload.get("entries", []):
+        for item in items:
+            if not (isinstance(item, dict) and isinstance(item.get("path"), str)
+                    and "label" in item):
+                raise DataError(
+                    f"manifest {path}: entry {item!r} needs a string path "
+                    "and a label")
             rel = item["path"]
             label = class_index(item["label"])
-            if not (root / rel).is_file():
+            try:
+                present = (root / rel).is_file()
+            except OSError:   # e.g. a name too long for the file system
+                present = False
+            if not present:
                 raise DataError(f"manifest lists missing file {root / rel}")
             entries.append((rel, label))
         return cls(root=root, entries=entries, seed=payload.get("seed"))
 
 
-def load_preprocessed(manifest: DatasetManifest, size: int = 224,
-                      stats: NormalizationStats = IMAGENET_STATS):
+def load_preprocessed(manifest: DatasetManifest, size: int = 224):
     """Load every manifest entry into (N, 3, size, size) float32 + labels."""
     images = np.empty((len(manifest.entries), 3, size, size), dtype=np.float32)
     for i, (rel, _) in enumerate(manifest.entries):
-        images[i] = preprocess(load_ppm(Path(manifest.root) / rel), size, stats)
+        images[i] = preprocess(load_ppm(Path(manifest.root) / rel), size)
     return images, manifest.labels
 
 

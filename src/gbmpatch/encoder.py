@@ -117,44 +117,32 @@ def init_encoder(cfg: EncoderConfig, seed: int = 0,
     return w
 
 
-def tile_image(image: np.ndarray, tile: int) -> np.ndarray:
-    """Cut (B, C, H, W) or (C, H, W) into flat per-tile rows.
+def tile_image(images: np.ndarray, tile: int) -> np.ndarray:
+    """Cut (B, C, H, W) images into (B, tiles, patch_dim) flat tile rows.
 
     Each row is one tile flattened channel-major: all of channel 0's
     tile pixels, then channel 1's, then channel 2's. Tiles are ordered
     left to right, top to bottom.
     """
-    img = np.asarray(image)
-    batched = img.ndim == 4
-    if not batched:
-        if img.ndim != 3:
-            raise DimensionError(f"expected 3 or 4 axes, got shape {img.shape}")
-        img = img[None]
+    img = np.asarray(images)
+    if img.ndim != 4:
+        raise DimensionError(f"expected (B, C, H, W), got shape {img.shape}")
     b, c, h, wdt = img.shape
     if h % tile or wdt % tile:
         raise DimensionError(
             f"tile {tile} does not divide image {h}x{wdt}")
     ny, nx = h // tile, wdt // tile
-    out = (img.reshape(b, c, ny, tile, nx, tile)
-              .transpose(0, 2, 4, 1, 3, 5)
-              .reshape(b, ny * nx, c * tile * tile))
-    return out if batched else out[0]
-
-
-def untile_image(tiles: np.ndarray, cfg: EncoderConfig) -> np.ndarray:
-    """Inverse of tile_image for a single (T, patch_dim) block."""
-    n = cfg.tiles_per_side
-    t = cfg.tile_size
-    return (tiles.reshape(n, n, cfg.channels, t, t)
-                 .transpose(2, 0, 3, 1, 4)
-                 .reshape(cfg.channels, cfg.image_size, cfg.image_size))
+    return (img.reshape(b, c, ny, tile, nx, tile)
+               .transpose(0, 2, 4, 1, 3, 5)
+               .reshape(b, ny * nx, c * tile * tile))
 
 
 def embed(tiles: np.ndarray, w: EncoderWeights, cfg: EncoderConfig) -> Tensor:
-    """Project tiles to tokens, prepend class/register slots, add positions."""
-    batched = tiles.ndim == 3
-    if not batched:
-        tiles = tiles[None]
+    """Project (B, tiles, patch_dim) rows to tokens, prepend class/register
+    slots, add positions -> (B, seq_len, dim)."""
+    if tiles.ndim != 3:
+        raise DimensionError(
+            f"expected (B, tiles, patch_dim), got shape {tiles.shape}")
     b, t, p = tiles.shape
     if t != cfg.n_patches or p != cfg.patch_dim:
         raise DimensionError(
@@ -168,8 +156,7 @@ def embed(tiles: np.ndarray, w: EncoderWeights, cfg: EncoderConfig) -> Tensor:
                            (b, cfg.registers, cfg.dim))
         parts.append(reg)
     parts.append(tokens)
-    seq = concat(parts, axis=1) + w["pos"]
-    return seq if batched else reshape(seq, (cfg.seq_len, cfg.dim))
+    return concat(parts, axis=1) + w["pos"]
 
 
 def _attention(x: Tensor, w: EncoderWeights, p: str, cfg: EncoderConfig) -> Tensor:
@@ -212,20 +199,12 @@ def encode_batch(images: np.ndarray, w: EncoderWeights,
     return layer_norm(x, w["final.g"], w["final.b"])
 
 
-def encode(image: np.ndarray, w: EncoderWeights, cfg: EncoderConfig) -> Tensor:
-    """Single-image pass -> (seq_len, dim)."""
-    seq = encode_batch(np.asarray(image)[None], w, cfg)
-    return reshape(seq, (cfg.seq_len, cfg.dim))
-
-
 def split_tokens(seq: Tensor, cfg: EncoderConfig):
-    """(class_token, register_tokens, patch_tokens) views of a sequence.
-
-    Works on (seq_len, dim) and (B, seq_len, dim) alike; the class token
-    keeps a length-1 sequence axis so shapes stay uniform.
+    """(class_token, register_tokens, patch_tokens) views of a
+    (B, seq_len, dim) sequence; the class token keeps a length-1 sequence
+    axis so shapes stay uniform.
     """
-    axis = seq.ndim - 2
-    cls = narrow(seq, axis, 0, 1)
-    regs = narrow(seq, axis, 1, cfg.registers)
-    patches = narrow(seq, axis, 1 + cfg.registers, cfg.n_patches)
+    cls = narrow(seq, 1, 0, 1)
+    regs = narrow(seq, 1, 1, cfg.registers)
+    patches = narrow(seq, 1, 1 + cfg.registers, cfg.n_patches)
     return cls, regs, patches

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -159,29 +159,23 @@ def basic_metrics(b: BinaryCounts) -> MetricBundle:
                         undefined=frozenset(undefined))
 
 
-def _rk_statistic(cm: ConfusionMatrix) -> tuple[float, bool]:
+def mcc_multiclass(cm: ConfusionMatrix, undefined: Optional[set] = None) -> float:
+    """K-category correlation coefficient in [-1, 1].
+
+    (c*s - sum_k p_k*t_k) / sqrt((s^2 - sum p_k^2)(s^2 - sum t_k^2)) with
+    c = trace, s = total, t_k/p_k = true/predicted counts per class.
+    Degenerate denominators (single-class truth or predictions, a single
+    sample) yield 0 and add "mcc" to ``undefined``.
+    """
+    if cm.total == 0:
+        raise ContractError("multiclass MCC needs at least one sample")
     c = float(cm.trace)
     s = float(cm.total)
     t = cm.counts.sum(axis=1).astype(np.float64)   # per-class true counts
     p = cm.counts.sum(axis=0).astype(np.float64)   # per-class predicted counts
     num = c * s - float(p @ t)
     den = math.sqrt((s * s - float(p @ p)) * (s * s - float(t @ t)))
-    if den == 0.0:
-        return 0.0, False
-    return num / den, True
-
-
-def mcc_multiclass(cm: ConfusionMatrix) -> float:
-    """K-category correlation coefficient in [-1, 1].
-
-    (c*s - sum_k p_k*t_k) / sqrt((s^2 - sum p_k^2)(s^2 - sum t_k^2)) with
-    c = trace, s = total, t_k/p_k = true/predicted counts per class.
-    Degenerate denominators (single-class truth or predictions) yield 0.
-    """
-    if cm.total < 2:
-        raise ContractError("multiclass MCC needs at least 2 samples")
-    value, _ = _rk_statistic(cm)
-    return value
+    return _ratio(num, den, "mcc", set() if undefined is None else undefined)
 
 
 def pooled_counts(cm: ConfusionMatrix) -> BinaryCounts:
@@ -207,10 +201,8 @@ def micro_average(cm: ConfusionMatrix) -> MetricBundle:
     if cm.total == 0:
         raise ContractError("micro average needs a non-empty matrix")
     bundle = basic_metrics(pooled_counts(cm))
-    mcc, defined = _rk_statistic(cm)
     undefined = set(bundle.undefined) - {"mcc"}
-    if not defined:
-        undefined.add("mcc")
+    mcc = mcc_multiclass(cm, undefined)
     return replace(bundle, accuracy=cm.trace / cm.total, mcc=mcc,
                    undefined=frozenset(undefined))
 

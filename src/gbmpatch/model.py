@@ -27,14 +27,9 @@ class PatchClassifier:
         self.encoder = init_encoder(self.enc_cfg, seed=seed)
         self.head = init_head(self.head_cfg, self.enc_cfg.dim, seed=seed + 1)
 
-    def parameters(self, which: str = "all") -> Dict[str, Tensor]:
-        """Named parameters; ``which="head"`` restricts to the head
-        (the frozen-encoder training mode)."""
-        params: Dict[str, Tensor] = {}
-        if which == "all":
-            params.update({f"enc.{k}": v for k, v in self.encoder.items()})
-        elif which != "head":
-            raise ValueError(f"unknown parameter group {which!r}")
+    def parameters(self) -> Dict[str, Tensor]:
+        """Every named parameter, encoder first."""
+        params = {f"enc.{k}": v for k, v in self.encoder.items()}
         params.update({f"head.{k}": v for k, v in self.head.items()})
         return params
 

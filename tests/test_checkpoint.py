@@ -77,6 +77,47 @@ class TestRawFormat:
             load_checkpoint(path)
 
 
+def raw_checkpoint(meta=b"{}", listing=b"x\t(8)\t0", blob=bytes(32)):
+    """A hand-built one-parameter checkpoint file."""
+    return (b"GBMPATCH-CKPT-1\n" + meta + b"\n1\n" + listing
+            + b"\nDATA\n" + blob)
+
+
+class TestListingValidation:
+    def test_hand_built_file_loads(self, tmp_path):
+        path = tmp_path / "w.ckpt"
+        path.write_bytes(raw_checkpoint())
+        params, meta = load_checkpoint(path)
+        assert meta == {} and params["x"].shape == (8,)
+
+    @pytest.mark.parametrize("listing", [
+        b"x\t(8)\tzz",                      # offset not an integer
+        b"x\t(8)\t-4",                      # negative offset
+        b"x\t(-4)\t0",                      # negative dimension
+        b"x\t(2,-4)\t0",
+        b"\xff\t(8)\t0",                    # name not UTF-8
+        b"x\t(8)",                          # too few fields
+        b"x\t(8)\t0\t0",                    # too many fields
+        b"x\t8\t0",                         # shape without parentheses
+        b"x\t(2,,4)\t0",
+        b"x\t(" + b",".join([b"1"] * 65) + b")\t0",   # more axes than numpy has
+        b"x\t(0,99999999999999999999)\t0",   # dimension past numpy's limit
+    ])
+    def test_bad_listing_is_data_error(self, tmp_path, listing):
+        path = tmp_path / "w.ckpt"
+        path.write_bytes(raw_checkpoint(listing=listing))
+        with pytest.raises(DataError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("meta", [b"[]", b'"text"', b"3", b"null",
+                                      b"\xff", b"{"])
+    def test_metadata_must_be_an_object(self, tmp_path, meta):
+        path = tmp_path / "w.ckpt"
+        path.write_bytes(raw_checkpoint(meta=meta))
+        with pytest.raises(DataError, match="metadata"):
+            load_checkpoint(path)
+
+
 class TestModelRoundTrip:
     def test_logits_bit_identical_after_reload(self, tmp_path):
         rng = np.random.default_rng(1)

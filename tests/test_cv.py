@@ -11,6 +11,7 @@ from gbmpatch.encoder import EncoderConfig
 from gbmpatch.errors import (NumericError, ParameterError,
                              StratificationError)
 from gbmpatch.head import HeadConfig
+from gbmpatch.model import PatchClassifier
 from gbmpatch.tensor import Tensor
 
 TINY = EncoderConfig(image_size=28, tile_size=14, dim=8, depth=1, heads=2,
@@ -214,6 +215,21 @@ class TestTrainFold:
         train_fold(images, labels, assignment, TINY, self.HEAD, cfg,
                    progress=lambda f, e, l: seen.append((f, e, l)))
         assert [(f, e) for f, e, _ in seen] == [(1, 0), (1, 1), (1, 2)]
+
+    def test_frozen_encoder_trains_head_only(self):
+        rng = np.random.default_rng(3)
+        images, labels = separable_dataset(rng, per_class=3)
+        cfg = self.quick_cfg(epochs=2, early_stop_train_acc=None,
+                             freeze_encoder=True)
+        assignment = stratified_kfold(labels, cfg.folds, cfg.seed)[2]
+        _, model = train_fold(images, labels, assignment, TINY, self.HEAD, cfg)
+        fresh = PatchClassifier(TINY, self.HEAD,
+                                seed=cfg.seed * 1000 + assignment.fold)
+        for name, p in model.encoder.items():
+            assert p.data.tobytes() == fresh.encoder[name].data.tobytes(), name
+            assert p.grad is None, f"{name} took part in backward"
+        for name, p in model.head.items():
+            assert not np.array_equal(p.data, fresh.head[name].data), name
 
 
 class TestCrossValidate:

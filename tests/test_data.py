@@ -1,11 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 
 from gbmpatch.data import (CLASS_CODES, DEFAULT_PROFILE, DatasetManifest,
-                           ImagePatch, IMAGENET_STATS, NormalizationStats,
-                           class_index, denormalize, generate_synthetic,
-                           load_ppm, load_preprocessed, normalize, preprocess,
-                           resize_bilinear, save_ppm, to_tensor)
+                           ImagePatch, IMAGENET_STD, class_index,
+                           generate_synthetic, load_ppm, load_preprocessed,
+                           normalize, preprocess, resize_bilinear, save_ppm,
+                           to_tensor)
 from gbmpatch.errors import DataError, DimensionError, PpmParseError
 
 
@@ -86,6 +88,21 @@ class TestPpm:
         with pytest.raises(PpmParseError, match="width"):
             load_ppm(path)
 
+    def test_failed_save_leaves_existing_file(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(2)
+        path = tmp_path / "x.ppm"
+        save_ppm(random_patch(rng, 4, 4), path)
+        before = path.read_bytes()
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("os.replace", refuse)
+        with pytest.raises(OSError, match="disk full"):
+            save_ppm(random_patch(rng, 4, 4), path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.ppm"]
+
 
 class TestResize:
     def test_same_size_is_identity_copy(self):
@@ -153,16 +170,6 @@ class TestNormalize:
         assert out[0, 0, 0] == pytest.approx((124 / 255 - 0.485) / 0.229, abs=1e-6)
         assert abs(out[0, 0, 0]) < 0.006
 
-    def test_denormalize_inverts(self):
-        rng = np.random.default_rng(7)
-        t = rng.random((3, 9, 9)).astype(np.float32)
-        back = denormalize(normalize(t))
-        assert np.allclose(back, t, atol=1e-6)
-
-    def test_bad_stats_rejected(self):
-        with pytest.raises(DataError):
-            NormalizationStats(mean=(0.5, 0.5, 0.5), std=(0.2, 0.0, 0.2))
-
     def test_wrong_rank_rejected(self):
         with pytest.raises(DimensionError):
             normalize(np.zeros((224, 224, 3), dtype=np.float32))
@@ -185,7 +192,7 @@ class TestPreprocess:
         ).transpose(2, 0, 1)
         ours = preprocess(img)
         assert not np.array_equal(ours, swapped)
-        assert np.abs(ours - swapped).max() < 0.5 / 255 / min(IMAGENET_STATS.std) + 1e-6
+        assert np.abs(ours - swapped).max() < 0.5 / 255 / min(IMAGENET_STD) + 1e-6
 
     def test_small_size_path(self):
         rng = np.random.default_rng(10)
@@ -256,6 +263,30 @@ class TestGenerator:
         generate_synthetic(tmp_path, [1, 1, 0, 0, 0, 0, 0, 0, 0], seed=0, size=16)
         (tmp_path / "PN/0000.ppm").unlink()
         with pytest.raises(DataError, match="missing"):
+            DatasetManifest.load(tmp_path)
+
+    @pytest.mark.parametrize("payload", [
+        [], "entries", 3, None,
+        {"entries": {"path": "CT/0000.ppm", "label": "CT"}},
+        {"entries": "CT/0000.ppm"},
+        {"entries": ["CT/0000.ppm"]},
+        {"entries": [None]},
+        {"entries": [{"label": "CT"}]},
+        {"entries": [{"path": "CT/0000.ppm"}]},
+        {"entries": [{"path": 7, "label": "CT"}]},
+        {"entries": [{"path": ["CT/0000.ppm"], "label": "CT"}]},
+        {"entries": [{"path": "CT/0000.ppm", "label": ["CT"]}]},
+        {"entries": [{"path": "a" * 300, "label": "CT"}]},   # name too long
+    ])
+    def test_malformed_manifest_is_data_error(self, tmp_path, payload):
+        generate_synthetic(tmp_path, [1] + [0] * 8, seed=0, size=8)
+        (tmp_path / "manifest.json").write_text(json.dumps(payload))
+        with pytest.raises(DataError):
+            DatasetManifest.load(tmp_path)
+
+    def test_non_utf8_manifest_is_data_error(self, tmp_path):
+        (tmp_path / "manifest.json").write_bytes(b'{"entries": ["\xff"]}')
+        with pytest.raises(DataError):
             DatasetManifest.load(tmp_path)
 
 

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from gbmpatch.encoder import (EncoderConfig, embed, encode, encode_batch,
-                              init_encoder, split_tokens, tile_image,
-                              untile_image)
+from gbmpatch.encoder import (EncoderConfig, embed, encode_batch,
+                              init_encoder, split_tokens, tile_image)
 from gbmpatch.errors import DimensionError, ParameterError
 from gbmpatch.tensor import Tensor
 
@@ -16,6 +15,14 @@ def rand_image(rng, cfg, batch=None):
     if batch is not None:
         shape = (batch,) + shape
     return rng.normal(0, 1, size=shape).astype(np.float32)
+
+
+def untile_image(tiles, cfg):
+    """Inverse of tile_image for a (B, T, patch_dim) block."""
+    b, n, t = tiles.shape[0], cfg.tiles_per_side, cfg.tile_size
+    return (tiles.reshape(b, n, n, cfg.channels, t, t)
+                 .transpose(0, 3, 1, 4, 2, 5)
+                 .reshape(b, cfg.channels, cfg.image_size, cfg.image_size))
 
 
 class TestConfig:
@@ -38,7 +45,7 @@ class TestTiling:
     def test_channel_major_flatten(self):
         cfg = EncoderConfig(image_size=4, tile_size=2, dim=4, depth=0, heads=1)
         img = np.arange(3 * 4 * 4, dtype=np.float32).reshape(3, 4, 4)
-        tiles = tile_image(img, 2)
+        tiles = tile_image(img[None], 2)[0]
         assert tiles.shape == (4, 12)
         # first tile: rows 0-1, cols 0-1 of each channel in channel order
         want = np.concatenate([img[c, 0:2, 0:2].reshape(-1) for c in range(3)])
@@ -51,38 +58,42 @@ class TestTiling:
 
     def test_round_trip(self):
         rng = np.random.default_rng(0)
-        img = rand_image(rng, TINY)
+        img = rand_image(rng, TINY, batch=2)
         assert np.array_equal(untile_image(tile_image(img, 14), TINY), img)
-
-    def test_batched_matches_single(self):
-        rng = np.random.default_rng(1)
-        imgs = rand_image(rng, TINY, batch=3)
-        stacked = tile_image(imgs, 14)
-        for i in range(3):
-            assert np.array_equal(stacked[i], tile_image(imgs[i], 14))
 
     def test_indivisible_rejected(self):
         with pytest.raises(DimensionError):
-            tile_image(np.zeros((3, 30, 30), dtype=np.float32), 14)
+            tile_image(np.zeros((1, 3, 30, 30), dtype=np.float32), 14)
+
+    @pytest.mark.parametrize("shape", [(3, 28, 28), (1, 1, 3, 28, 28)])
+    def test_unbatched_rank_rejected(self, shape):
+        with pytest.raises(DimensionError):
+            tile_image(np.zeros(shape, dtype=np.float32), 14)
 
 
 class TestEmbed:
     def test_sequence_layout(self):
         rng = np.random.default_rng(2)
         w = init_encoder(TINY, seed=0)
-        tiles = tile_image(rand_image(rng, TINY), 14)
+        tiles = tile_image(rand_image(rng, TINY, batch=1), 14)
         seq = embed(tiles, w, TINY)
-        assert seq.shape == (TINY.seq_len, TINY.dim)
+        assert seq.shape == (1, TINY.seq_len, TINY.dim)
         # class slot = cls + pos[0], register slots follow
-        assert np.allclose(seq.data[0], w["cls"].data[0] + w["pos"].data[0],
+        assert np.allclose(seq.data[0, 0], w["cls"].data[0] + w["pos"].data[0],
                            atol=1e-6)
-        assert np.allclose(seq.data[1], w["reg"].data[0] + w["pos"].data[1],
+        assert np.allclose(seq.data[0, 1], w["reg"].data[0] + w["pos"].data[1],
                            atol=1e-6)
 
     def test_wrong_tile_block_rejected(self):
         w = init_encoder(TINY, seed=0)
         with pytest.raises(DimensionError):
-            embed(np.zeros((5, TINY.patch_dim), dtype=np.float32), w, TINY)
+            embed(np.zeros((1, 5, TINY.patch_dim), dtype=np.float32), w, TINY)
+
+    def test_unbatched_rank_rejected(self):
+        w = init_encoder(TINY, seed=0)
+        with pytest.raises(DimensionError):
+            embed(np.zeros((TINY.n_patches, TINY.patch_dim), dtype=np.float32),
+                  w, TINY)
 
 
 class TestEncode:
@@ -100,23 +111,23 @@ class TestEncode:
         w = init_encoder(TINY, seed=2)
         imgs = rand_image(rng, TINY, batch=3)
         batched = encode_batch(imgs, w, TINY)
-        single = encode(imgs[1], w, TINY)
-        assert np.allclose(batched.data[1], single.data, atol=1e-6)
+        single = encode_batch(imgs[1:2], w, TINY)
+        assert np.allclose(batched.data[1], single.data[0], atol=1e-6)
 
     def test_eval_is_deterministic(self):
         rng = np.random.default_rng(5)
         w = init_encoder(TINY, seed=3)
-        img = rand_image(rng, TINY)
-        a = encode(img, w, TINY).data
-        b = encode(img, w, TINY).data
+        img = rand_image(rng, TINY, batch=1)
+        a = encode_batch(img, w, TINY).data
+        b = encode_batch(img, w, TINY).data
         assert np.array_equal(a, b)
 
     def test_depth_zero_is_normed_embedding(self):
         cfg = EncoderConfig(image_size=28, tile_size=14, dim=8, depth=0, heads=2)
         rng = np.random.default_rng(6)
         w = init_encoder(cfg, seed=4)
-        seq = encode(rand_image(rng, cfg), w, cfg)
-        assert seq.shape == (cfg.seq_len, 8)
+        seq = encode_batch(rand_image(rng, cfg, batch=1), w, cfg)
+        assert seq.shape == (1, cfg.seq_len, 8)
         # final norm leaves each token standardized around the unit gain
         centered = seq.data - seq.data.mean(axis=-1, keepdims=True)
         assert np.allclose(centered, seq.data, atol=1e-5)
@@ -127,15 +138,15 @@ class TestEncode:
         rng = np.random.default_rng(7)
         w = init_encoder(TINY, seed=5)
         w["pos"] = Tensor(np.zeros_like(w["pos"].data), requires_grad=True)
-        img = rand_image(rng, TINY)
+        img = rand_image(rng, TINY, batch=1)
         perm = np.array([2, 0, 3, 1])
-        img_perm = untile_image(tile_image(img, 14)[perm], TINY)
+        img_perm = untile_image(tile_image(img, 14)[:, perm], TINY)
 
-        base = encode(img, w, TINY)
-        moved = encode(img_perm, w, TINY)
+        base = encode_batch(img, w, TINY)
+        moved = encode_batch(img_perm, w, TINY)
         _, _, patches_base = split_tokens(base, TINY)
         _, _, patches_moved = split_tokens(moved, TINY)
-        assert np.allclose(patches_moved.data, patches_base.data[perm],
+        assert np.allclose(patches_moved.data, patches_base.data[:, perm],
                            atol=1e-4)
         cls_base, _, _ = split_tokens(base, TINY)
         cls_moved, _, _ = split_tokens(moved, TINY)
@@ -144,12 +155,12 @@ class TestEncode:
     def test_position_embeddings_break_the_symmetry(self):
         rng = np.random.default_rng(8)
         w = init_encoder(TINY, seed=6)
-        img = rand_image(rng, TINY)
+        img = rand_image(rng, TINY, batch=1)
         perm = np.array([1, 0, 2, 3])
-        img_perm = untile_image(tile_image(img, 14)[perm], TINY)
-        _, _, p_base = split_tokens(encode(img, w, TINY), TINY)
-        _, _, p_moved = split_tokens(encode(img_perm, w, TINY), TINY)
-        assert not np.allclose(p_moved.data, p_base.data[perm], atol=1e-4)
+        img_perm = untile_image(tile_image(img, 14)[:, perm], TINY)
+        _, _, p_base = split_tokens(encode_batch(img, w, TINY), TINY)
+        _, _, p_moved = split_tokens(encode_batch(img_perm, w, TINY), TINY)
+        assert not np.allclose(p_moved.data, p_base.data[:, perm], atol=1e-4)
 
     def test_split_tokens_partition(self):
         rng = np.random.default_rng(9)

@@ -225,6 +225,32 @@ class TestMccMulticlass:
         assert M.mcc_multiclass(cm) == 0.0
         assert "mcc" in M.micro_average(cm).undefined
 
+    def test_undefined_set_is_filled(self):
+        undefined = set()
+        M.mcc_multiclass(ConfusionMatrix(3, [[4, 0, 0], [2, 0, 0], [1, 0, 0]]),
+                         undefined)
+        assert undefined == {"mcc"}
+        M.mcc_multiclass(ConfusionMatrix(2, [[1, 1], [0, 2]]), undefined)
+        assert undefined == {"mcc"}
+
+    def test_single_sample_is_undefined_zero(self):
+        cm = ConfusionMatrix(3, [[0, 0, 0], [0, 1, 0], [0, 0, 0]])
+        undefined = set()
+        assert M.mcc_multiclass(cm, undefined) == 0.0
+        assert undefined == {"mcc"}
+        micro = M.micro_average(cm)
+        assert micro.mcc == 0.0 and "mcc" in micro.undefined
+
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(ContractError):
+            M.mcc_multiclass(ConfusionMatrix(3))
+
+    def test_micro_mcc_is_mcc_multiclass(self):
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            cm = random_cm(rng, k=5)
+            assert M.micro_average(cm).mcc == M.mcc_multiclass(cm)
+
 
 class TestNormalizeRows:
     def test_half_half_row(self):
