@@ -13,9 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from gbmpatch import (CLASS_CODES, EncoderConfig, HeadConfig, TrainConfig,
-                      cross_validate, load_preprocessed, lr_at,
-                      stratified_kfold)
+from gbmpatch import (EncoderConfig, HeadConfig, TrainConfig, cross_validate,
+                      load_preprocessed, lr_at, stratified_kfold)
 from gbmpatch.cli import format_report
 from gbmpatch.data import generate_synthetic
 
@@ -64,4 +63,4 @@ print(f"\npooled confusion total = {result.confusion.total} "
       f"(= dataset size {len(labels)})")
 print()
 print(format_report([b.as_dict() for b in result.per_class],
-                    result.micro.as_dict(), CLASS_CODES))
+                    result.micro.as_dict()))

@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import write_atomic
 from .encoder import EncoderConfig
-from .errors import DataError
+from .errors import ContractError, DataError
 from .head import HeadConfig
 from .model import PatchClassifier
 
@@ -29,15 +29,18 @@ BLOB_DTYPE = "<f4"
 
 
 def save_checkpoint(path, params: Dict[str, "np.ndarray"], meta: dict):
-    """Write named arrays plus a JSON metadata dict."""
+    """Write named arrays plus a JSON metadata dict; names are UTF-8 text
+    without the tab or newline that delimit the listing."""
     lines = [MAGIC, json.dumps(meta, sort_keys=True).encode("utf-8"),
              str(len(params)).encode("ascii")]
     blobs = []
     offset = 0
     for name, value in params.items():
+        if "\t" in name or "\n" in name:
+            raise ContractError(f"parameter name {name!r} holds a tab or newline")
         arr = np.asarray(value).astype(BLOB_DTYPE, copy=False)
         shape = ",".join(str(n) for n in arr.shape)
-        lines.append(f"{name}\t({shape})\t{offset}".encode("ascii"))
+        lines.append(f"{name}\t({shape})\t{offset}".encode("utf-8"))
         blobs.append(arr.tobytes())
         offset += arr.nbytes
     lines.append(b"DATA")
@@ -121,12 +124,12 @@ def save_model(path, model: PatchClassifier, extra_meta: Optional[dict] = None):
 def load_model(path) -> Tuple[PatchClassifier, dict]:
     """Rebuild a classifier from a checkpoint; weights load bit for bit."""
     params, meta = load_checkpoint(path)
+    # ValueError: a config's ParameterError, or a shape numpy cannot allocate
     try:
-        enc_cfg = EncoderConfig(**meta["encoder"])
-        head_cfg = HeadConfig(**meta["head"])
-    except (KeyError, TypeError) as exc:
+        model = PatchClassifier(EncoderConfig(**meta["encoder"]),
+                                HeadConfig(**meta["head"]), seed=0)
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path} metadata does not describe a model: {exc}")
-    model = PatchClassifier(enc_cfg, head_cfg, seed=0)
     expected = model.parameters()
     missing = sorted(set(expected) - set(params))
     extra = sorted(set(params) - set(expected))

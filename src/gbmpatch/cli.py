@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .checkpoint import load_model, save_model
 from .cv import TrainConfig, cross_validate
-from .data import (CLASS_CODES, DEFAULT_PROFILE, DatasetManifest,
+from .data import (CLASS_CODES, DEFAULT_PROFILE, N_CLASSES, DatasetManifest,
                    generate_synthetic, load_preprocessed, write_atomic)
 from .encoder import EncoderConfig
 from .errors import (ContractError, DataError, DimensionError, NumericError,
@@ -33,8 +33,7 @@ RUN_MANIFEST = "run.json"
 # the cv settings are the fields of these configs, in this order, minus
 # the ones the command leaves at their defaults
 CV_CONFIGS = (TrainConfig, EncoderConfig, HeadConfig)
-UNEXPOSED = frozenset({"beta1", "beta2", "eps", "early_stop_train_acc",
-                       "channels", "n_classes"})
+UNEXPOSED = frozenset({"early_stop_train_acc"})
 
 
 def _say(msg: str):
@@ -45,14 +44,14 @@ def _fail(msg: str):
     print(f"error: {msg}", file=sys.stderr, flush=True)
 
 
-def format_report(per_class: list, micro: dict, class_names=CLASS_CODES) -> str:
+def format_report(per_class: list, micro: dict) -> str:
     """Fixed-width table: metric rows, one column per class plus Average.
 
     Per-class MCC cells render as -- (the summary column carries the
     multi-class coefficient).
     """
     width = 9
-    header = "metric".ljust(12) + "".join(f"{n:>{width}}" for n in class_names)
+    header = "metric".ljust(12) + "".join(f"{n:>{width}}" for n in CLASS_CODES)
     header += f"{'Average':>{width + 2}}"
     lines = [header, "-" * len(header)]
     for name in METRIC_NAMES:
@@ -196,14 +195,14 @@ def cmd_cv(args) -> int:
                             progress=progress, on_fold=on_fold)
 
     artifacts = ["metrics.csv", "confusion.txt", "report.txt", "model.ckpt"]
-    (run_dir / "metrics.csv").write_text(
-        metrics_csv(result.per_class, result.micro, CLASS_CODES))
-    (run_dir / "confusion.txt").write_text(
-        confusion_text(result.confusion, CLASS_CODES)
-        + "\n" + confusion_text(result.confusion, CLASS_CODES, normalized=True))
+    write_atomic(run_dir / "metrics.csv",
+                 metrics_csv(result.per_class, result.micro, CLASS_CODES))
+    write_atomic(run_dir / "confusion.txt",
+                 confusion_text(result.confusion, CLASS_CODES) + "\n"
+                 + confusion_text(result.confusion, CLASS_CODES, normalized=True))
     report = format_report([b.as_dict() for b in result.per_class],
                            result.micro.as_dict())
-    (run_dir / "report.txt").write_text(report)
+    write_atomic(run_dir / "report.txt", report)
     save_model(run_dir / "model.ckpt", best["model"],
                {"fold": best["fold"], "micro_f1": best["f1"],
                 "data": str(args.data)})
@@ -243,7 +242,7 @@ def cmd_eval(args) -> int:
     manifest = DatasetManifest.load(args.data)
     images, labels = load_preprocessed(manifest,
                                        size=model.enc_cfg.image_size)
-    cm = accumulate(model.predict(images), labels, model.head_cfg.n_classes)
+    cm = accumulate(model.predict(images), labels, N_CLASSES)
     per_class, micro = score(cm)
     report = format_report([b.as_dict() for b in per_class], micro.as_dict())
     _say(f"checkpoint {args.checkpoint} "

@@ -14,13 +14,16 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .data import CLASS_CODES
+from .data import CLASS_CODES, N_CLASSES
 from .encoder import EncoderConfig
 from .errors import NumericError, ParameterError, StratificationError
 from .head import HeadConfig
 from .metrics import (METRIC_NAMES, ConfusionMatrix, MetricBundle, accumulate,
                       score)
 from .model import PatchClassifier
+
+# Adam moment decay rates and denominator floor (Kingma & Ba defaults)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
@@ -32,9 +35,6 @@ class TrainConfig:
     lr_max: float = 1e-5
     lr_min: float = 1e-6
     weight_decay: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     freeze_encoder: bool = False
     # stop a fold once training accuracy reaches this level (None = never)
@@ -54,8 +54,6 @@ class TrainConfig:
                 f"need 0 < lr_min <= lr_max, got {self.lr_min}, {self.lr_max}")
         if self.weight_decay < 0:
             raise ParameterError("weight_decay must be nonnegative")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ParameterError("betas must lie in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -164,8 +162,8 @@ def adam_step(params: Dict[str, "object"], state: AdamState, lr: float,
     update, so it never leaks into the running moments.
     """
     state.t += 1
-    bc1 = 1.0 - cfg.beta1 ** state.t
-    bc2 = 1.0 - cfg.beta2 ** state.t
+    bc1 = 1.0 - ADAM_BETA1 ** state.t
+    bc2 = 1.0 - ADAM_BETA2 ** state.t
     for name, p in params.items():
         g = p.grad
         if g is None:
@@ -174,11 +172,11 @@ def adam_step(params: Dict[str, "object"], state: AdamState, lr: float,
             p.data *= 1.0 - lr * cfg.weight_decay
         m = state.m[name]
         v = state.v[name]
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         p.data -= lr * update
 
 
@@ -240,7 +238,7 @@ def train_fold(images: np.ndarray, labels: np.ndarray,
                 break
 
     val = assignment.val_idx
-    cm = accumulate(model.predict(images[val]), labels[val], head_cfg.n_classes)
+    cm = accumulate(model.predict(images[val]), labels[val], N_CLASSES)
     per_class, micro = score(cm)
     result = FoldResult(fold=assignment.fold, confusion=cm, micro=micro,
                         per_class=per_class, epoch_losses=epoch_losses,
@@ -262,7 +260,7 @@ def cross_validate(images: np.ndarray, labels: np.ndarray,
     labels = np.asarray(labels, dtype=np.int64)
     assignments = stratified_kfold(labels, cfg.folds, cfg.seed)
     results = []
-    total = ConfusionMatrix(head_cfg.n_classes)
+    total = ConfusionMatrix(N_CLASSES)
     for assignment in assignments:
         result, model = train_fold(images, labels, assignment, enc_cfg,
                                    head_cfg, cfg, progress)

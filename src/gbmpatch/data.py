@@ -41,6 +41,7 @@ def class_index(code: str) -> int:
 # per-channel mean/std applied after the [0, 1] rescale
 IMAGENET_MEAN = (0.485, 0.456, 0.406)
 IMAGENET_STD = (0.229, 0.224, 0.225)
+CHANNELS = len(IMAGENET_MEAN)
 
 
 @dataclass
@@ -163,10 +164,10 @@ def to_tensor(img: ImagePatch, size: int = 224) -> np.ndarray:
 
 def normalize(t: np.ndarray) -> np.ndarray:
     """Per-channel (t - mean) / std with the ImageNet statistics."""
-    if t.ndim != 3 or t.shape[0] != 3:
-        raise DimensionError(f"expected a (3, H, W) tensor, got {t.shape}")
-    mean = np.asarray(IMAGENET_MEAN, dtype=t.dtype).reshape(3, 1, 1)
-    std = np.asarray(IMAGENET_STD, dtype=t.dtype).reshape(3, 1, 1)
+    if t.ndim != 3 or t.shape[0] != CHANNELS:
+        raise DimensionError(f"expected a ({CHANNELS}, H, W) tensor, got {t.shape}")
+    mean = np.asarray(IMAGENET_MEAN, dtype=t.dtype).reshape(CHANNELS, 1, 1)
+    std = np.asarray(IMAGENET_STD, dtype=t.dtype).reshape(CHANNELS, 1, 1)
     return (t - mean) / std
 
 
@@ -249,6 +250,8 @@ class DatasetManifest:
                     f"manifest {path}: entry {item!r} needs a string path "
                     "and a label")
             rel = item["path"]
+            if Path(rel).is_absolute() or ".." in Path(rel).parts:   # lexical
+                raise DataError(f"manifest {path}: {rel!r} leaves the dataset root")
             label = class_index(item["label"])
             try:
                 present = (root / rel).is_file()

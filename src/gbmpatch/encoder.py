@@ -19,6 +19,7 @@ from typing import Dict
 
 import numpy as np
 
+from .data import CHANNELS
 from .errors import DimensionError, ParameterError
 from .tensor import (Tensor, broadcast_to, concat, layer_norm, narrow,
                      reshape, silu, softmax, transpose)
@@ -30,7 +31,6 @@ EncoderWeights = Dict[str, Tensor]
 class EncoderConfig:
     image_size: int = 224
     tile_size: int = 14
-    channels: int = 3
     dim: int = 32
     depth: int = 2
     heads: int = 4
@@ -44,6 +44,8 @@ class EncoderConfig:
             raise ParameterError(
                 f"tile size {self.tile_size} does not divide "
                 f"image size {self.image_size}")
+        if self.dim < 1 or self.heads < 1:
+            raise ParameterError("dim and heads must be positive")
         if self.dim % self.heads != 0:
             raise ParameterError(
                 f"heads {self.heads} does not divide dim {self.dim}")
@@ -71,7 +73,7 @@ class EncoderConfig:
 
     @property
     def patch_dim(self) -> int:
-        return self.channels * self.tile_size ** 2
+        return CHANNELS * self.tile_size ** 2
 
 
 def init_encoder(cfg: EncoderConfig, seed: int = 0,
@@ -95,7 +97,7 @@ def init_encoder(cfg: EncoderConfig, seed: int = 0,
         "patch.w": normal(cfg.patch_dim, d),
         "patch.b": zeros(d),
         "cls": normal(1, d),
-        "reg": normal(cfg.registers, d) if cfg.registers else zeros(0, d),
+        "reg": normal(cfg.registers, d),
         "pos": normal(cfg.seq_len, d),
     }
     for i in range(cfg.depth):
@@ -150,13 +152,9 @@ def embed(tiles: np.ndarray, w: EncoderWeights, cfg: EncoderConfig) -> Tensor:
             f"({cfg.n_patches}, {cfg.patch_dim})")
     tokens = Tensor(tiles) @ w["patch.w"] + w["patch.b"]
     cls = broadcast_to(reshape(w["cls"], (1, 1, cfg.dim)), (b, 1, cfg.dim))
-    parts = [cls]
-    if cfg.registers:
-        reg = broadcast_to(reshape(w["reg"], (1, cfg.registers, cfg.dim)),
-                           (b, cfg.registers, cfg.dim))
-        parts.append(reg)
-    parts.append(tokens)
-    return concat(parts, axis=1) + w["pos"]
+    reg = broadcast_to(reshape(w["reg"], (1, cfg.registers, cfg.dim)),
+                       (b, cfg.registers, cfg.dim))
+    return concat([cls, reg, tokens], axis=1) + w["pos"]
 
 
 def _attention(x: Tensor, w: EncoderWeights, p: str, cfg: EncoderConfig) -> Tensor:
@@ -185,10 +183,10 @@ def encode_batch(images: np.ndarray, w: EncoderWeights,
     images = np.asarray(images)
     if images.ndim != 4:
         raise DimensionError(f"expected (B, C, H, W), got {images.shape}")
-    if images.shape[1:] != (cfg.channels, cfg.image_size, cfg.image_size):
+    if images.shape[1:] != (CHANNELS, cfg.image_size, cfg.image_size):
         raise DimensionError(
             f"images {images.shape[1:]} do not match config "
-            f"({cfg.channels}, {cfg.image_size}, {cfg.image_size})")
+            f"({CHANNELS}, {cfg.image_size}, {cfg.image_size})")
     x = embed(tile_image(images, cfg.tile_size), w, cfg)
     for i in range(cfg.depth):
         p = f"blk{i}"

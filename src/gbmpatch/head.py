@@ -23,14 +23,11 @@ HeadWeights = Dict[str, Tensor]
 @dataclass(frozen=True)
 class HeadConfig:
     bottleneck: int = 16
-    n_classes: int = N_CLASSES
     dropout: float = 0.5
 
     def __post_init__(self):
         if self.bottleneck < 1:
             raise ParameterError(f"bottleneck must be >= 1, got {self.bottleneck}")
-        if self.n_classes < 2:
-            raise ParameterError(f"need >= 2 classes, got {self.n_classes}")
         if not 0.0 <= self.dropout < 1.0:
             raise ParameterError(f"dropout must be in [0, 1), got {self.dropout}")
 
@@ -42,9 +39,9 @@ def init_head(cfg: HeadConfig, dim: int, seed: int = 0,
         "w1": Tensor(rng.normal(0.0, 0.02, size=(2 * dim, cfg.bottleneck))
                      .astype(dtype), requires_grad=True),
         "b1": Tensor(np.zeros(cfg.bottleneck, dtype=dtype), requires_grad=True),
-        "w2": Tensor(rng.normal(0.0, 0.02, size=(cfg.bottleneck, cfg.n_classes))
+        "w2": Tensor(rng.normal(0.0, 0.02, size=(cfg.bottleneck, N_CLASSES))
                      .astype(dtype), requires_grad=True),
-        "b2": Tensor(np.zeros(cfg.n_classes, dtype=dtype), requires_grad=True),
+        "b2": Tensor(np.zeros(N_CLASSES, dtype=dtype), requires_grad=True),
     }
 
 
@@ -70,9 +67,8 @@ def head_forward(features: Tensor, w: HeadWeights, cfg: HeadConfig,
     return h @ w["w2"] + w["b2"]
 
 
-def predict(logits) -> np.ndarray:
+def predict(logits: Tensor) -> np.ndarray:
     """Argmax class per row; ties go to the lowest class index."""
-    arr = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
-    if arr.ndim != 2:
-        raise DimensionError(f"expected (B, n_classes) logits, got {arr.shape}")
-    return np.argmax(arr, axis=1).astype(np.int64)
+    if logits.ndim != 2:
+        raise DimensionError(f"expected (B, n_classes) logits, got {logits.shape}")
+    return np.argmax(logits.data, axis=1).astype(np.int64)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -20,10 +20,10 @@ class PatchClassifier:
     checkpoint writer.
     """
 
-    def __init__(self, enc_cfg: Optional[EncoderConfig] = None,
-                 head_cfg: Optional[HeadConfig] = None, seed: int = 0):
-        self.enc_cfg = enc_cfg or EncoderConfig()
-        self.head_cfg = head_cfg or HeadConfig()
+    def __init__(self, enc_cfg: EncoderConfig, head_cfg: HeadConfig,
+                 seed: int = 0):
+        self.enc_cfg = enc_cfg
+        self.head_cfg = head_cfg
         self.encoder = init_encoder(self.enc_cfg, seed=seed)
         self.head = init_head(self.head_cfg, self.enc_cfg.dim, seed=seed + 1)
 

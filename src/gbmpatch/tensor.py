@@ -196,7 +196,8 @@ class ComputationRecord:
 
 
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward_fn, op: str) -> Tensor:
-    tracked = tuple(p for p in parents if p.requires_grad or p._parents)
+    # a node with parents always requires grad, so this one flag decides
+    tracked = tuple(p for p in parents if p.requires_grad)
     if tracked:
         return Tensor(data, requires_grad=True, parents=tracked,
                       backward_fn=backward_fn, op=op)

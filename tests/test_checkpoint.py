@@ -4,7 +4,7 @@ import pytest
 from gbmpatch.checkpoint import (load_checkpoint, load_model, save_checkpoint,
                                  save_model)
 from gbmpatch.encoder import EncoderConfig
-from gbmpatch.errors import DataError
+from gbmpatch.errors import ContractError, DataError
 from gbmpatch.head import HeadConfig
 from gbmpatch.model import PatchClassifier
 
@@ -23,6 +23,7 @@ class TestRawFormat:
             "a": rng.normal(size=(3, 4)).astype(np.float32),
             "b.c": rng.normal(size=(5,)).astype(np.float32),
             "scalarish": np.float32(2.5).reshape(()),
+            "é": np.zeros((2,), np.float32),           # names are UTF-8
         }
         path = tmp_path / "w.ckpt"
         save_checkpoint(path, params, {"note": "x"})
@@ -41,6 +42,13 @@ class TestRawFormat:
         assert head.splitlines()[0] == "GBMPATCH-CKPT-1"
         assert '"k": 1' in head
         assert "x\t(2,2)\t0" in head
+
+    @pytest.mark.parametrize("name", ["a\tb", "x\ny"])
+    def test_name_with_listing_delimiter_rejected(self, tmp_path, name):
+        path = tmp_path / "w.ckpt"
+        with pytest.raises(ContractError, match="tab or newline"):
+            save_checkpoint(path, {name: np.zeros(2, np.float32)}, {})
+        assert not path.exists()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk"

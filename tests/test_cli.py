@@ -4,8 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gbmpatch.checkpoint import load_checkpoint, save_checkpoint
 from gbmpatch.cli import format_report, main
-from gbmpatch.data import CLASS_CODES, DatasetManifest, generate_synthetic
+from gbmpatch.data import (CLASS_CODES, DatasetManifest, generate_synthetic,
+                           write_atomic)
 from gbmpatch.metrics import METRIC_NAMES
 
 SMALL_NET = ["--image-size", "28", "--tile-size", "14", "--dim", "8",
@@ -122,6 +124,42 @@ class TestCv:
                      "--folds", "1"] + SMALL_NET)
         assert code == 2
 
+    @pytest.mark.parametrize("entry", [{"heads": 0}, {"heads": -4}, {"dim": 0}])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_bad_model_value_is_usage_error(self, dataset, tmp_path, capsys,
+                                            entry, source):
+        (key, value), = entry.items()
+        if source == "flag":
+            extra = [f"--{key}={value}"]
+        else:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(entry))
+            extra = ["--config", str(path)]
+        code = main(["cv", "--data", str(dataset),
+                     "--out", str(tmp_path / "runs")] + extra)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_every_artifact_written_atomically(self, dataset, tmp_path,
+                                               monkeypatch):
+        written = []
+
+        def recording(path, content):
+            written.append(Path(path).name)
+            return write_atomic(path, content)
+
+        monkeypatch.setattr("gbmpatch.cli.write_atomic", recording)
+        monkeypatch.setattr("gbmpatch.checkpoint.write_atomic", recording)
+        out = tmp_path / "runs"
+        assert main(["cv", "--data", str(dataset), "--out", str(out),
+                     "--epochs", "1", "--warmup-epochs", "0", "--folds", "3"]
+                    + SMALL_NET) == 0
+        files = sorted(p.name for p in (out / "latest").iterdir())
+        assert sorted(written) == files == [
+            "confusion.txt", "metrics.csv", "model.ckpt", "report.txt",
+            "run.json"]
+
 
 class TestConfigFile:
     def test_config_applies_and_flags_override(self, dataset, tmp_path):
@@ -220,6 +258,31 @@ class TestEval:
         bad.write_bytes(b"nonsense")
         assert main(["eval", "--checkpoint", str(bad),
                      "--data", str(dataset)]) == 3
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("encoder", "heads", 0),
+        ("encoder", "heads", 3),            # does not divide dim 8
+        ("encoder", "dim", 8.0),
+        ("encoder", "registers", 1.5),
+        ("encoder", "dim", 2 ** 62),        # more than numpy can allocate
+        ("encoder", "channels", 3),         # written before it was a constant
+        ("head", "n_classes", 9),
+    ])
+    def test_bad_model_metadata_is_data_error(self, dataset, finished_run,
+                                              tmp_path, capsys, section, key,
+                                              value):
+        _, run = finished_run
+        params, meta = load_checkpoint(run / "model.ckpt")
+        meta[section][key] = value
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, params, meta)
+        code = main(["eval", "--checkpoint", str(path), "--data", str(dataset)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "describe a model" in err
+        if key in ("channels", "n_classes"):
+            assert key in err
 
 
 class TestReport:

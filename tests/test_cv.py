@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from gbmpatch.cv import (AdamState, CVResult, FoldAssignment, TrainConfig,
-                         adam_step, cross_validate, lr_at, stratified_kfold,
-                         train_fold)
+from gbmpatch.cv import (ADAM_EPS, AdamState, CVResult, FoldAssignment,
+                         TrainConfig, adam_step, cross_validate, lr_at,
+                         stratified_kfold, train_fold)
 from gbmpatch.data import DEFAULT_PROFILE
 from gbmpatch.encoder import EncoderConfig
 from gbmpatch.errors import (NumericError, ParameterError,
@@ -130,7 +130,7 @@ class TestAdam:
         p = self.make_param(np.zeros(3), g)
         state = AdamState({"p": p})
         adam_step({"p": p}, state, lr=0.01, cfg=cfg)
-        want = -0.01 * g / (np.abs(g) + cfg.eps)
+        want = -0.01 * g / (np.abs(g) + ADAM_EPS)
         assert np.allclose(p.data, want, atol=1e-15)
 
     def test_decay_is_decoupled_from_moments(self):

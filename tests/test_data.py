@@ -284,6 +284,18 @@ class TestGenerator:
         with pytest.raises(DataError):
             DatasetManifest.load(tmp_path)
 
+    @pytest.mark.parametrize("escape", ["absolute", "dotdot"])
+    def test_entry_outside_root_is_data_error(self, tmp_path, escape):
+        # the named file exists, so only the path's form can reject it
+        root = tmp_path / "data"
+        generate_synthetic(root, [1] + [0] * 8, seed=0, size=8)
+        rel = {"absolute": str(root / "CT/0000.ppm"),
+               "dotdot": "CT/../../data/CT/0000.ppm"}[escape]
+        (root / "manifest.json").write_text(
+            json.dumps({"entries": [{"path": rel, "label": "CT"}]}))
+        with pytest.raises(DataError, match="leaves the dataset root"):
+            DatasetManifest.load(root)
+
     def test_non_utf8_manifest_is_data_error(self, tmp_path):
         (tmp_path / "manifest.json").write_bytes(b'{"entries": ["\xff"]}')
         with pytest.raises(DataError):

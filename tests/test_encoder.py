@@ -4,14 +4,14 @@ import pytest
 from gbmpatch.encoder import (EncoderConfig, embed, encode_batch,
                               init_encoder, split_tokens, tile_image)
 from gbmpatch.errors import DimensionError, ParameterError
-from gbmpatch.tensor import Tensor
+from gbmpatch.tensor import Tensor, finite_diff_check
 
 TINY = EncoderConfig(image_size=28, tile_size=14, dim=8, depth=1, heads=2,
                      registers=2, mlp_ratio=2)
 
 
 def rand_image(rng, cfg, batch=None):
-    shape = (cfg.channels, cfg.image_size, cfg.image_size)
+    shape = (3, cfg.image_size, cfg.image_size)
     if batch is not None:
         shape = (batch,) + shape
     return rng.normal(0, 1, size=shape).astype(np.float32)
@@ -20,9 +20,9 @@ def rand_image(rng, cfg, batch=None):
 def untile_image(tiles, cfg):
     """Inverse of tile_image for a (B, T, patch_dim) block."""
     b, n, t = tiles.shape[0], cfg.tiles_per_side, cfg.tile_size
-    return (tiles.reshape(b, n, n, cfg.channels, t, t)
+    return (tiles.reshape(b, n, n, 3, t, t)
                  .transpose(0, 3, 1, 4, 2, 5)
-                 .reshape(b, cfg.channels, cfg.image_size, cfg.image_size))
+                 .reshape(b, 3, cfg.image_size, cfg.image_size))
 
 
 class TestConfig:
@@ -39,6 +39,11 @@ class TestConfig:
     def test_heads_must_divide_dim(self):
         with pytest.raises(ParameterError):
             EncoderConfig(dim=32, heads=5)
+
+    @pytest.mark.parametrize("kw", [{"heads": 0}, {"heads": -4}, {"dim": 0}])
+    def test_nonpositive_dim_or_heads_rejected(self, kw):
+        with pytest.raises(ParameterError, match="positive"):
+            EncoderConfig(**kw)
 
 
 class TestTiling:
@@ -219,3 +224,22 @@ class TestGradients:
         numeric = (plus - minus) / (2 * eps)
         denom = max(abs(analytic), abs(numeric), 1e-8)
         assert abs(analytic - numeric) / denom < 1e-5
+
+    def test_registerless_encoder(self):
+        # registers=0 runs the same path with an empty register block
+        cfg = EncoderConfig(image_size=28, tile_size=14, dim=8, depth=1,
+                            heads=2, registers=0, mlp_ratio=2)
+        rng = np.random.default_rng(12)
+        w = init_encoder(cfg, seed=13, dtype=np.float64)
+        imgs = rand_image(rng, cfg, batch=2).astype(np.float64)
+        probe = Tensor(rng.normal(size=(2, cfg.seq_len, cfg.dim)))
+        out = encode_batch(imgs, w, cfg)
+        assert out.shape == (2, 1 + cfg.n_patches, cfg.dim)
+        (out * probe).sum().backward()
+        assert w["reg"].grad.shape == (0, cfg.dim)
+        assert all(np.abs(w[k].grad).max() > 0 for k in ("cls", "pos", "patch.w"))
+
+        def loss_of(pos):
+            return (encode_batch(imgs, dict(w, pos=pos), cfg) * probe).sum()
+
+        assert finite_diff_check(loss_of, w["pos"], step=1e-5) < 1e-5

