@@ -47,17 +47,15 @@ marks = [0, warm // 2, warm, (warm + total - 1) // 2, total - 1]
 print("\nlr at steps", marks, ":",
       [f"{lr_at(s, total, warm, 1e-2, 1e-3):.2e}" for s in marks])
 
-losses = []
-result = cross_validate(
-    images, labels, enc_cfg, head_cfg, train_cfg,
-    progress=lambda fold, epoch, loss: losses.append((fold, epoch, loss)))
+result = cross_validate(images, labels, enc_cfg, head_cfg, train_cfg)
 
-print(f"\nfold 0 loss: {losses[0][2]:.3f} (epoch 0) -> "
-      f"{[l for f, e, l in losses if f == 0][-1]:.3f} (last)")
+losses = result.fold_results[0].epoch_losses
+print(f"\nfold 0 loss: {losses[0]:.3f} (epoch 0) -> "
+      f"{losses[-1]:.3f} (last)")
 for r in result.fold_results:
     print(f"fold {r.fold}: held-out acc {r.micro.accuracy:.3f} "
           f"f1 {r.micro.f1:.3f} mcc {r.micro.mcc:.3f} "
-          f"({r.epochs_run} epochs)")
+          f"({len(r.epoch_losses)} epochs)")
 
 print(f"\npooled confusion total = {result.confusion.total} "
       f"(= dataset size {len(labels)})")

@@ -10,8 +10,8 @@ long-tailed patch generator, and a CLI (``gbmpatch``).
 from .checkpoint import (load_checkpoint, load_model, save_checkpoint,
                          save_model)
 from .cv import (AdamState, CVResult, FoldAssignment, FoldResult,
-                 TrainConfig, adam_step, cross_validate, lr_at,
-                 stratified_kfold, train_fold)
+                 TrainConfig, adam_step, cross_validate, lr_at, run_folds,
+                 stratified_kfold, summarize, train_fold)
 from .data import (CLASS_CODES, DEFAULT_PROFILE, DatasetManifest, ImagePatch,
                    generate_synthetic, load_ppm, load_preprocessed, normalize,
                    preprocess, resize_bilinear, save_ppm, to_tensor)

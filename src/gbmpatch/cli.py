@@ -18,7 +18,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .checkpoint import load_model, save_model
-from .cv import TrainConfig, cross_validate
+from .cv import TrainConfig, run_folds, summarize
 from .data import (CLASS_CODES, DEFAULT_PROFILE, N_CLASSES, DatasetManifest,
                    generate_synthetic, load_preprocessed, write_atomic)
 from .encoder import EncoderConfig
@@ -30,10 +30,8 @@ from .metrics import (METRIC_NAMES, accumulate, confusion_text, metrics_csv,
 
 RUN_MANIFEST = "run.json"
 
-# the cv settings are the fields of these configs, in this order, minus
-# the ones the command leaves at their defaults
+# the cv settings are the fields of these configs, in this order
 CV_CONFIGS = (TrainConfig, EncoderConfig, HeadConfig)
-UNEXPOSED = frozenset({"early_stop_train_acc"})
 
 
 def _say(msg: str):
@@ -91,14 +89,10 @@ def cmd_gen_data(args) -> int:
 # cv
 
 
-def _cv_fields(config) -> list:
-    return [f for f in fields(config) if f.name not in UNEXPOSED]
-
-
 def _default_settings() -> dict:
     """The flat key set shared by the JSON config file and the cv flags."""
     return {f.name: f.default for config in CV_CONFIGS
-            for f in _cv_fields(config)}
+            for f in fields(config)}
 
 
 def _check_type(key: str, value, default):
@@ -140,7 +134,7 @@ def _resolve_settings(args) -> dict:
 def _build_configs(settings: dict) -> tuple:
     """One config per entry of CV_CONFIGS, from the flat settings."""
     return tuple(config(**{f.name: settings[f.name]
-                           for f in _cv_fields(config)})
+                           for f in fields(config)})
                  for config in CV_CONFIGS)
 
 
@@ -177,22 +171,19 @@ def cmd_cv(args) -> int:
     run_dir = _make_run_dir(Path(args.out))
     _say(f"run directory: {run_dir}")
 
-    best = {"f1": -1.0, "fold": -1, "model": None}
-
-    def on_fold(result, model):
-        _say(f"fold {result.fold}: micro f1 {result.micro.f1:.4f} "
-             f"after {result.epochs_run} epochs "
-             f"(loss {result.epoch_losses[-1]:.4f})")
-        if result.micro.f1 > best["f1"]:
-            best.update(f1=float(result.micro.f1), fold=result.fold,
-                        model=model)
-
-    progress = None
-    if args.verbose:
-        progress = lambda f, e, l: _say(f"  fold {f} epoch {e}: loss {l:.4f}")
-
-    result = cross_validate(images, labels, enc_cfg, head_cfg, train_cfg,
-                            progress=progress, on_fold=on_fold)
+    fold_results, best, best_model = [], None, None
+    for r, model in run_folds(images, labels, enc_cfg, head_cfg, train_cfg):
+        if args.verbose:
+            for epoch, loss in enumerate(r.epoch_losses):
+                _say(f"  fold {r.fold} epoch {epoch}: loss {loss:.4f}")
+        _say(f"fold {r.fold}: micro f1 {r.micro.f1:.4f} "
+             f"after {len(r.epoch_losses)} epochs "
+             f"(loss {r.epoch_losses[-1]:.4f})")
+        fold_results.append(r)
+        # the first fold with the best f1 keeps the checkpoint
+        if best is None or r.micro.f1 > best.micro.f1:
+            best, best_model = r, model
+    result = summarize(fold_results)
 
     artifacts = ["metrics.csv", "confusion.txt", "report.txt", "model.ckpt"]
     write_atomic(run_dir / "metrics.csv",
@@ -203,8 +194,8 @@ def cmd_cv(args) -> int:
     report = format_report([b.as_dict() for b in result.per_class],
                            result.micro.as_dict())
     write_atomic(run_dir / "report.txt", report)
-    save_model(run_dir / "model.ckpt", best["model"],
-               {"fold": best["fold"], "micro_f1": best["f1"],
+    save_model(run_dir / "model.ckpt", best_model,
+               {"fold": best.fold, "micro_f1": float(best.micro.f1),
                 "data": str(args.data)})
 
     payload = {
@@ -215,11 +206,11 @@ def cmd_cv(args) -> int:
         "micro": result.micro.as_dict(),
         "fold_average": result.fold_average,
         "confusion": result.confusion.counts.tolist(),
-        "folds": [{"fold": r.fold, "epochs_run": r.epochs_run,
+        "folds": [{"fold": r.fold, "epochs_run": len(r.epoch_losses),
                    "final_loss": r.epoch_losses[-1],
                    "micro": r.micro.as_dict()}
                   for r in result.fold_results],
-        "best_fold": best["fold"],
+        "best_fold": best.fold,
         "artifacts": artifacts,
     }
     # run.json lands last: its presence marks the run as complete
@@ -271,22 +262,25 @@ def cmd_report(args) -> int:
         payload = json.loads(path.read_text())
     except ValueError as exc:
         raise DataError(f"{path} is unreadable: {exc}")
+    # the whole text is built before any of it prints, so a malformed
+    # field fails the command without a partial table on stdout
     try:
-        report = format_report(payload["per_class"], payload["micro"])
-        folds = payload["folds"]
-        averages = payload["fold_average"]
-    except (KeyError, TypeError) as exc:
-        raise DataError(f"{path} is missing fields: {exc}")
-    _say(f"run {run_dir} over {payload.get('data', '?')} "
-         f"({payload.get('created', '?')})")
-    _say("")
-    _say(report.rstrip("\n"))
-    _say("")
-    for f in folds:
-        _say(f"fold {f['fold']}: micro f1 {f['micro']['f1']:.4f} "
-             f"({f['epochs_run']} epochs, final loss {f['final_loss']:.4f})")
-    avg = ", ".join(f"{k} {v:.4f}" for k, v in averages.items())
-    _say(f"fold-average micro metrics: {avg}")
+        lines = [f"run {run_dir} over {payload.get('data', '?')} "
+                 f"({payload.get('created', '?')})", "",
+                 format_report(payload["per_class"],
+                               payload["micro"]).rstrip("\n"), ""]
+        for f in payload["folds"]:
+            lines.append(
+                f"fold {f['fold']}: micro f1 {f['micro']['f1']:.4f} "
+                f"({f['epochs_run']} epochs, final loss "
+                f"{f['final_loss']:.4f})")
+        avg = ", ".join(f"{k} {v:.4f}"
+                        for k, v in payload["fold_average"].items())
+    except (KeyError, TypeError, ValueError, AttributeError,
+            OverflowError) as exc:
+        raise DataError(f"{path} has malformed fields: {exc!r}")
+    lines.append(f"fold-average micro metrics: {avg}")
+    _say("\n".join(lines))
     return 0
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -37,8 +37,6 @@ class TrainConfig:
     weight_decay: float = 0.01
     seed: int = 0
     freeze_encoder: bool = False
-    # stop a fold once training accuracy reaches this level (None = never)
-    early_stop_train_acc: Optional[float] = None
 
     def __post_init__(self):
         if self.folds < 2:
@@ -54,6 +52,8 @@ class TrainConfig:
                 f"need 0 < lr_min <= lr_max, got {self.lr_min}, {self.lr_max}")
         if self.weight_decay < 0:
             raise ParameterError("weight_decay must be nonnegative")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -69,8 +69,7 @@ class FoldResult:
     confusion: ConfusionMatrix
     micro: MetricBundle
     per_class: List[MetricBundle]
-    epoch_losses: List[float]
-    epochs_run: int
+    epoch_losses: List[float]           # one mean training loss per epoch
 
 
 @dataclass
@@ -186,9 +185,9 @@ def adam_step(params: Dict[str, "object"], state: AdamState, lr: float,
 
 def train_fold(images: np.ndarray, labels: np.ndarray,
                assignment: FoldAssignment, enc_cfg: EncoderConfig,
-               head_cfg: HeadConfig, cfg: TrainConfig,
-               progress: Optional[Callable] = None):
-    """Train a fresh model on one fold; returns (FoldResult, model)."""
+               head_cfg: HeadConfig, cfg: TrainConfig):
+    """Train a fresh model on one fold for cfg.epochs epochs; returns
+    (FoldResult, model)."""
     labels = np.asarray(labels, dtype=np.int64)
     model = PatchClassifier(enc_cfg, head_cfg,
                             seed=cfg.seed * 1000 + assignment.fold)
@@ -206,7 +205,6 @@ def train_fold(images: np.ndarray, labels: np.ndarray,
 
     epoch_losses: List[float] = []
     step = 0
-    epochs_run = 0
     for epoch in range(cfg.epochs):
         order = np.random.default_rng(
             [cfg.seed, assignment.fold, epoch]).permutation(len(tr))
@@ -229,44 +227,34 @@ def train_fold(images: np.ndarray, labels: np.ndarray,
             running += value * len(batch)
             step += 1
         epoch_losses.append(running / len(tr))
-        epochs_run = epoch + 1
-        if progress is not None:
-            progress(assignment.fold, epoch, epoch_losses[-1])
-        if cfg.early_stop_train_acc is not None:
-            preds = model.predict(images[tr])
-            if (preds == labels[tr]).mean() >= cfg.early_stop_train_acc:
-                break
 
     val = assignment.val_idx
     cm = accumulate(model.predict(images[val]), labels[val], N_CLASSES)
     per_class, micro = score(cm)
     result = FoldResult(fold=assignment.fold, confusion=cm, micro=micro,
-                        per_class=per_class, epoch_losses=epoch_losses,
-                        epochs_run=epochs_run)
+                        per_class=per_class, epoch_losses=epoch_losses)
     return result, model
 
 
-def cross_validate(images: np.ndarray, labels: np.ndarray,
-                   enc_cfg: EncoderConfig, head_cfg: HeadConfig,
-                   cfg: TrainConfig,
-                   progress: Optional[Callable] = None,
-                   on_fold: Optional[Callable] = None) -> CVResult:
-    """Run every fold and aggregate: summed confusion matrix, metrics of
-    that matrix, and the plain mean of per-fold micro metrics.
+def run_folds(images: np.ndarray, labels: np.ndarray,
+              enc_cfg: EncoderConfig, head_cfg: HeadConfig, cfg: TrainConfig
+              ) -> Iterator[Tuple[FoldResult, PatchClassifier]]:
+    """Yield (FoldResult, model) for each stratified fold as it finishes.
 
-    ``on_fold(result, model)`` fires as each fold finishes, e.g. to save
-    checkpoints; models are otherwise discarded.
+    Lazy: a fold trains only when the caller asks for it, so the caller
+    can report, checkpoint or stop between folds.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    assignments = stratified_kfold(labels, cfg.folds, cfg.seed)
-    results = []
+    for assignment in stratified_kfold(labels, cfg.folds, cfg.seed):
+        yield train_fold(images, labels, assignment, enc_cfg, head_cfg, cfg)
+
+
+def summarize(fold_results: Iterable[FoldResult]) -> CVResult:
+    """Aggregate folds: summed confusion matrix, metrics of that matrix,
+    and the plain mean of per-fold micro metrics."""
+    results = list(fold_results)
     total = ConfusionMatrix(N_CLASSES)
-    for assignment in assignments:
-        result, model = train_fold(images, labels, assignment, enc_cfg,
-                                   head_cfg, cfg, progress)
-        if on_fold is not None:
-            on_fold(result, model)
-        results.append(result)
+    for result in results:
         total = total.merge(result.confusion)
     per_class, micro = score(total)
     fold_average = {
@@ -275,3 +263,12 @@ def cross_validate(images: np.ndarray, labels: np.ndarray,
     }
     return CVResult(fold_results=results, confusion=total, micro=micro,
                     per_class=per_class, fold_average=fold_average)
+
+
+def cross_validate(images: np.ndarray, labels: np.ndarray,
+                   enc_cfg: EncoderConfig, head_cfg: HeadConfig,
+                   cfg: TrainConfig) -> CVResult:
+    """Run every fold and aggregate them; the models are discarded (use
+    run_folds to keep them)."""
+    return summarize(result for result, _ in
+                     run_folds(images, labels, enc_cfg, head_cfg, cfg))

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DataError, DimensionError, PpmParseError
+from .errors import DataError, DimensionError, ParameterError, PpmParseError
 
 CLASS_CODES = ("CT", "PN", "MP", "NC", "IC", "WM", "LI", "DM", "PL")
 N_CLASSES = len(CLASS_CODES)
@@ -324,6 +324,10 @@ def generate_synthetic(root, counts: Sequence[int] = DEFAULT_PROFILE,
     from a generator seeded by (seed, class, index), so the same seed
     reproduces every file bit for bit.
     """
+    if seed < 0:
+        raise ParameterError(f"seed must be nonnegative, got {seed}")
+    if size < 1:
+        raise ParameterError(f"patch size must be at least 1, got {size}")
     counts = list(counts)
     if len(counts) != N_CLASSES:
         raise DataError(f"need {N_CLASSES} class counts, got {len(counts)}")

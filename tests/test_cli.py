@@ -65,6 +65,18 @@ class TestGenData:
         assert main(["gen-data", "--out", str(tmp_path / "y"),
                      "--counts", "1,2,3", "--size", "16"]) == 3
 
+    @pytest.mark.parametrize("flag,value", [("--seed", "-1"),
+                                            ("--size", "-5"),
+                                            ("--size", "0")])
+    def test_out_of_range_value_is_usage_error(self, tmp_path, capsys,
+                                               flag, value):
+        code = main(["gen-data", "--out", str(tmp_path / "d"),
+                     "--counts", "1,1,1,1,1,1,1,1,1", f"{flag}={value}"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not list(tmp_path.rglob("*.ppm"))
+
 
 class TestCv:
     def test_artifacts_and_manifest(self, finished_run):
@@ -124,7 +136,8 @@ class TestCv:
                      "--folds", "1"] + SMALL_NET)
         assert code == 2
 
-    @pytest.mark.parametrize("entry", [{"heads": 0}, {"heads": -4}, {"dim": 0}])
+    @pytest.mark.parametrize("entry", [{"heads": 0}, {"heads": -4}, {"dim": 0},
+                                       {"seed": -1}])
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_bad_model_value_is_usage_error(self, dataset, tmp_path, capsys,
                                             entry, source):
@@ -140,6 +153,21 @@ class TestCv:
         err = capsys.readouterr().err
         assert code == 2
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_verbose_prints_epochs_before_each_fold(self, dataset, tmp_path,
+                                                    capsys):
+        assert main(["cv", "--data", str(dataset), "--out",
+                     str(tmp_path / "runs"), "--verbose"]
+                    + SMALL_NET + QUICK_TRAIN) == 0
+        lines = [l for l in capsys.readouterr().out.splitlines()
+                 if l.startswith(("fold ", "  fold "))]
+        want = []
+        for k in range(3):
+            want += [f"  fold {k} epoch {e}:" for e in range(2)]
+            want.append(f"fold {k}: micro f1")
+        assert len(lines) == len(want)
+        for line, prefix in zip(lines, want):
+            assert line.startswith(prefix), (line, prefix)
 
     def test_every_artifact_written_atomically(self, dataset, tmp_path,
                                                monkeypatch):
@@ -299,6 +327,23 @@ class TestReport:
 
     def test_unfinished_run_is_data_error(self, tmp_path):
         assert main(["report", "--run", str(tmp_path)]) == 3
+
+    @pytest.mark.parametrize("edit", [
+        lambda p: p.update(folds=[{}]),
+        lambda p: p["micro"].update(f1="high"),
+        lambda p: p.update(fold_average=[1]),
+    ], ids=["empty_fold", "text_f1", "list_fold_average"])
+    def test_malformed_run_json_is_data_error(self, finished_run, tmp_path,
+                                              capsys, edit):
+        _, run = finished_run
+        payload = json.loads((run / "run.json").read_text())
+        edit(payload)
+        (tmp_path / "run.json").write_text(json.dumps(payload))
+        code = main(["report", "--run", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestFormatReport:

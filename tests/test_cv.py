@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import gbmpatch.cv as cv
 from gbmpatch.cv import (ADAM_EPS, AdamState, CVResult, FoldAssignment,
                          TrainConfig, adam_step, cross_validate, lr_at,
-                         stratified_kfold, train_fold)
+                         run_folds, stratified_kfold, train_fold)
 from gbmpatch.data import DEFAULT_PROFILE
 from gbmpatch.encoder import EncoderConfig
 from gbmpatch.errors import (NumericError, ParameterError,
@@ -175,8 +176,7 @@ class TestTrainFold:
 
     def quick_cfg(self, **kw):
         base = dict(folds=3, epochs=60, warmup_epochs=1, batch_size=16,
-                    lr_max=1e-2, lr_min=1e-3, weight_decay=0.0, seed=1,
-                    early_stop_train_acc=0.99)
+                    lr_max=1e-2, lr_min=1e-3, weight_decay=0.0, seed=1)
         base.update(kw)
         return TrainConfig(**base)
 
@@ -190,7 +190,7 @@ class TestTrainFold:
         train_acc = (model.predict(images[assignment.train_idx])
                      == labels[assignment.train_idx]).mean()
         assert train_acc >= 0.99
-        assert result.epochs_run <= cfg.epochs
+        assert len(result.epoch_losses) == cfg.epochs
         assert result.epoch_losses[0] > result.epoch_losses[-1]
         val_acc = result.micro.accuracy
         assert val_acc > 0.5  # far above the 1/9 chance level
@@ -199,28 +199,28 @@ class TestTrainFold:
         rng = np.random.default_rng(1)
         images, labels = separable_dataset(rng, per_class=3)
         images[0] = np.nan
-        cfg = self.quick_cfg(epochs=2, early_stop_train_acc=None)
+        cfg = self.quick_cfg(epochs=2)
         assignment = FoldAssignment(fold=0,
                                     train_idx=np.arange(len(labels)),
                                     val_idx=np.arange(len(labels)))
         with pytest.raises(NumericError, match="non-finite"):
             train_fold(images, labels, assignment, TINY, self.HEAD, cfg)
 
-    def test_progress_callback_sees_each_epoch(self):
+    def test_one_loss_per_epoch(self):
         rng = np.random.default_rng(2)
         images, labels = separable_dataset(rng, per_class=3)
-        cfg = self.quick_cfg(epochs=3, early_stop_train_acc=None)
+        cfg = self.quick_cfg(epochs=3)
         assignment = stratified_kfold(labels, cfg.folds, cfg.seed)[1]
-        seen = []
-        train_fold(images, labels, assignment, TINY, self.HEAD, cfg,
-                   progress=lambda f, e, l: seen.append((f, e, l)))
-        assert [(f, e) for f, e, _ in seen] == [(1, 0), (1, 1), (1, 2)]
+        result, _ = train_fold(images, labels, assignment, TINY, self.HEAD,
+                               cfg)
+        assert result.fold == 1
+        assert len(result.epoch_losses) == 3
+        assert all(math.isfinite(l) for l in result.epoch_losses)
 
     def test_frozen_encoder_trains_head_only(self):
         rng = np.random.default_rng(3)
         images, labels = separable_dataset(rng, per_class=3)
-        cfg = self.quick_cfg(epochs=2, early_stop_train_acc=None,
-                             freeze_encoder=True)
+        cfg = self.quick_cfg(epochs=2, freeze_encoder=True)
         assignment = stratified_kfold(labels, cfg.folds, cfg.seed)[2]
         _, model = train_fold(images, labels, assignment, TINY, self.HEAD, cfg)
         fresh = PatchClassifier(TINY, self.HEAD,
@@ -262,6 +262,24 @@ class TestCrossValidate:
             assert fa.epoch_losses == fb.epoch_losses
         assert a.fold_average == b.fold_average
 
+    def test_run_folds_trains_one_fold_per_request(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args[2].fold)
+            return train_fold(*args)
+
+        monkeypatch.setattr(cv, "train_fold", counting)
+        rng = np.random.default_rng(6)
+        images, labels = separable_dataset(rng, per_class=4)
+        folds = run_folds(images, labels, TINY, self.HEAD, self.small_cfg())
+        assert calls == []
+        result, model = next(folds)
+        assert calls == [0]
+        assert result.fold == 0 and isinstance(model, PatchClassifier)
+        assert [r.fold for r, _ in folds] == [1, 2]
+        assert calls == [0, 1, 2]
+
     def test_fold_average_tracks_micro_means(self):
         rng = np.random.default_rng(5)
         images, labels = separable_dataset(rng, per_class=4)
@@ -285,3 +303,7 @@ class TestTrainConfigValidation:
     def test_folds_minimum(self):
         with pytest.raises(ParameterError):
             TrainConfig(folds=1)
+
+    def test_negative_seed(self):
+        with pytest.raises(ParameterError, match="seed"):
+            TrainConfig(seed=-1)

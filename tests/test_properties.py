@@ -1,5 +1,5 @@
 """Property tests for the on-disk formats: checkpoints, manifests, PPM,
-and the ``cv`` config file.
+the ``cv`` config file and the run manifest ``report`` reads.
 
 Any bytes must either load into a valid object or raise a GbmPatchError,
 and save -> load must be the identity. Example counts are bounded so the
@@ -18,10 +18,12 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from gbmpatch.checkpoint import load_checkpoint, save_checkpoint
-from gbmpatch.cli import _build_configs, _default_settings, _resolve_settings
+from gbmpatch.cli import (_build_configs, _default_settings,
+                          _resolve_settings, main)
 from gbmpatch.data import (CLASS_CODES, MANIFEST_NAME, DatasetManifest,
                            ImagePatch, generate_synthetic, load_ppm, save_ppm)
 from gbmpatch.errors import GbmPatchError
+from gbmpatch.metrics import METRIC_NAMES
 
 BOUNDED = settings(max_examples=40, deadline=None, database=None,
                    suppress_health_check=[HealthCheck.too_slow])
@@ -232,3 +234,35 @@ class TestConfigFile:
             return
         # a config that builds splits dim into heads of positive width
         assert enc_cfg.head_dim >= 1 and enc_cfg.n_patches >= 1
+
+
+def run_payload():
+    """The fields ``report`` reads, shaped as ``cv`` writes them."""
+    bundle = {name: 0.5 for name in METRIC_NAMES}
+    return {"data": "d", "created": "t",
+            "per_class": [dict(bundle) for _ in CLASS_CODES],
+            "micro": dict(bundle), "fold_average": dict(bundle),
+            "folds": [{"fold": 0, "epochs_run": 1, "final_loss": 0.1,
+                       "micro": dict(bundle)}]}
+
+
+class TestRunManifest:
+    @BOUNDED
+    @given(st.sampled_from(sorted(run_payload()) + [None]),
+           st.sampled_from(["fold", "final_loss", "micro", "f1", None]),
+           JSON | st.integers(10 ** 300, 10 ** 400))
+    @example("micro", "f1", 10 ** 400)
+    def test_report_renders_or_rejects(self, ckpt_dir, key, inner, value):
+        """Replace the payload, a field, or a field inside one; ``report``
+        must render it or exit 3."""
+        payload = run_payload()
+        if key is None:
+            payload = value
+        elif inner is None or not isinstance(payload[key], (dict, list)):
+            payload[key] = value
+        else:
+            target = payload[key]
+            target = target[0] if isinstance(target, list) else target
+            target[inner] = value
+        (ckpt_dir / "run.json").write_text(json.dumps(payload))
+        assert main(["report", "--run", str(ckpt_dir)]) in (0, 3)
