@@ -5,8 +5,8 @@
 
 import numpy as np
 
-from gbmpatch.tensor import (Tensor, cross_entropy, finite_diff_check,
-                             layer_norm, silu, softmax)
+from gbmpatch.tensor import (Tensor, attention, cross_entropy,
+                             finite_diff_check, layer_norm, silu, softmax)
 
 rng = np.random.default_rng(0)
 
@@ -50,6 +50,15 @@ mix = Tensor(rng.normal(size=(8, 3)))
 err = finite_diff_check(lambda t: (layer_norm(t, g, b) @ mix).sum(),
                         Tensor(rng.normal(size=(6, 8))))
 print(f"layer_norm chain error:   {err:.2e}")
+
+# attention is softmax(q @ k^T * scale) @ v as one op: its graph keeps a
+# row log-sum-exp instead of the probabilities, and backward recomputes them
+k = Tensor(rng.normal(size=(2, 5, 4)))   # (heads, keys, width)
+v = Tensor(rng.normal(size=(2, 5, 3)))
+probe = Tensor(rng.normal(size=(2, 6, 3)))
+err = finite_diff_check(lambda t: (attention(t, k, v, 0.5) * probe).sum(),
+                        Tensor(rng.normal(size=(2, 6, 4))))
+print(f"attention (wrt q) error:  {err:.2e}")
 
 # cross entropy folds log-softmax and NLL into one op; its backward is the
 # classic (softmax - onehot) / batch

@@ -73,7 +73,7 @@ def load_checkpoint(path) -> Tuple[Dict[str, np.ndarray], dict]:
         raise DataError(f"{path} has magic {lines[0][:20]!r}, expected {MAGIC!r}")
     try:
         meta = json.loads(lines[1].decode("utf-8"))
-    except (IndexError, ValueError) as exc:
+    except (IndexError, ValueError, RecursionError) as exc:
         raise DataError(f"{path} metadata line is unreadable: {exc}")
     if not isinstance(meta, dict):
         raise DataError(f"{path} metadata is not a JSON object")

@@ -112,7 +112,7 @@ def _resolve_settings(args) -> dict:
             raise ParameterError(f"config file {path} does not exist")
         try:
             loaded = json.loads(path.read_text())
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ParameterError(f"config file {path} is not valid JSON: {exc}")
         if not isinstance(loaded, dict):
             raise ParameterError(f"config file {path} must hold a flat object")
@@ -260,7 +260,7 @@ def cmd_report(args) -> int:
         raise DataError(f"{run_dir} has no {RUN_MANIFEST}; not a finished run")
     try:
         payload = json.loads(path.read_text())
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise DataError(f"{path} is unreadable: {exc}")
     # the whole text is built before any of it prints, so a malformed
     # field fails the command without a partial table on stdout

@@ -235,7 +235,7 @@ class DatasetManifest:
             raise DataError(f"no {MANIFEST_NAME} under {root}")
         try:
             payload = json.loads(path.read_bytes())
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise DataError(f"malformed manifest {path}: {exc}")
         if not isinstance(payload, dict):
             raise DataError(f"manifest {path} is not a JSON object")

@@ -21,8 +21,8 @@ import numpy as np
 
 from .data import CHANNELS
 from .errors import DimensionError, ParameterError
-from .tensor import (Tensor, broadcast_to, concat, layer_norm, narrow,
-                     reshape, silu, softmax, transpose)
+from .tensor import (Tensor, attention, broadcast_to, concat, layer_norm,
+                     narrow, reshape, silu, transpose)
 
 EncoderWeights = Dict[str, Tensor]
 
@@ -167,8 +167,7 @@ def _attention(x: Tensor, w: EncoderWeights, p: str, cfg: EncoderConfig) -> Tens
     q = heads(x @ w[f"{p}.wq"] + w[f"{p}.bq"])
     k = heads(x @ w[f"{p}.wk"] + w[f"{p}.bk"])
     v = heads(x @ w[f"{p}.wv"] + w[f"{p}.bv"])
-    scores = (q @ transpose(k, (0, 1, 3, 2))) / math.sqrt(dh)
-    ctx = softmax(scores, axis=-1) @ v
+    ctx = attention(q, k, v, 1.0 / math.sqrt(dh))
     ctx = reshape(transpose(ctx, (0, 2, 1, 3)), (b, n, d))
     return ctx @ w[f"{p}.wo"] + w[f"{p}.bo"]
 

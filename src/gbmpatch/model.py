@@ -49,10 +49,22 @@ class PatchClassifier:
         return cross_entropy(self.logits(images, train, dropout_seed), labels)
 
     def predict(self, images: np.ndarray, batch_size: int = 64) -> np.ndarray:
-        """Eval-mode argmax labels, computed in chunks to bound memory."""
+        """Eval-mode argmax labels, computed in chunks to bound memory.
+
+        No graph is recorded: every parameter's ``requires_grad`` is off
+        for the call and restored afterwards, also when the forward raises.
+        """
         images = np.asarray(images)
         out = np.empty(images.shape[0], dtype=np.int64)
-        for start in range(0, images.shape[0], batch_size):
-            chunk = images[start:start + batch_size]
-            out[start:start + len(chunk)] = predict(self.logits(chunk))
+        params = list(self.parameters().values())
+        flags = [p.requires_grad for p in params]
+        for p in params:
+            p.requires_grad = False
+        try:
+            for start in range(0, images.shape[0], batch_size):
+                chunk = images[start:start + batch_size]
+                out[start:start + len(chunk)] = predict(self.logits(chunk))
+        finally:
+            for p, flag in zip(params, flags):
+                p.requires_grad = flag
         return out

@@ -379,6 +379,50 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _make(out_data, (x,), backward, "softmax")
 
 
+def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
+    """softmax(q @ k^T * scale) @ v over the last two axes.
+
+    The graph keeps q, k, v, the output and each query row's log-sum-exp;
+    the probability block lives only while each pass runs. Backward
+    recomputes it as exp(q @ k^T * scale - lse) and takes the softmax
+    row term rowsum(dP * P) as rowsum(dO * O), which is equal (Rabe &
+    Staats, arXiv 2112.05682; FlashAttention, arXiv 2205.14135).
+    """
+    if (q.ndim < 2 or k.ndim != q.ndim or k.shape[:-2] != q.shape[:-2]
+            or k.shape[-1] != q.shape[-1] or v.shape[:-1] != k.shape[:-1]):
+        raise DimensionError(
+            f"attention shapes incompatible: q {q.shape}, k {k.shape}, v {v.shape}")
+    k_t = np.swapaxes(k.data, -1, -2)
+
+    def scores():
+        s = q.data @ k_t
+        s *= scale
+        return s
+
+    p = scores()
+    row_max = p.max(axis=-1, keepdims=True)
+    p -= row_max
+    np.exp(p, out=p)
+    total = p.sum(axis=-1, keepdims=True)
+    p /= total
+    out_data = p @ v.data
+    lse = row_max + np.log(total)
+
+    def backward(g):
+        p = scores()
+        p -= lse
+        np.exp(p, out=p)
+        v._accumulate_grad(np.swapaxes(p, -1, -2) @ g)
+        ds = g @ np.swapaxes(v.data, -1, -2)
+        ds -= (g * out_data).sum(axis=-1, keepdims=True)
+        ds *= p
+        ds *= scale
+        q._accumulate_grad(ds @ k.data)
+        k._accumulate_grad(np.swapaxes(ds, -1, -2) @ q.data)
+
+    return _make(out_data, (q, k, v), backward, "attention")
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then apply affine."""
     if eps <= 0:

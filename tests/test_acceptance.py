@@ -26,9 +26,9 @@ from gbmpatch.checkpoint import load_model, save_model
 from gbmpatch.metrics import (BinaryCounts, ConfusionMatrix, basic_metrics,
                               mcc_multiclass, micro_average, one_vs_rest)
 from gbmpatch.model import PatchClassifier
-from gbmpatch.tensor import (Tensor, concat, cross_entropy, dropout,
-                             finite_diff_check, layer_norm, narrow, softmax,
-                             silu, transpose)
+from gbmpatch.tensor import (Tensor, attention, concat, cross_entropy,
+                             dropout, finite_diff_check, layer_norm, narrow,
+                             softmax, silu, transpose)
 
 
 def _line(name: str, passed: bool, detail: str):
@@ -40,7 +40,11 @@ def _line(name: str, passed: bool, detail: str):
 # 1. gradient suite: every op + the encoder/head composite, 10 seeds, <60 s
 
 
-def _op_cases(rng):
+def _op_cases(rng, att_rng):
+    """name -> (probe, f), f mapping a tensor shaped like the probe to a
+    scalar. attention's operands and probes come from ``att_rng``, so its
+    cases leave the draws from ``rng`` that every other case and the
+    composite check see where they were."""
     c34 = Tensor(rng.normal(size=(3, 4)))
     c4 = Tensor(rng.normal(size=(4,)))
     c45 = Tensor(rng.normal(size=(4, 5)))
@@ -49,7 +53,7 @@ def _op_cases(rng):
     g5 = Tensor(rng.normal(size=(5,)))
     b5 = Tensor(rng.normal(size=(5,)))
     labels = np.array([0, 3, 5, 2])
-    return {
+    cases = {
         "add_broadcast": ((3, 4), lambda t: ((t + c4) * c34).sum()),
         "mul": ((3, 4), lambda t: (t * c34).sum()),
         "neg": ((3, 4), lambda t: ((-t) * c34).sum()),
@@ -73,6 +77,22 @@ def _op_cases(rng):
         "div_scalar": ((3, 4), lambda t: ((t / 3.0) * c34).sum()),
         "sub": ((3, 4), lambda t: ((t - c34) * c234.mean(axis=0)).sum()),
     }
+    cases = {name: (rng.normal(size=shape), f)
+             for name, (shape, f) in cases.items()}
+
+    # (batch, heads, rows, width) q, k, v and output weights
+    att = [Tensor(att_rng.normal(size=(2, 2, 3, 4))) for _ in range(4)]
+
+    def attention_case(slot):
+        def f(t):
+            qkv = att[:3]
+            qkv[slot] = t
+            return (attention(*qkv, 0.5) * att[3]).sum()
+        return att_rng.normal(size=(2, 2, 3, 4)), f
+
+    for slot, name in enumerate("qkv"):
+        cases[f"attention_{name}"] = attention_case(slot)
+    return cases
 
 
 GRAD_CFG = EncoderConfig(image_size=8, tile_size=4, dim=8, depth=1, heads=2,
@@ -94,8 +114,9 @@ def test_gradient_suite():
     worst_site = ""
     for seed in range(10):
         rng = np.random.default_rng(seed)
-        for name, (shape, f) in _op_cases(rng).items():
-            err = finite_diff_check(f, Tensor(rng.normal(size=shape)))
+        att_rng = np.random.default_rng([seed, 1])
+        for name, (probe, f) in _op_cases(rng, att_rng).items():
+            err = finite_diff_check(f, Tensor(probe))
             if err > worst:
                 worst, worst_site = err, f"op {name} seed {seed}"
 

@@ -15,6 +15,13 @@ SMALL_NET = ["--image-size", "28", "--tile-size", "14", "--dim", "8",
              "--mlp-ratio", "2", "--bottleneck", "4"]
 QUICK_TRAIN = ["--folds", "3", "--epochs", "2", "--warmup-epochs", "1",
                "--batch-size", "16", "--lr-max", "1e-3", "--lr-min", "1e-4"]
+# nested past the JSON decoder's recursion limit (RecursionError, not ValueError)
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+def one_line_error(capsys):
+    err = capsys.readouterr().err
+    return err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +128,14 @@ class TestCv:
     def test_missing_data_dir_is_data_error(self, tmp_path):
         assert main(["cv", "--data", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "runs")]) == 3
+
+    def test_deeply_nested_manifest_is_data_error(self, tmp_path, capsys):
+        root = tmp_path / "data"
+        generate_synthetic(root, [3] * 9, seed=0, size=28)
+        (root / "manifest.json").write_text(DEEP_JSON)
+        assert main(["cv", "--data", str(root),
+                     "--out", str(tmp_path / "runs")]) == 3
+        assert one_line_error(capsys)
 
     def test_stratification_failure_is_data_error(self, dataset, tmp_path,
                                                   capsys):
@@ -261,6 +276,15 @@ class TestConfigFile:
             "image_size", "tile_size", "dim", "depth", "heads", "registers",
             "mlp_ratio", "bottleneck", "dropout"]
 
+    def test_deeply_nested_config_is_usage_error(self, dataset, tmp_path,
+                                                 capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(DEEP_JSON)
+        assert main(["cv", "--data", str(dataset),
+                     "--out", str(tmp_path / "runs"),
+                     "--config", str(cfg)]) == 2
+        assert one_line_error(capsys)
+
     def test_missing_config_rejected(self, dataset, tmp_path):
         assert main(["cv", "--data", str(dataset),
                      "--out", str(tmp_path / "runs"),
@@ -286,6 +310,18 @@ class TestEval:
         bad.write_bytes(b"nonsense")
         assert main(["eval", "--checkpoint", str(bad),
                      "--data", str(dataset)]) == 3
+
+    def test_deeply_nested_metadata_is_data_error(self, dataset,
+                                                  finished_run, tmp_path,
+                                                  capsys):
+        _, run = finished_run
+        lines = (run / "model.ckpt").read_bytes().split(b"\n")
+        lines[1] = DEEP_JSON.encode()
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(b"\n".join(lines))
+        assert main(["eval", "--checkpoint", str(path),
+                     "--data", str(dataset)]) == 3
+        assert one_line_error(capsys)
 
     @pytest.mark.parametrize("section,key,value", [
         ("encoder", "heads", 0),
@@ -327,6 +363,13 @@ class TestReport:
 
     def test_unfinished_run_is_data_error(self, tmp_path):
         assert main(["report", "--run", str(tmp_path)]) == 3
+
+    def test_deeply_nested_run_json_is_data_error(self, tmp_path, capsys):
+        (tmp_path / "run.json").write_text(DEEP_JSON)
+        assert main(["report", "--run", str(tmp_path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("edit", [
         lambda p: p.update(folds=[{}]),

@@ -27,6 +27,9 @@ from gbmpatch.metrics import METRIC_NAMES
 
 BOUNDED = settings(max_examples=40, deadline=None, database=None,
                    suppress_health_check=[HealthCheck.too_slow])
+# nested past the JSON decoder's recursion limit: json.loads raises
+# RecursionError, which is not a ValueError
+DEEP = b"[" * 100_000 + b"]" * 100_000
 
 # any text but the listing's tab and newline delimiters
 NAMES = st.text(max_size=10).filter(lambda s: "\t" not in s and "\n" not in s)
@@ -110,6 +113,17 @@ class TestCheckpoint:
         loads_or_rejects(load_checkpoint, path)
 
     @BOUNDED
+    @given(st.binary(max_size=16).filter(lambda b: b"\n" not in b))
+    @example(DEEP)
+    def test_any_meta_line(self, ckpt_dir, line):
+        path = ckpt_dir / "w.ckpt"
+        save_checkpoint(path, {"w": np.zeros(2, np.float32)}, {})
+        lines = path.read_bytes().split(b"\n")
+        lines[1] = line
+        path.write_bytes(b"\n".join(lines))
+        loads_or_rejects(load_checkpoint, path)
+
+    @BOUNDED
     @given(checkpoints(), st.data())
     def test_mutated_bytes(self, ckpt_dir, case, data):
         path = ckpt_dir / "w.ckpt"
@@ -190,6 +204,15 @@ class TestManifest:
         loads_or_rejects(DatasetManifest.load, root)
 
 
+    @BOUNDED
+    @given(st.binary(max_size=64))
+    @example(DEEP)
+    def test_any_bytes(self, dataset, raw):
+        root, _ = dataset
+        (root / MANIFEST_NAME).write_bytes(raw)
+        loads_or_rejects(DatasetManifest.load, root)
+
+
 class TestPpm:
     @BOUNDED
     @given(st.integers(1, 6), st.integers(1, 6), st.data())
@@ -224,6 +247,7 @@ class TestConfigFile:
     @example(b'{"dim": 0}')
     @example(b'{"heads": 0}')
     @example(b'{"heads": -4}')
+    @example(DEEP)
     def test_builds_valid_configs_or_rejects(self, ckpt_dir, raw):
         path = ckpt_dir / "cfg.json"
         path.write_bytes(raw)
@@ -265,4 +289,11 @@ class TestRunManifest:
             target = target[0] if isinstance(target, list) else target
             target[inner] = value
         (ckpt_dir / "run.json").write_text(json.dumps(payload))
+        assert main(["report", "--run", str(ckpt_dir)]) in (0, 3)
+
+    @BOUNDED
+    @given(st.binary(max_size=64))
+    @example(DEEP)
+    def test_any_bytes(self, ckpt_dir, raw):
+        (ckpt_dir / "run.json").write_bytes(raw)
         assert main(["report", "--run", str(ckpt_dir)]) in (0, 3)

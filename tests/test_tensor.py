@@ -4,6 +4,8 @@ Derived expectations were computed with independent oracles (triple-loop
 matmul, direct exp/sum evaluation, hand arithmetic) and frozen here.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,57 @@ class TestSoftmax:
             out = T.softmax(Tensor(x), axis=-1).data
             assert np.all(out >= 0.0)
             np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-6)
+
+
+def composite_attention(q, k, v, scale):
+    """``softmax(q @ kᵀ * scale) @ v`` from separate ops: the reference
+    ``attention`` must match."""
+    return T.softmax((q @ T.transpose(k, (0, 1, 3, 2))) * scale, axis=-1) @ v
+
+
+class TestAttention:
+    @staticmethod
+    def operands(spread):
+        """float32 (batch, heads, rows, width) q, k, v and output weights,
+        with a scale that puts the largest score at +-``spread``."""
+        rng = np.random.default_rng(3)
+        q, k, v, w = (rng.normal(size=(2, 4, 7, 8)).astype(np.float32)
+                      for _ in range(4))
+        scale = spread / float(np.abs(q @ np.swapaxes(k, -1, -2)).max())
+        return q, k, v, w, scale
+
+    @pytest.mark.parametrize("spread", [1.0, 1000.0])
+    def test_forward_matches_composite(self, spread):
+        q, k, v, _, scale = self.operands(spread)
+        fused = T.attention(Tensor(q), Tensor(k), Tensor(v), scale).data
+        unfused = composite_attention(Tensor(q), Tensor(k), Tensor(v), scale).data
+        assert fused.dtype == np.float32 and np.all(np.isfinite(fused))
+        np.testing.assert_allclose(fused, unfused, rtol=1e-5, atol=1e-6)
+
+    @pytest.mark.parametrize("spread", [1.0, 1000.0])
+    def test_gradients_match_composite(self, spread):
+        q, k, v, w, scale = self.operands(spread)
+        grads = []
+        for op in (T.attention, composite_attention):
+            leaves = [Tensor(a, requires_grad=True) for a in (q, k, v)]
+            (op(*leaves, scale) * Tensor(w)).sum().backward()
+            grads.append([t.grad for t in leaves])
+        # on saturated rows D = rowsum(dO * O) cancels two near-equal terms,
+        # so an entry is good to float32 rounding of the largest gradient
+        for fused, unfused in zip(*grads):
+            assert np.all(np.isfinite(fused))
+            np.testing.assert_allclose(fused, unfused, rtol=1e-4,
+                                       atol=1e-4 * np.abs(unfused).max())
+
+    @pytest.mark.parametrize("k_shape,v_shape", [
+        ((2, 5, 4), (2, 5, 3)),      # k lacks the head axis
+        ((2, 3, 5, 6), (2, 3, 5, 3)),  # key width differs from query width
+        ((2, 3, 5, 4), (2, 3, 6, 3)),  # fewer keys than values
+    ])
+    def test_shape_mismatch_rejected(self, k_shape, v_shape):
+        q = Tensor(np.zeros((2, 3, 7, 4)))
+        with pytest.raises(DimensionError):
+            T.attention(q, Tensor(np.zeros(k_shape)), Tensor(np.zeros(v_shape)), 1.0)
 
 
 class TestSilu:
@@ -257,6 +310,19 @@ class TestFiniteDiffCheck:
         assert T.finite_diff_check(f, x) < 1e-3
 
 
+# fixed (batch, heads, rows, width) operands for the attention cases; the
+# probe replaces one of q, k, v
+_ATT = [Tensor(a) for a in np.random.default_rng(5).normal(size=(4, 1, 2, 3, 2))]
+
+
+def _attention_case(slot):
+    def f(t):
+        qkv = _ATT[:3]
+        qkv[slot] = t.reshape(_ATT[slot].shape)
+        return T.mul(T.attention(*qkv, 0.7), _ATT[3]).sum()
+    return f
+
+
 GRAD_CASES = {
     "add_broadcast": lambda t: (t + Tensor(np.arange(float(t.shape[-1])))).sum(),
     "mul": lambda t: T.mul(t, t).sum(),
@@ -272,7 +338,30 @@ GRAD_CASES = {
     "silu": lambda t: T.silu(t).sum(),
     "dropout": lambda t: T.dropout(t, 0.4, seed=13, training=True).sum(),
     "cross_entropy": lambda t: T.cross_entropy(t, np.arange(t.shape[0]) % t.shape[1]),
+    "tensor_sum": lambda t: T.silu(T.tensor_sum(t, axis=1)).sum(),
+    "tensor_mean": lambda t: T.silu(T.tensor_mean(t)).sum(),
+    "layer_norm": lambda t: T.mul(T.layer_norm(t, Tensor(np.linspace(0.5, 1.5, t.shape[-1])), Tensor(np.zeros(t.shape[-1]))), Tensor(np.arange(float(t.data.size)).reshape(t.shape))).sum(),
+    "attention_q": _attention_case(0),
+    "attention_k": _attention_case(1),
+    "attention_v": _attention_case(2),
 }
+
+
+def test_every_op_has_a_gradient_case():
+    """Every public op returning a Tensor (the set the benchmark's op
+    discovery finds) has a GRAD_CASES entry named ``<op>`` or
+    ``<op>_<variant>``, so a new op cannot skip the finite-difference
+    suite."""
+    ops = sorted(
+        name for name, fn in vars(T).items()
+        if inspect.isfunction(fn) and not name.startswith("_")
+        and fn.__module__ == T.__name__
+        and fn.__annotations__.get("return") in ("Tensor", T.Tensor))
+    uncovered = [op for op in ops
+                 if not any(case == op or case.startswith(op + "_")
+                            for case in GRAD_CASES)]
+    assert "attention" in ops and "softmax" in ops
+    assert not uncovered, f"ops without a GRAD_CASES entry: {uncovered}"
 
 
 @pytest.mark.parametrize("name", sorted(GRAD_CASES))
