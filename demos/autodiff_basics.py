@@ -71,3 +71,9 @@ p /= p.sum(axis=1, keepdims=True)
 onehot = np.eye(9)[labels]
 print("cross_entropy grad matches (p - y)/B:",
       np.allclose(logits.grad, (p - onehot) / 4, atol=1e-6))
+
+# each op's backward returns one gradient per operand and the engine routes
+# them: only operands that require grad receive one, so a constant has none
+const = Tensor(np.ones((2, 4)))
+(const @ w).sum().backward()
+print("constant operand left without a grad:", const.grad is None)

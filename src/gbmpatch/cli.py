@@ -1,11 +1,11 @@
 """Command-line front end: gen-data, cv, eval, report.
 
 Exit codes: 0 success, 2 usage problems (bad flags, bad config values),
-3 data problems (unreadable files, bad manifests, classes too small),
-4 numeric failures (non-finite loss). ``cv`` drops its artifacts into a
-timestamped run directory and refreshes a ``latest`` symlink; the run
-manifest (run.json) is written last, atomically, so an interrupted run
-never looks complete.
+3 data problems (bad manifests, classes too small, and paths that cannot
+be read or written), 4 numeric failures (non-finite loss). ``cv`` drops
+its artifacts into a timestamped run directory and refreshes a ``latest``
+symlink; the run manifest (run.json) is written last, atomically, so an
+interrupted run never looks complete.
 """
 
 from __future__ import annotations
@@ -343,7 +343,7 @@ def main(argv=None) -> int:
     except (ParameterError, DimensionError, ContractError) as exc:
         _fail(str(exc))
         return 2
-    except DataError as exc:
+    except (DataError, OSError) as exc:
         _fail(str(exc))
         return 3
     except NumericError as exc:

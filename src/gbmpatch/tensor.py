@@ -2,8 +2,9 @@
 
 Tensors wrap row-major numpy arrays (float32 by default, float64 when the
 caller supplies it, e.g. for gradient checking). Every forward op records
-its parents and a backward closure; ``Tensor.backward`` replays the chain
-rule over the recorded graph in reverse topological order.
+its operands and a backward closure that returns one gradient per operand;
+``Tensor.backward`` replays the chain rule over the recorded graph in
+reverse topological order and routes each gradient to its operand.
 
 Only the operations the patch-classification architecture needs are
 implemented. Broadcasting is supported where those ops need it (bias rows,
@@ -12,7 +13,7 @@ stacked matmul) and nowhere else.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -87,12 +88,6 @@ class Tensor:
     # ------------------------------------------------------------------
     # graph plumbing
 
-    def _accumulate_grad(self, g: np.ndarray):
-        if self.grad is None:
-            self.grad = g.astype(self.data.dtype, copy=True)
-        else:
-            self.grad = self.grad + g
-
     def backward(self):
         """Populate ``grad`` on every reachable tensor that requires it.
 
@@ -158,7 +153,10 @@ class ComputationRecord:
     """Topologically ordered trace of the ops behind one output tensor.
 
     ``replay_backward`` visits each recorded op exactly once, in reverse
-    topological order, accumulating gradients into parent tensors.
+    topological order. It is the one place gradients reach operands: each
+    op's backward returns one gradient per parent (``None`` for one it
+    skipped), and only parents that require grad receive it, summed back
+    over broadcast axes and accumulated.
     """
 
     def __init__(self, nodes: list):
@@ -191,15 +189,26 @@ class ComputationRecord:
                 node.grad = None
         root.grad = np.ones_like(root.data)
         for node in reversed(self.nodes):
-            if node._backward_fn is not None and node.grad is not None:
-                node._backward_fn(node.grad)
+            if node._backward_fn is None or node.grad is None:
+                continue
+            for parent, g in zip(node._parents, node._backward_fn(node.grad)):
+                if g is None or not parent.requires_grad:
+                    continue
+                g = _unbroadcast(g, parent.shape)
+                if parent.grad is None:
+                    parent.grad = g.astype(parent.data.dtype, copy=True)
+                else:
+                    parent.grad = parent.grad + g
 
 
-def _make(data: np.ndarray, parents: Sequence[Tensor], backward_fn, op: str) -> Tensor:
-    # a node with parents always requires grad, so this one flag decides
-    tracked = tuple(p for p in parents if p.requires_grad)
-    if tracked:
-        return Tensor(data, requires_grad=True, parents=tracked,
+def _make(data: np.ndarray, operands: Sequence[Tensor], backward_fn, op: str) -> Tensor:
+    """A node over every operand when any requires grad, else a constant.
+
+    ``backward_fn(g)`` returns one gradient per operand, in operand order;
+    a node with parents always requires grad, so this one flag decides.
+    """
+    if any(t.requires_grad for t in operands):
+        return Tensor(data, requires_grad=True, parents=tuple(operands),
                       backward_fn=backward_fn, op=op)
     return Tensor(data, op=op)
 
@@ -209,48 +218,34 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], backward_fn, op: str) -> 
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data + b.data
-
-    def backward(g):
-        a._accumulate_grad(_unbroadcast(g, a.shape))
-        b._accumulate_grad(_unbroadcast(g, b.shape))
-
-    return _make(out_data, (a, b), backward, "add")
+    return _make(a.data + b.data, (a, b), lambda g: (g, g), "add")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data * b.data
-
-    def backward(g):
-        a._accumulate_grad(_unbroadcast(g * b.data, a.shape))
-        b._accumulate_grad(_unbroadcast(g * a.data, b.shape))
-
-    return _make(out_data, (a, b), backward, "mul")
+    return _make(a.data * b.data, (a, b),
+                 lambda g: (g * b.data, g * a.data), "mul")
 
 
 def neg(a: Tensor) -> Tensor:
-    def backward(g):
-        a._accumulate_grad(-g)
-
-    return _make(-a.data, (a,), backward, "neg")
+    return _make(-a.data, (a,), lambda g: (-g,), "neg")
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product with numpy stacking semantics on leading axes.
 
     Gradients: dA = dC @ B^T, dB = A^T @ dC (transposes on the last two
-    axes), summed back over any broadcast leading axes.
+    axes). The one op that skips an operand without ``requires_grad``:
+    embed's input tiles and a frozen encoder's features are large.
     """
     if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise DimensionError(
             f"matmul shapes incompatible: {a.shape} x {b.shape}")
-    out_data = a.data @ b.data
 
     def backward(g):
-        a._accumulate_grad(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
-        b._accumulate_grad(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
+        return (g @ np.swapaxes(b.data, -1, -2) if a.requires_grad else None,
+                np.swapaxes(a.data, -1, -2) @ g if b.requires_grad else None)
 
-    return _make(out_data, (a, b), backward, "matmul")
+    return _make(a.data @ b.data, (a, b), backward, "matmul")
 
 
 # ----------------------------------------------------------------------
@@ -258,12 +253,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def reshape(x: Tensor, shape) -> Tensor:
-    shape = tuple(shape)
-
-    def backward(g):
-        x._accumulate_grad(g.reshape(x.shape))
-
-    return _make(x.data.reshape(shape), (x,), backward, "reshape")
+    return _make(x.data.reshape(tuple(shape)), (x,),
+                 lambda g: (g.reshape(x.shape),), "reshape")
 
 
 def transpose(x: Tensor, axes=None) -> Tensor:
@@ -271,35 +262,21 @@ def transpose(x: Tensor, axes=None) -> Tensor:
         axes = tuple(reversed(range(x.ndim)))
     axes = tuple(axes)
     inverse = tuple(np.argsort(axes))
-
-    def backward(g):
-        x._accumulate_grad(g.transpose(inverse))
-
-    return _make(x.data.transpose(axes), (x,), backward, "transpose")
+    return _make(x.data.transpose(axes), (x,),
+                 lambda g: (g.transpose(inverse),), "transpose")
 
 
 def broadcast_to(x: Tensor, shape) -> Tensor:
-    shape = tuple(shape)
-
-    def backward(g):
-        x._accumulate_grad(_unbroadcast(g, x.shape))
-
-    return _make(np.broadcast_to(x.data, shape).copy(), (x,), backward, "broadcast")
+    # the engine sums the gradient back down to x's shape
+    return _make(np.broadcast_to(x.data, tuple(shape)).copy(), (x,),
+                 lambda g: (g,), "broadcast")
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = list(tensors)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-            index = [slice(None)] * g.ndim
-            index[axis] = slice(int(start), int(stop))
-            t._accumulate_grad(g[tuple(index)])
-
+    cuts = np.cumsum([t.shape[axis] for t in tensors])[:-1]
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    return _make(out_data, tensors, backward, "concat")
+    return _make(out_data, tensors, lambda g: np.split(g, cuts, axis), "concat")
 
 
 def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
@@ -311,7 +288,7 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     def backward(g):
         full = np.zeros_like(x.data)
         full[index] = g
-        x._accumulate_grad(full)
+        return (full,)
 
     return _make(x.data[index].copy(), (x,), backward, "narrow")
 
@@ -320,27 +297,20 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
 # reductions
 
 
-def tensor_sum(x: Tensor, axis=None) -> Tensor:
-    def backward(g):
-        if axis is None:
-            x._accumulate_grad(np.broadcast_to(g, x.shape).copy())
-        else:
-            x._accumulate_grad(np.broadcast_to(np.expand_dims(g, axis), x.shape).copy())
+def _spread(g: np.ndarray, axis, shape: tuple) -> np.ndarray:
+    """A reduction's gradient, repeated over the axis it reduced."""
+    return np.broadcast_to(g if axis is None else np.expand_dims(g, axis), shape)
 
-    return _make(x.data.sum(axis=axis), (x,), backward, "sum")
+
+def tensor_sum(x: Tensor, axis=None) -> Tensor:
+    return _make(x.data.sum(axis=axis), (x,),
+                 lambda g: (_spread(g, axis, x.shape),), "sum")
 
 
 def tensor_mean(x: Tensor, axis=None) -> Tensor:
     count = x.data.size if axis is None else x.shape[axis]
-
-    def backward(g):
-        if axis is None:
-            x._accumulate_grad(np.broadcast_to(g / count, x.shape).copy())
-        else:
-            x._accumulate_grad(
-                np.broadcast_to(np.expand_dims(g, axis) / count, x.shape).copy())
-
-    return _make(x.data.mean(axis=axis), (x,), backward, "mean")
+    return _make(x.data.mean(axis=axis), (x,),
+                 lambda g: (_spread(g / count, axis, x.shape),), "mean")
 
 
 # ----------------------------------------------------------------------
@@ -360,10 +330,8 @@ def silu(x: Tensor) -> Tensor:
     """x * sigmoid(x), with gradient sigmoid(x) * (1 + x * (1 - sigmoid(x)))."""
     sig = _sigmoid(x.data)
 
-    def backward(g):
-        x._accumulate_grad(g * sig * (1.0 + x.data * (1.0 - sig)))
-
-    return _make(x.data * sig, (x,), backward, "silu")
+    return _make(x.data * sig, (x,),
+                 lambda g: (g * sig * (1.0 + x.data * (1.0 - sig)),), "silu")
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -372,11 +340,8 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     exp = np.exp(shifted)
     out_data = exp / exp.sum(axis=axis, keepdims=True)
 
-    def backward(g):
-        inner = (g * out_data).sum(axis=axis, keepdims=True)
-        x._accumulate_grad(out_data * (g - inner))
-
-    return _make(out_data, (x,), backward, "softmax")
+    return _make(out_data, (x,), lambda g: (
+        out_data * (g - (g * out_data).sum(axis=axis, keepdims=True)),), "softmax")
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
@@ -412,13 +377,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
         p = scores()
         p -= lse
         np.exp(p, out=p)
-        v._accumulate_grad(np.swapaxes(p, -1, -2) @ g)
+        dv = np.swapaxes(p, -1, -2) @ g
         ds = g @ np.swapaxes(v.data, -1, -2)
         ds -= (g * out_data).sum(axis=-1, keepdims=True)
         ds *= p
         ds *= scale
-        q._accumulate_grad(ds @ k.data)
-        k._accumulate_grad(np.swapaxes(ds, -1, -2) @ q.data)
+        return ds @ k.data, np.swapaxes(ds, -1, -2) @ q.data, dv
 
     return _make(out_data, (q, k, v), backward, "attention")
 
@@ -435,12 +399,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     out_data = gain.data * normed + bias.data
 
     def backward(g):
-        gain._accumulate_grad(_unbroadcast(g * normed, gain.shape))
-        bias._accumulate_grad(_unbroadcast(g, bias.shape))
         gy = g * gain.data
         m1 = gy.mean(axis=-1, keepdims=True)
         m2 = (gy * normed).mean(axis=-1, keepdims=True)
-        x._accumulate_grad(inv * (gy - m1 - normed * m2))
+        return inv * (gy - m1 - normed * m2), g * normed, g
 
     return _make(out_data, (x, gain, bias), backward, "layer_norm")
 
@@ -460,10 +422,7 @@ def dropout(x: Tensor, rate: float, seed: int = 0, training: bool = True) -> Ten
     scale = np.asarray(1.0 / (1.0 - rate), dtype=x.dtype)
     mask = keep.astype(x.dtype) * scale
 
-    def backward(g):
-        x._accumulate_grad(g * mask)
-
-    return _make(x.data * mask, (x,), backward, "dropout")
+    return _make(x.data * mask, (x,), lambda g: (g * mask,), "dropout")
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -493,7 +452,7 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     def backward(g):
         grad = np.exp(log_probs)
         grad[rows, labels] -= 1.0
-        logits._accumulate_grad(grad * (g / batch))
+        return (grad * (g / batch),)
 
     return _make(np.asarray(loss, dtype=logits.dtype), (logits,), backward,
                  "cross_entropy")

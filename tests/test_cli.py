@@ -389,6 +389,33 @@ class TestReport:
         assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    lambda tmp, data, ckpt: ["gen-data", "--out", f"{tmp}/file", "--counts",
+                             "1,1,1,1,1,1,1,1,1", "--size", "16"],
+    lambda tmp, data, ckpt: ["gen-data", "--out", f"{tmp}/file/sub",
+                             "--counts", "1,1,1,1,1,1,1,1,1", "--size", "16"],
+    lambda tmp, data, ckpt: ["cv", "--data", data, "--out", f"{tmp}/file"]
+    + SMALL_NET + QUICK_TRAIN,
+    lambda tmp, data, ckpt: ["eval", "--checkpoint", f"{tmp}/missing.ckpt",
+                             "--data", data],
+    lambda tmp, data, ckpt: ["eval", "--checkpoint", tmp, "--data", data],
+    lambda tmp, data, ckpt: ["eval", "--checkpoint", ckpt, "--data", data,
+                             "--csv", tmp],
+    lambda tmp, data, ckpt: ["eval", "--checkpoint", ckpt, "--data", data,
+                             "--csv", f"{tmp}/missing/metrics.csv"],
+], ids=["gen_data_out_file", "gen_data_out_under_file", "cv_out_file",
+        "eval_missing_checkpoint", "eval_checkpoint_dir", "eval_csv_dir",
+        "eval_csv_missing_parent"])
+def test_path_error_is_data_error(dataset, finished_run, tmp_path, capsys,
+                                  argv):
+    """A path that cannot be read or written exits 3 with one error line."""
+    (tmp_path / "file").write_text("not a directory")
+    _, run = finished_run
+    code = main(argv(str(tmp_path), str(dataset), str(run / "model.ckpt")))
+    assert code == 3
+    assert one_line_error(capsys)
+
+
 class TestFormatReport:
     def test_layout(self):
         per_class = [{m: 0.5 for m in METRIC_NAMES} for _ in range(9)]

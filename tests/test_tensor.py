@@ -273,6 +273,32 @@ class TestBackward:
         with pytest.raises(ContractError):
             Tensor(np.ones(3), requires_grad=True).backward()
 
+    # op(constant, tracked), the constant's shape, the tracked one's shape
+    ROUTING_CASES = {
+        "matmul_left": (lambda c, t: c @ t, (3, 3), (3, 4)),
+        "matmul_right": (lambda c, t: t @ c, (4, 2), (3, 4)),
+        "add": (lambda c, t: T.add(t, c), (4,), (3, 4)),
+        "mul": (lambda c, t: T.mul(c, t), (3, 4), (3, 4)),
+        "concat": (lambda c, t: T.concat([c, t], axis=0), (2, 4), (3, 4)),
+        "layer_norm_x": (lambda c, t: T.layer_norm(c, t, t), (3, 4), (4,)),
+        "layer_norm_affine": (lambda c, t: T.layer_norm(t, c, c), (4,), (3, 4)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(ROUTING_CASES))
+    def test_constant_operand_gets_no_grad(self, name):
+        """A constant operand gets no ``.grad``, and its tracked partner
+        gets the gradient it would get if the constant were tracked."""
+        f, c_shape, t_shape = self.ROUTING_CASES[name]
+        rng = np.random.default_rng(4)
+        c_data, t_data = rng.normal(size=c_shape), rng.normal(size=t_shape)
+        const, tracked = Tensor(c_data), Tensor(t_data, requires_grad=True)
+        T.silu(f(const, tracked)).sum().backward()
+        assert const.grad is None
+        both = Tensor(c_data, requires_grad=True), Tensor(t_data, requires_grad=True)
+        T.silu(f(*both)).sum().backward()
+        assert both[0].grad is not None
+        np.testing.assert_array_equal(tracked.grad, both[1].grad)
+
     def test_record_visits_each_op_once_in_reverse_topo_order(self):
         x = Tensor(np.ones(3), requires_grad=True)
         a = T.silu(x)
