@@ -33,7 +33,7 @@ assert again.entries == manifest.entries
 # PPM round trip is bitwise
 rel, label = manifest.entries[0]
 img = load_ppm(root / rel)
-print(f"\nfirst entry: {rel} label={CLASS_CODES[label]} shape={img.pixels.shape}")
+print(f"\nfirst entry: {rel} label={CLASS_CODES[label]} shape={img.shape}")
 save_ppm(img, root / "copy.ppm")
 assert (root / "copy.ppm").read_bytes() == (root / rel).read_bytes()
 print("save(load(x)) reproduced the file byte for byte")

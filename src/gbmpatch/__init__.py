@@ -12,7 +12,7 @@ from .checkpoint import (load_checkpoint, load_model, save_checkpoint,
 from .cv import (AdamState, CVResult, FoldAssignment, FoldResult,
                  TrainConfig, adam_step, cross_validate, lr_at, run_folds,
                  stratified_kfold, summarize, train_fold)
-from .data import (CLASS_CODES, DEFAULT_PROFILE, DatasetManifest, ImagePatch,
+from .data import (CLASS_CODES, DEFAULT_PROFILE, DatasetManifest,
                    generate_synthetic, load_ppm, load_preprocessed, normalize,
                    preprocess, resize_bilinear, save_ppm, to_tensor)
 from .encoder import (EncoderConfig, embed, encode_batch, init_encoder,

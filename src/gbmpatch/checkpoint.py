@@ -1,11 +1,13 @@
 """Self-describing checkpoint format with a bit-exact round trip.
 
 Layout: a text header (magic line, one JSON metadata line, a parameter
-count, then one ``name<TAB>shape<TAB>byte-offset`` line per parameter, a
-``DATA`` sentinel) followed by every parameter as raw little-endian
-float32, concatenated in listing order. Everything needed to rebuild the
-model lives in the metadata line, so a file is loadable without knowing
-the configuration that produced it.
+count, then one ``name<TAB>(shape)`` line per parameter, a ``DATA``
+sentinel) followed by every parameter as raw little-endian float32,
+concatenated in listing order. The listing alone fixes the blob: each
+parameter starts where the one before it ends, and the sizes it lists
+must add up to the blob's length exactly. Everything needed to rebuild
+the model lives in the metadata line, so a file is loadable without
+knowing the configuration that produced it.
 """
 
 from __future__ import annotations
@@ -18,13 +20,13 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .data import write_atomic
+from .data import parse_json_object, write_atomic
 from .encoder import EncoderConfig
 from .errors import ContractError, DataError
 from .head import HeadConfig
 from .model import PatchClassifier
 
-MAGIC = b"GBMPATCH-CKPT-1"
+MAGIC = b"GBMPATCH-CKPT-2"
 BLOB_DTYPE = "<f4"
 
 
@@ -34,78 +36,63 @@ def save_checkpoint(path, params: Dict[str, "np.ndarray"], meta: dict):
     lines = [MAGIC, json.dumps(meta, sort_keys=True).encode("utf-8"),
              str(len(params)).encode("ascii")]
     blobs = []
-    offset = 0
     for name, value in params.items():
         if "\t" in name or "\n" in name:
             raise ContractError(f"parameter name {name!r} holds a tab or newline")
         arr = np.asarray(value).astype(BLOB_DTYPE, copy=False)
         shape = ",".join(str(n) for n in arr.shape)
-        lines.append(f"{name}\t({shape})\t{offset}".encode("utf-8"))
+        lines.append(f"{name}\t({shape})".encode("utf-8"))
         blobs.append(arr.tobytes())
-        offset += arr.nbytes
     lines.append(b"DATA")
     write_atomic(path, b"\n".join(lines) + b"\n" + b"".join(blobs))
 
 
-def _parse_shape(text: str, path) -> tuple:
-    if not (text.startswith("(") and text.endswith(")")):
-        raise DataError(f"bad shape field {text!r} in {path}")
-    inner = text[1:-1]
-    if not inner:
-        return ()
+def _parse_entry(entry: bytes, path) -> tuple:
+    """One ``name<TAB>(shape)`` listing line -> (name, shape)."""
     try:
-        shape = tuple(int(n) for n in inner.split(","))
+        name, text = entry.decode("utf-8").split("\t")
+        if not (text.startswith("(") and text.endswith(")")):
+            raise ValueError(text)
+        inner = text[1:-1]
+        shape = tuple(int(n) for n in inner.split(",")) if inner else ()
     except ValueError:
-        raise DataError(f"bad shape field {text!r} in {path}")
+        raise DataError(f"malformed listing line {entry!r} in {path}")
     if any(n < 0 for n in shape):
-        raise DataError(f"negative dimension in shape field {text!r} in {path}")
-    return shape
+        raise DataError(f"negative dimension in listing line {entry!r} in {path}")
+    return name, shape
 
 
 def load_checkpoint(path) -> Tuple[Dict[str, np.ndarray], dict]:
     raw = Path(path).read_bytes()
-    head, sep, _ = raw.partition(b"\nDATA\n")
+    head, sep, blob = raw.partition(b"\nDATA\n")
     if not sep:
         raise DataError(f"{path} has no DATA sentinel; not a checkpoint")
-    blob = raw[len(head) + len(sep):]
     lines = head.split(b"\n")
     if lines[0] != MAGIC:
         raise DataError(f"{path} has magic {lines[0][:20]!r}, expected {MAGIC!r}")
-    try:
-        meta = json.loads(lines[1].decode("utf-8"))
-    except (IndexError, ValueError, RecursionError) as exc:
-        raise DataError(f"{path} metadata line is unreadable: {exc}")
-    if not isinstance(meta, dict):
-        raise DataError(f"{path} metadata is not a JSON object")
+    if len(lines) < 3:
+        raise DataError(f"{path} header stops before the parameter count")
+    meta = parse_json_object(lines[1], f"{path} metadata")
     try:
         count = int(lines[2])
-    except (IndexError, ValueError):
+    except ValueError:
         raise DataError(f"{path} parameter count line is unreadable")
-    entries = lines[3:]
-    if len(entries) != count:
+    listing = [_parse_entry(entry, path) for entry in lines[3:]]
+    if len(listing) != count:
         raise DataError(
-            f"{path} lists {len(entries)} parameters, header promised {count}")
+            f"{path} lists {len(listing)} parameters, header promised {count}")
+    sizes = [math.prod(shape) for _, shape in listing]
+    listed = sum(sizes) * np.dtype(BLOB_DTYPE).itemsize
+    if listed != len(blob):
+        raise DataError(
+            f"{path}: listing covers {listed} bytes but blob holds {len(blob)}")
 
     params: Dict[str, np.ndarray] = {}
-    itemsize = np.dtype(BLOB_DTYPE).itemsize
-    for entry in entries:
+    pieces = np.split(np.frombuffer(blob, dtype=BLOB_DTYPE), np.cumsum(sizes)[:-1])
+    for (name, shape), piece in zip(listing, pieces):
         try:
-            name, shape_text, offset_text = entry.decode("utf-8").split("\t")
-            offset = int(offset_text)
-        except ValueError:
-            raise DataError(f"malformed listing line {entry!r} in {path}")
-        if offset < 0:
-            raise DataError(f"negative offset in listing line {entry!r} in {path}")
-        shape = _parse_shape(shape_text, path)
-        nbytes = math.prod(shape) * itemsize
-        if offset + nbytes > len(blob):
-            raise DataError(
-                f"{path}: parameter {name} needs bytes [{offset}, "
-                f"{offset + nbytes}) but blob holds {len(blob)}")
-        try:
-            params[name] = np.frombuffer(
-                blob[offset:offset + nbytes], dtype=BLOB_DTYPE).reshape(shape).copy()
-        except ValueError as exc:
+            params[name] = piece.reshape(shape).copy()
+        except ValueError as exc:   # more axes or a longer axis than numpy allows
             raise DataError(f"{path}: parameter {name} shape {shape}: {exc}")
     return params, meta
 

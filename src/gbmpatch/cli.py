@@ -20,7 +20,8 @@ from pathlib import Path
 from .checkpoint import load_model, save_model
 from .cv import TrainConfig, run_folds, summarize
 from .data import (CLASS_CODES, DEFAULT_PROFILE, N_CLASSES, DatasetManifest,
-                   generate_synthetic, load_preprocessed, write_atomic)
+                   generate_synthetic, load_preprocessed, parse_json_object,
+                   write_atomic)
 from .encoder import EncoderConfig
 from .errors import (ContractError, DataError, DimensionError, NumericError,
                      ParameterError)
@@ -110,12 +111,8 @@ def _resolve_settings(args) -> dict:
         path = Path(args.config)
         if not path.is_file():
             raise ParameterError(f"config file {path} does not exist")
-        try:
-            loaded = json.loads(path.read_text())
-        except (ValueError, RecursionError) as exc:
-            raise ParameterError(f"config file {path} is not valid JSON: {exc}")
-        if not isinstance(loaded, dict):
-            raise ParameterError(f"config file {path} must hold a flat object")
+        loaded = parse_json_object(path.read_bytes(), f"config file {path}",
+                                   ParameterError)
         unknown = sorted(set(loaded) - set(settings))
         if unknown:
             raise ParameterError(
@@ -258,10 +255,7 @@ def cmd_report(args) -> int:
     path = run_dir / RUN_MANIFEST
     if not path.is_file():
         raise DataError(f"{run_dir} has no {RUN_MANIFEST}; not a finished run")
-    try:
-        payload = json.loads(path.read_text())
-    except (ValueError, RecursionError) as exc:
-        raise DataError(f"{path} is unreadable: {exc}")
+    payload = parse_json_object(path.read_bytes(), str(path))
     # the whole text is built before any of it prints, so a malformed
     # field fails the command without a partial table on stdout
     try:

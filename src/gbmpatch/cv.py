@@ -19,7 +19,7 @@ from .encoder import EncoderConfig
 from .errors import NumericError, ParameterError, StratificationError
 from .head import HeadConfig
 from .metrics import (METRIC_NAMES, ConfusionMatrix, MetricBundle, accumulate,
-                      score)
+                      micro_average, score)
 from .model import PatchClassifier
 
 # Adam moment decay rates and denominator floor (Kingma & Ba defaults)
@@ -47,11 +47,12 @@ class TrainConfig:
             raise ParameterError(
                 f"warmup_epochs {self.warmup_epochs} must lie in "
                 f"[0, epochs={self.epochs})")
-        if not 0 < self.lr_min <= self.lr_max:
+        if not 0 < self.lr_min <= self.lr_max < math.inf:
             raise ParameterError(
-                f"need 0 < lr_min <= lr_max, got {self.lr_min}, {self.lr_max}")
-        if self.weight_decay < 0:
-            raise ParameterError("weight_decay must be nonnegative")
+                f"need 0 < lr_min <= lr_max < inf, got {self.lr_min}, {self.lr_max}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ParameterError(
+                f"weight_decay must be finite and nonnegative, got {self.weight_decay}")
         if self.seed < 0:
             raise ParameterError(f"seed must be nonnegative, got {self.seed}")
 
@@ -66,10 +67,12 @@ class FoldAssignment:
 @dataclass
 class FoldResult:
     fold: int
-    confusion: ConfusionMatrix
-    micro: MetricBundle
-    per_class: List[MetricBundle]
+    confusion: ConfusionMatrix          # held-out predictions vs labels
     epoch_losses: List[float]           # one mean training loss per epoch
+
+    @property
+    def micro(self) -> MetricBundle:
+        return micro_average(self.confusion)
 
 
 @dataclass
@@ -227,13 +230,15 @@ def train_fold(images: np.ndarray, labels: np.ndarray,
             running += value * len(batch)
             step += 1
         epoch_losses.append(running / len(tr))
+    # each loss was checked before its update; this covers the last one
+    for name, p in params.items():
+        if not np.isfinite(p.data).all():
+            raise NumericError(
+                f"non-finite parameter {name} after training fold {assignment.fold}")
 
     val = assignment.val_idx
     cm = accumulate(model.predict(images[val]), labels[val], N_CLASSES)
-    per_class, micro = score(cm)
-    result = FoldResult(fold=assignment.fold, confusion=cm, micro=micro,
-                        per_class=per_class, epoch_losses=epoch_losses)
-    return result, model
+    return FoldResult(assignment.fold, cm, epoch_losses), model
 
 
 def run_folds(images: np.ndarray, labels: np.ndarray,

@@ -1,9 +1,12 @@
 """Image ingestion, preprocessing, and the synthetic 9-class patch generator.
 
 Images are binary PPM (P6, maxval 255): dependency-free and bit-exact,
-which keeps round-trip and determinism contracts testable. The
-preprocessing chain is resize (bilinear, half-pixel centers) -> scale to
-[0, 1] channel-major -> per-channel normalization with ImageNet statistics.
+which keeps round-trip and determinism contracts testable. In memory an
+image is its pixels, an (H, W, 3) uint8 array; its size is the array's
+shape. The preprocessing chain is resize (bilinear, half-pixel centers) ->
+scale to [0, 1] channel-major -> per-channel normalization with ImageNet
+statistics. ``parse_json_object`` is the one parser of untrusted JSON
+(manifests here, configs, run manifests and checkpoint metadata).
 
 The synthetic generator renders each class with its own texture family
 (base hue, blob density, stripe frequency) so a dataset with a long-tailed
@@ -44,22 +47,6 @@ IMAGENET_STD = (0.229, 0.224, 0.225)
 CHANNELS = len(IMAGENET_MEAN)
 
 
-@dataclass
-class ImagePatch:
-    """RGB byte image, pixels stored H x W x 3 row-major."""
-
-    width: int
-    height: int
-    pixels: np.ndarray
-
-    def __post_init__(self):
-        self.pixels = np.asarray(self.pixels, dtype=np.uint8)
-        if self.pixels.shape != (self.height, self.width, 3):
-            raise DimensionError(
-                f"pixel block {self.pixels.shape} does not match "
-                f"{self.height}x{self.width}x3")
-
-
 # ----------------------------------------------------------------------
 # PPM (P6) round trip
 
@@ -83,8 +70,8 @@ def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
     return data[start:pos], pos
 
 
-def load_ppm(path) -> ImagePatch:
-    """Parse a binary P6 PPM with maxval 255."""
+def load_ppm(path) -> np.ndarray:
+    """Parse a binary P6 PPM with maxval 255 into an (H, W, 3) uint8 array."""
     data = Path(path).read_bytes()
     magic, pos = _next_token(data, 0)
     if magic != b"P6":
@@ -110,39 +97,45 @@ def load_ppm(path) -> ImagePatch:
         raise PpmParseError(
             f"raster truncated at byte {pos + len(raster)}, "
             f"expected {expected} bytes from byte {pos}")
-    pixels = np.frombuffer(raster, dtype=np.uint8).reshape(height, width, 3)
-    return ImagePatch(width=width, height=height, pixels=pixels.copy())
+    return np.frombuffer(raster, dtype=np.uint8).reshape(height, width, 3).copy()
 
 
-def save_ppm(img: ImagePatch, path):
-    header = f"P6\n{img.width} {img.height}\n255\n".encode("ascii")
-    write_atomic(path, header + img.pixels.tobytes())
+def save_ppm(pixels: np.ndarray, path):
+    """Write an (H, W, 3) uint8 array as a binary P6 PPM."""
+    if pixels.dtype != np.uint8 or pixels.ndim != 3 or pixels.shape[2] != 3:
+        raise DimensionError(
+            f"expected an (H, W, 3) uint8 array, got {pixels.dtype} {pixels.shape}")
+    height, width, _ = pixels.shape
+    header = f"P6\n{width} {height}\n255\n".encode("ascii")
+    write_atomic(path, header + pixels.tobytes())
 
 
 # ----------------------------------------------------------------------
 # preprocessing chain
 
 
-def resize_bilinear(img: ImagePatch, width: int = 224, height: int = 224) -> ImagePatch:
+def resize_bilinear(pixels: np.ndarray, width: int = 224,
+                    height: int = 224) -> np.ndarray:
     """Bilinear resample with half-pixel-centered sampling.
 
     A same-size call returns an identical copy, so the resize is a no-op
     on already-conforming inputs.
     """
-    if img.width < 1 or img.height < 1:
+    src_h, src_w = pixels.shape[:2]
+    if src_w < 1 or src_h < 1:
         raise DimensionError("source image must be at least 1x1")
-    if (img.width, img.height) == (width, height):
-        return ImagePatch(width=width, height=height, pixels=img.pixels.copy())
+    if (src_w, src_h) == (width, height):
+        return pixels.copy()
 
-    src = img.pixels.astype(np.float64)
-    xs = np.clip((np.arange(width) + 0.5) * (img.width / width) - 0.5,
-                 0.0, img.width - 1.0)
-    ys = np.clip((np.arange(height) + 0.5) * (img.height / height) - 0.5,
-                 0.0, img.height - 1.0)
+    src = pixels.astype(np.float64)
+    xs = np.clip((np.arange(width) + 0.5) * (src_w / width) - 0.5,
+                 0.0, src_w - 1.0)
+    ys = np.clip((np.arange(height) + 0.5) * (src_h / height) - 0.5,
+                 0.0, src_h - 1.0)
     x0 = np.floor(xs).astype(np.int64)
     y0 = np.floor(ys).astype(np.int64)
-    x1 = np.minimum(x0 + 1, img.width - 1)
-    y1 = np.minimum(y0 + 1, img.height - 1)
+    x1 = np.minimum(x0 + 1, src_w - 1)
+    y1 = np.minimum(y0 + 1, src_h - 1)
     fx = (xs - x0)[None, :, None]
     fy = (ys - y0)[:, None, None]
 
@@ -150,16 +143,15 @@ def resize_bilinear(img: ImagePatch, width: int = 224, height: int = 224) -> Ima
            + src[np.ix_(y0, x1)] * (1 - fy) * fx
            + src[np.ix_(y1, x0)] * fy * (1 - fx)
            + src[np.ix_(y1, x1)] * fy * fx)
-    pixels = np.clip(np.rint(out), 0, 255).astype(np.uint8)
-    return ImagePatch(width=width, height=height, pixels=pixels)
+    return np.clip(np.rint(out), 0, 255).astype(np.uint8)
 
 
-def to_tensor(img: ImagePatch, size: int = 224) -> np.ndarray:
+def to_tensor(pixels: np.ndarray, size: int = 224) -> np.ndarray:
     """Bytes to float32 in [0, 1], rearranged channel-major (3, size, size)."""
-    if (img.width, img.height) != (size, size):
+    if pixels.shape[:2] != (size, size):
         raise DimensionError(
-            f"expected a {size}x{size} image, got {img.width}x{img.height}")
-    return (img.pixels.astype(np.float32) / 255.0).transpose(2, 0, 1)
+            f"expected a {size}x{size} image, got shape {pixels.shape}")
+    return (pixels.astype(np.float32) / 255.0).transpose(2, 0, 1)
 
 
 def normalize(t: np.ndarray) -> np.ndarray:
@@ -171,9 +163,9 @@ def normalize(t: np.ndarray) -> np.ndarray:
     return (t - mean) / std
 
 
-def preprocess(img: ImagePatch, size: int = 224) -> np.ndarray:
+def preprocess(pixels: np.ndarray, size: int = 224) -> np.ndarray:
     """resize -> to_tensor -> normalize, in that order."""
-    return normalize(to_tensor(resize_bilinear(img, size, size), size))
+    return normalize(to_tensor(resize_bilinear(pixels, size, size), size))
 
 
 # ----------------------------------------------------------------------
@@ -196,6 +188,21 @@ def write_atomic(path, content) -> Path:
     finally:
         tmp.unlink(missing_ok=True)
     return path
+
+
+def parse_json_object(text, where: str, error=DataError) -> dict:
+    """Parse untrusted JSON text or bytes that must hold an object.
+
+    Undecodable bytes, malformed or too deeply nested JSON, and any other
+    top-level value raise ``error`` naming ``where``.
+    """
+    try:
+        value = json.loads(text)
+    except (ValueError, RecursionError) as exc:   # incl. UnicodeDecodeError
+        raise error(f"{where} is not valid JSON: {exc}")
+    if not isinstance(value, dict):
+        raise error(f"{where} is not a JSON object")
+    return value
 
 
 @dataclass
@@ -233,12 +240,7 @@ class DatasetManifest:
         path = root / MANIFEST_NAME
         if not path.is_file():
             raise DataError(f"no {MANIFEST_NAME} under {root}")
-        try:
-            payload = json.loads(path.read_bytes())
-        except (ValueError, RecursionError) as exc:
-            raise DataError(f"malformed manifest {path}: {exc}")
-        if not isinstance(payload, dict):
-            raise DataError(f"manifest {path} is not a JSON object")
+        payload = parse_json_object(path.read_bytes(), f"manifest {path}")
         items = payload.get("entries", [])
         if not isinstance(items, list):
             raise DataError(f"manifest {path}: entries is not a list")
@@ -265,6 +267,8 @@ class DatasetManifest:
 
 def load_preprocessed(manifest: DatasetManifest, size: int = 224):
     """Load every manifest entry into (N, 3, size, size) float32 + labels."""
+    if not manifest.entries:
+        raise DataError(f"dataset {manifest.root} holds no patches")
     images = np.empty((len(manifest.entries), 3, size, size), dtype=np.float32)
     for i, (rel, _) in enumerate(manifest.entries):
         images[i] = preprocess(load_ppm(Path(manifest.root) / rel), size)
@@ -291,7 +295,7 @@ _BLOB_COUNTS = (18, 10, 26, 4, 12, 6, 20, 30, 14)
 _STRIPE_FREQS = (0.0, 6.0, 2.5, 0.0, 4.0, 1.5, 8.0, 3.0, 10.0)
 
 
-def _render_patch(label: int, rng: np.random.Generator, size: int) -> ImagePatch:
+def _render_patch(label: int, rng: np.random.Generator, size: int) -> np.ndarray:
     yy, xx = np.mgrid[0:size, 0:size].astype(np.float64) / size
     color = _BASE_COLORS[label] + rng.normal(0.0, 8.0, size=3)
     canvas = np.tile(color, (size, size, 1))
@@ -312,8 +316,7 @@ def _render_patch(label: int, rng: np.random.Generator, size: int) -> ImagePatch
         canvas[mask] = blob_color
 
     canvas += rng.normal(0.0, 6.0, size=canvas.shape)
-    pixels = np.clip(np.rint(canvas), 0, 255).astype(np.uint8)
-    return ImagePatch(width=size, height=size, pixels=pixels)
+    return np.clip(np.rint(canvas), 0, 255).astype(np.uint8)
 
 
 def generate_synthetic(root, counts: Sequence[int] = DEFAULT_PROFILE,
@@ -331,8 +334,9 @@ def generate_synthetic(root, counts: Sequence[int] = DEFAULT_PROFILE,
     counts = list(counts)
     if len(counts) != N_CLASSES:
         raise DataError(f"need {N_CLASSES} class counts, got {len(counts)}")
-    if any(c < 0 for c in counts):
-        raise DataError(f"counts must be nonnegative, got {counts}")
+    if any(c < 0 for c in counts) or not any(counts):
+        raise DataError(
+            f"counts must be nonnegative and not all zero, got {counts}")
     root = Path(root)
     manifest = DatasetManifest(root=root, entries=[], seed=seed)
     for label, count in enumerate(counts):

@@ -15,9 +15,8 @@ import pytest
 
 from gbmpatch.cli import main
 from gbmpatch.cv import TrainConfig, lr_at, stratified_kfold, train_fold
-from gbmpatch.data import (CLASS_CODES, DEFAULT_PROFILE, ImagePatch,
-                           generate_synthetic, load_ppm, load_preprocessed,
-                           save_ppm)
+from gbmpatch.data import (CLASS_CODES, DEFAULT_PROFILE, generate_synthetic,
+                           load_ppm, load_preprocessed, save_ppm)
 from gbmpatch.encoder import (EncoderConfig, encode_batch, init_encoder,
                               split_tokens)
 from gbmpatch.head import (HeadConfig, aggregate_features, head_forward,
@@ -398,14 +397,12 @@ def test_end_to_end_cv(tmp_path):
 
 def test_round_trips(tmp_path):
     rng = np.random.default_rng(9)
-    img = ImagePatch(width=31, height=17,
-                     pixels=rng.integers(0, 256, size=(17, 31, 3),
-                                         dtype=np.uint8))
+    img = rng.integers(0, 256, size=(17, 31, 3), dtype=np.uint8)
     p1, p2 = tmp_path / "a.ppm", tmp_path / "b.ppm"
     save_ppm(img, p1)
     back = load_ppm(p1)
     save_ppm(back, p2)
-    ppm_ok = (np.array_equal(back.pixels, img.pixels)
+    ppm_ok = (np.array_equal(back, img)
               and p1.read_bytes() == p2.read_bytes())
 
     model = PatchClassifier(

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from gbmpatch.checkpoint import (load_checkpoint, load_model, save_checkpoint,
-                                 save_model)
+from gbmpatch.checkpoint import (MAGIC, load_checkpoint, load_model,
+                                 save_checkpoint, save_model)
+from gbmpatch.cli import main
 from gbmpatch.encoder import EncoderConfig
 from gbmpatch.errors import ContractError, DataError
 from gbmpatch.head import HeadConfig
@@ -39,9 +40,9 @@ class TestRawFormat:
         path = tmp_path / "w.ckpt"
         save_checkpoint(path, {"x": np.zeros((2, 2), np.float32)}, {"k": 1})
         head = path.read_bytes().split(b"\nDATA\n")[0].decode("utf-8")
-        assert head.splitlines()[0] == "GBMPATCH-CKPT-1"
+        assert head.splitlines()[0] == "GBMPATCH-CKPT-2"
         assert '"k": 1' in head
-        assert "x\t(2,2)\t0" in head
+        assert head.splitlines()[-1] == "x\t(2,2)"
 
     @pytest.mark.parametrize("name", ["a\tb", "x\ny"])
     def test_name_with_listing_delimiter_rejected(self, tmp_path, name):
@@ -58,7 +59,7 @@ class TestRawFormat:
 
     def test_missing_sentinel(self, tmp_path):
         path = tmp_path / "junk"
-        path.write_bytes(b"GBMPATCH-CKPT-1\n{}\n0\n")
+        path.write_bytes(MAGIC + b"\n{}\n0\n")
         with pytest.raises(DataError, match="DATA"):
             load_checkpoint(path)
 
@@ -84,10 +85,19 @@ class TestRawFormat:
         with pytest.raises(DataError, match="blob"):
             load_checkpoint(path)
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        # the listing must account for every byte after DATA
+        path = tmp_path / "w.ckpt"
+        save_checkpoint(path, {"x": np.zeros(3, np.float32),
+                               "y": np.zeros(2, np.float32)}, {})
+        path.write_bytes(path.read_bytes() + bytes(20))
+        with pytest.raises(DataError, match="covers 20 bytes"):
+            load_checkpoint(path)
 
-def raw_checkpoint(meta=b"{}", listing=b"x\t(8)\t0", blob=bytes(32)):
+
+def raw_checkpoint(meta=b"{}", listing=b"x\t(8)", blob=bytes(32)):
     """A hand-built one-parameter checkpoint file."""
-    return (b"GBMPATCH-CKPT-1\n" + meta + b"\n1\n" + listing
+    return (MAGIC + b"\n" + meta + b"\n1\n" + listing
             + b"\nDATA\n" + blob)
 
 
@@ -99,17 +109,16 @@ class TestListingValidation:
         assert meta == {} and params["x"].shape == (8,)
 
     @pytest.mark.parametrize("listing", [
-        b"x\t(8)\tzz",                      # offset not an integer
-        b"x\t(8)\t-4",                      # negative offset
-        b"x\t(-4)\t0",                      # negative dimension
-        b"x\t(2,-4)\t0",
-        b"\xff\t(8)\t0",                    # name not UTF-8
-        b"x\t(8)",                          # too few fields
-        b"x\t(8)\t0\t0",                    # too many fields
-        b"x\t8\t0",                         # shape without parentheses
-        b"x\t(2,,4)\t0",
-        b"x\t(" + b",".join([b"1"] * 65) + b")\t0",   # more axes than numpy has
-        b"x\t(0,99999999999999999999)\t0",   # dimension past numpy's limit
+        b"x\t(-4)",                         # negative dimension
+        b"x\t(2,-4)",
+        b"\xff\t(8)",                       # name not UTF-8
+        b"x",                               # too few fields
+        b"x\t(8)\t0",                       # a byte offset: too many fields
+        b"x\t(8)\t0\t0",
+        b"x\t8",                            # shape without parentheses
+        b"x\t(2,,4)",
+        b"x\t(" + b",".join([b"1"] * 65) + b")",   # more axes than numpy has
+        b"x\t(0,99999999999999999999)",     # dimension past numpy's limit
     ])
     def test_bad_listing_is_data_error(self, tmp_path, listing):
         path = tmp_path / "w.ckpt"
@@ -124,6 +133,16 @@ class TestListingValidation:
         path.write_bytes(raw_checkpoint(meta=meta))
         with pytest.raises(DataError, match="metadata"):
             load_checkpoint(path)
+
+    def test_earlier_format_is_rejected_by_magic(self, tmp_path, capsys):
+        path = tmp_path / "w.ckpt"
+        raw = raw_checkpoint(listing=b"x\t(8)\t0")
+        path.write_bytes(raw.replace(MAGIC, b"GBMPATCH-CKPT-1", 1))
+        with pytest.raises(DataError, match="GBMPATCH-CKPT-1"):
+            load_checkpoint(path)
+        assert main(["eval", "--checkpoint", str(path),
+                     "--data", str(tmp_path)]) == 3
+        assert "magic" in capsys.readouterr().err
 
 
 class TestModelRoundTrip:

@@ -72,6 +72,12 @@ class TestGenData:
         assert main(["gen-data", "--out", str(tmp_path / "y"),
                      "--counts", "1,2,3", "--size", "16"]) == 3
 
+    def test_all_zero_counts_is_data_error(self, tmp_path, capsys):
+        assert main(["gen-data", "--out", str(tmp_path / "z"),
+                     "--counts", "0,0,0,0,0,0,0,0,0", "--size", "16"]) == 3
+        assert one_line_error(capsys)
+        assert not (tmp_path / "z" / "manifest.json").exists()
+
     @pytest.mark.parametrize("flag,value", [("--seed", "-1"),
                                             ("--size", "-5"),
                                             ("--size", "0")])
@@ -144,6 +150,34 @@ class TestCv:
                      "--out", str(tmp_path / "runs")] + SMALL_NET)
         assert code == 3
         assert "fewer than" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra,code", [
+        (["--lr-max=inf"], 2),
+        (["--weight-decay=inf"], 2),
+        (["--weight-decay=nan"], 2),
+        # finite settings whose one update overflows float32
+        (["--lr-max=1e300", "--lr-min=1e300"], 4),
+    ], ids=["lr_max_inf", "weight_decay_inf", "weight_decay_nan", "lr_1e300"])
+    def test_non_finite_training_fails(self, dataset, tmp_path, capsys,
+                                       extra, code):
+        # one step per fold: no later loss sees the update's result
+        assert main(["cv", "--data", str(dataset),
+                     "--out", str(tmp_path / "runs"), "--image-size", "28",
+                     "--dim", "4", "--depth", "1", "--heads", "1",
+                     "--folds", "2", "--epochs", "1",
+                     "--warmup-epochs", "0"] + extra) == code
+        assert one_line_error(capsys)
+        assert not list(tmp_path.rglob("model.ckpt"))
+
+    @pytest.mark.parametrize("command", ["cv", "eval"])
+    def test_empty_dataset_is_data_error(self, finished_run, tmp_path, capsys,
+                                         command):
+        DatasetManifest(root=tmp_path, entries=[], seed=0).save()
+        _, run = finished_run
+        extra = {"cv": ["--out", str(tmp_path / "runs")] + SMALL_NET,
+                 "eval": ["--checkpoint", str(run / "model.ckpt")]}[command]
+        assert main([command, "--data", str(tmp_path)] + extra) == 3
+        assert "no patches" in capsys.readouterr().err
 
     def test_bad_flag_value_is_usage_error(self, dataset, tmp_path):
         code = main(["cv", "--data", str(dataset),

@@ -3,8 +3,9 @@
 Whatever the flags and whatever the files they name, ``main`` returns 0,
 2, 3 or 4 (a non-zero code with one ``error:`` line on stderr) or argparse
 exits 2; nothing else escapes. Path-valued flags draw from a fixed tree
-holding a dataset, a finished run, a plain file, an empty directory,
-missing paths and a corrupted ``run.json``, manifest and checkpoint. Each
+holding a dataset, a dataset with no patches, a finished run, a plain
+file, an empty directory, missing paths and a corrupted ``run.json``,
+manifest and checkpoint. Each
 example runs in a fresh copy of that tree, so one that writes cannot
 change the next. Numbers come from small ranges plus zero and negatives,
 and every ``cv`` example sets the image size, epochs and folds, so it
@@ -23,7 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gbmpatch.cli import build_parser, main
-from gbmpatch.data import MANIFEST_NAME, generate_synthetic
+from gbmpatch.data import MANIFEST_NAME, DatasetManifest, generate_synthetic
 
 # each example copies the tree and chdirs itself, so the function-scoped
 # fixtures are reset by hand between examples
@@ -31,7 +32,8 @@ FUZZ = settings(max_examples=40, deadline=None, database=None,
                 suppress_health_check=[HealthCheck.too_slow,
                                        HealthCheck.function_scoped_fixture])
 
-PATHS = ["data", "baddata", "run", "badrun", "run/model.ckpt", "bad.ckpt",
+PATHS = ["data", "baddata", "nodata", "run", "badrun", "run/model.ckpt",
+         "bad.ckpt",
          "config.json", "file.txt", "empty", "missing", "missing/sub",
          "file.txt/sub"]
 # per path flag, the tree entry a clean example uses
@@ -43,8 +45,7 @@ ALWAYS = {"gen-data": {"counts", "size"},
 
 # values a clean example draws, per flag; an edge example also draws the
 # zero, negative, non-dividing and non-finite ones
-GOOD = {"counts": ["1,1,1,1,1,1,1,1,1", "1,0,0,0,0,0,0,0,0",
-                   "0,0,0,0,0,0,0,0,0"],
+GOOD = {"counts": ["1,1,1,1,1,1,1,1,1", "1,0,0,0,0,0,0,0,0"],
         "size": [1, 8, 16], "image_size": [14, 28], "tile_size": [7, 14],
         "dim": [4, 8], "heads": [1, 2], "depth": [0, 1, 2],
         "registers": [0, 1, 2], "folds": [2, 3], "epochs": [1, 2],
@@ -54,7 +55,8 @@ GOOD = {"counts": ["1,1,1,1,1,1,1,1,1", "1,0,0,0,0,0,0,0,0",
 GOOD_INTS, GOOD_FLOATS = [1, 2], [0.0, 0.01]
 EDGE_INTS = [-1, 0, 3]
 EDGE_FLOATS = [-1.0, 0.0, 1.0, "nan", "inf", "-inf"]
-EDGE_COUNTS = ["1,2,3", "-1,1,1,1,1,1,1,1,1", "a,b", "", ","]
+EDGE_COUNTS = ["0,0,0,0,0,0,0,0,0", "1,2,3", "-1,1,1,1,1,1,1,1,1", "a,b",
+               "", ","]
 
 
 def _subparsers():
@@ -118,6 +120,8 @@ def tree(tmp_path_factory):
     shutil.copytree(root / "data", root / "baddata")
     manifest = (root / "data" / MANIFEST_NAME).read_bytes()
     (root / "baddata" / MANIFEST_NAME).write_bytes(manifest[:len(manifest) // 2])
+    (root / "nodata").mkdir()
+    DatasetManifest(root=root / "nodata", entries=[], seed=0).save()
     (root / "badrun").mkdir()
     run_json = (root / "run" / "run.json").read_bytes()
     (root / "badrun" / "run.json").write_bytes(run_json[:len(run_json) // 2])

@@ -1,17 +1,19 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import gbmpatch.cv as cv
 from gbmpatch.cv import (ADAM_EPS, AdamState, CVResult, FoldAssignment,
-                         TrainConfig, adam_step, cross_validate, lr_at,
-                         run_folds, stratified_kfold, train_fold)
+                         FoldResult, TrainConfig, adam_step, cross_validate,
+                         lr_at, run_folds, stratified_kfold, train_fold)
 from gbmpatch.data import DEFAULT_PROFILE
 from gbmpatch.encoder import EncoderConfig
 from gbmpatch.errors import (NumericError, ParameterError,
                              StratificationError)
 from gbmpatch.head import HeadConfig
+from gbmpatch.metrics import micro_average
 from gbmpatch.model import PatchClassifier
 from gbmpatch.tensor import Tensor
 
@@ -279,6 +281,15 @@ class TestCrossValidate:
         assert result.fold == 0 and isinstance(model, PatchClassifier)
         assert [r.fold for r, _ in folds] == [1, 2]
         assert calls == [0, 1, 2]
+
+    def test_fold_result_is_its_counts(self):
+        assert [f.name for f in fields(FoldResult)] == [
+            "fold", "confusion", "epoch_losses"]
+        rng = np.random.default_rng(7)
+        images, labels = separable_dataset(rng, per_class=4)
+        for r, _ in run_folds(images, labels, TINY, self.HEAD,
+                              self.small_cfg()):
+            assert r.micro == micro_average(r.confusion)
 
     def test_fold_average_tracks_micro_means(self):
         rng = np.random.default_rng(5)

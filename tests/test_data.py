@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 
 from gbmpatch.data import (CLASS_CODES, DEFAULT_PROFILE, DatasetManifest,
-                           ImagePatch, IMAGENET_STD, class_index,
-                           generate_synthetic, load_ppm, load_preprocessed,
-                           normalize, preprocess, resize_bilinear, save_ppm,
-                           to_tensor)
-from gbmpatch.errors import DataError, DimensionError, PpmParseError
+                           IMAGENET_STD, class_index, generate_synthetic,
+                           load_ppm, load_preprocessed, normalize,
+                           parse_json_object, preprocess, resize_bilinear,
+                           save_ppm, to_tensor)
+from gbmpatch.errors import (DataError, DimensionError, ParameterError,
+                             PpmParseError)
 
 
 def random_patch(rng, w, h):
-    return ImagePatch(width=w, height=h,
-                      pixels=rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8))
+    return rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
 
 
 def bilinear_oracle(pixels, width, height):
@@ -45,8 +45,8 @@ class TestPpm:
         path = tmp_path / "x.ppm"
         save_ppm(img, path)
         back = load_ppm(path)
-        assert back.width == 17 and back.height == 9
-        assert np.array_equal(back.pixels, img.pixels)
+        assert back.shape == (9, 17, 3) and back.dtype == np.uint8
+        assert np.array_equal(back, img)
 
     def test_file_round_trip_preserves_bytes(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -61,8 +61,8 @@ class TestPpm:
         path = tmp_path / "c.ppm"
         path.write_bytes(b"P6\n# made by hand\n2 2\n# maxval next\n255\n" + raster)
         img = load_ppm(path)
-        assert img.width == 2 and img.height == 2
-        assert img.pixels.tobytes() == raster
+        assert img.shape == (2, 2, 3)
+        assert img.tobytes() == raster
 
     def test_bad_magic_reports_offset(self, tmp_path):
         path = tmp_path / "bad.ppm"
@@ -88,6 +88,17 @@ class TestPpm:
         with pytest.raises(PpmParseError, match="width"):
             load_ppm(path)
 
+    @pytest.mark.parametrize("pixels", [
+        np.zeros((4, 4, 3), np.float32),       # not bytes
+        np.zeros((4, 4), np.uint8),            # no channel axis
+        np.zeros((4, 4, 4), np.uint8),         # four channels
+    ], ids=["float", "2d", "rgba"])
+    def test_save_rejects_non_rgb_bytes(self, tmp_path, pixels):
+        path = tmp_path / "x.ppm"
+        with pytest.raises(DimensionError):
+            save_ppm(pixels, path)
+        assert not path.exists()
+
     def test_failed_save_leaves_existing_file(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(2)
         path = tmp_path / "x.ppm"
@@ -109,34 +120,32 @@ class TestResize:
         rng = np.random.default_rng(2)
         img = random_patch(rng, 12, 12)
         out = resize_bilinear(img, 12, 12)
-        assert np.array_equal(out.pixels, img.pixels)
-        assert out.pixels is not img.pixels
+        assert np.array_equal(out, img)
+        assert out is not img
 
     def test_matches_per_pixel_oracle(self):
         rng = np.random.default_rng(3)
         img = random_patch(rng, 29, 13)
         out = resize_bilinear(img, 16, 10)
-        want = bilinear_oracle(img.pixels, 16, 10)
-        diff = np.abs(out.pixels.astype(np.float64) - want)
+        want = bilinear_oracle(img, 16, 10)
+        diff = np.abs(out.astype(np.float64) - want)
         assert diff.max() <= 1.0
 
     def test_checkerboard_halving_averages_to_midgray(self):
         tile = np.array([[0, 255], [255, 0]], dtype=np.uint8)
         board = np.tile(tile, (224, 224))[:, :, None].repeat(3, axis=2)
-        img = ImagePatch(width=448, height=448, pixels=board)
-        out = resize_bilinear(img, 224, 224)
-        assert np.all(out.pixels == 128)
+        out = resize_bilinear(board, 224, 224)
+        assert np.all(out == 128)
 
     def test_constant_image_stays_constant(self):
-        img = ImagePatch(width=7, height=5,
-                         pixels=np.full((5, 7, 3), 77, dtype=np.uint8))
+        img = np.full((5, 7, 3), 77, dtype=np.uint8)
         out = resize_bilinear(img, 224, 224)
-        assert np.all(out.pixels == 77)
+        assert np.all(out == 77)
 
     def test_upsample_shape(self):
         rng = np.random.default_rng(4)
         out = resize_bilinear(random_patch(rng, 3, 3), 224, 224)
-        assert out.pixels.shape == (224, 224, 3)
+        assert out.shape == (224, 224, 3) and out.dtype == np.uint8
 
 
 class TestToTensor:
@@ -148,7 +157,7 @@ class TestToTensor:
         assert t.dtype == np.float32
         assert t.min() >= 0.0 and t.max() <= 1.0
         # channel-major layout: t[c, y, x] mirrors pixels[y, x, c]
-        assert t[1, 3, 7] == pytest.approx(img.pixels[3, 7, 1] / 255.0)
+        assert t[1, 3, 7] == pytest.approx(img[3, 7, 1] / 255.0)
 
     def test_wrong_size_rejected(self):
         rng = np.random.default_rng(6)
@@ -164,9 +173,7 @@ class TestNormalize:
         assert out[2, 0, 0] == pytest.approx(2.64, abs=1e-6)
 
     def test_near_mean_gray_is_near_zero(self):
-        img = ImagePatch(width=224, height=224,
-                         pixels=np.full((224, 224, 3), 124, dtype=np.uint8))
-        out = preprocess(img)
+        out = preprocess(np.full((224, 224, 3), 124, dtype=np.uint8))
         assert out[0, 0, 0] == pytest.approx((124 / 255 - 0.485) / 0.229, abs=1e-6)
         assert abs(out[0, 0, 0]) < 0.006
 
@@ -210,8 +217,7 @@ class TestGenerator:
         assert reloaded.entries == manifest.entries
         assert reloaded.seed == 11
         for rel, label in reloaded.entries:
-            img = load_ppm(tmp_path / rel)
-            assert img.width == 16 and img.height == 16
+            assert load_ppm(tmp_path / rel).shape == (16, 16, 3)
             assert rel.startswith(CLASS_CODES[label] + "/")
 
     def test_same_seed_is_bit_identical(self, tmp_path):
@@ -233,7 +239,7 @@ class TestGenerator:
         manifest = generate_synthetic(tmp_path, [3] * 9, seed=3, size=24)
         means = np.zeros((9, 3))
         for rel, label in manifest.entries:
-            means[label] += load_ppm(tmp_path / rel).pixels.mean(axis=(0, 1)) / 3
+            means[label] += load_ppm(tmp_path / rel).mean(axis=(0, 1)) / 3
         # every pair of class mean colors is well separated
         for i in range(9):
             for j in range(i + 1, 9):
@@ -258,6 +264,9 @@ class TestGenerator:
             generate_synthetic(tmp_path, [1, 2, 3], seed=0, size=16)
         with pytest.raises(DataError):
             generate_synthetic(tmp_path, [-1] + [1] * 8, seed=0, size=16)
+        with pytest.raises(DataError):
+            generate_synthetic(tmp_path, [0] * 9, seed=0, size=16)
+        assert not (tmp_path / "manifest.json").exists()
 
     def test_missing_file_fails_load(self, tmp_path):
         generate_synthetic(tmp_path, [1, 1, 0, 0, 0, 0, 0, 0, 0], seed=0, size=16)
@@ -310,3 +319,25 @@ class TestLoadPreprocessed:
         assert images.shape == (4, 3, 16, 16)
         assert images.dtype == np.float32
         assert labels.tolist() == [0, 0, 1, 3]
+
+    def test_empty_manifest_is_data_error(self, tmp_path):
+        manifest = DatasetManifest(root=tmp_path, entries=[], seed=0)
+        manifest.save()
+        with pytest.raises(DataError, match="no patches"):
+            load_preprocessed(DatasetManifest.load(tmp_path), size=16)
+
+
+class TestParseJsonObject:
+    def test_object_from_text_or_bytes(self):
+        assert parse_json_object('{"a": [1]}', "x") == {"a": [1]}
+        assert parse_json_object(b'{"a": [1]}', "x") == {"a": [1]}
+
+    @pytest.mark.parametrize("raw", [
+        b'{"a": "\xff"}',                           # not UTF-8
+        b"[1, 2]",                                  # a list, not an object
+        b"[" * 100_000 + b"]" * 100_000,            # past the recursion limit
+    ], ids=["non_utf8", "list", "deep"])
+    @pytest.mark.parametrize("error", [DataError, ParameterError])
+    def test_bad_input_raises_given_error(self, raw, error):
+        with pytest.raises(error, match="where"):
+            parse_json_object(raw, "where", error)

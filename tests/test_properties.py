@@ -21,7 +21,7 @@ from gbmpatch.checkpoint import load_checkpoint, save_checkpoint
 from gbmpatch.cli import (_build_configs, _default_settings,
                           _resolve_settings, main)
 from gbmpatch.data import (CLASS_CODES, MANIFEST_NAME, DatasetManifest,
-                           ImagePatch, generate_synthetic, load_ppm, save_ppm)
+                           generate_synthetic, load_ppm, save_ppm)
 from gbmpatch.errors import GbmPatchError
 from gbmpatch.metrics import METRIC_NAMES
 
@@ -219,13 +219,12 @@ class TestPpm:
     def test_save_load_is_identity(self, ckpt_dir, width, height, data):
         blob = data.draw(st.binary(min_size=width * height * 3,
                                    max_size=width * height * 3))
-        img = ImagePatch(width=width, height=height,
-                         pixels=np.frombuffer(blob, np.uint8).reshape(height, width, 3))
+        img = np.frombuffer(blob, np.uint8).reshape(height, width, 3)
         path = ckpt_dir / "x.ppm"
         save_ppm(img, path)
         back = load_ppm(path)
-        assert (back.width, back.height) == (width, height)
-        assert back.pixels.tobytes() == blob
+        assert back.shape == (height, width, 3)
+        assert back.tobytes() == blob
 
     @BOUNDED
     @given(st.binary(max_size=64))
