@@ -13,8 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
-from gbmpatch import (EncoderConfig, HeadConfig, TrainConfig, cross_validate,
-                      load_preprocessed, lr_at, stratified_kfold)
+from gbmpatch import (EncoderConfig, HeadConfig, TrainConfig,
+                      load_preprocessed, lr_at, run_folds, stratified_kfold,
+                      summarize)
 from gbmpatch.cli import format_report
 from gbmpatch.data import generate_synthetic
 
@@ -47,7 +48,9 @@ marks = [0, warm // 2, warm, (warm + total - 1) // 2, total - 1]
 print("\nlr at steps", marks, ":",
       [f"{lr_at(s, total, warm, 1e-2, 1e-3):.2e}" for s in marks])
 
-result = cross_validate(images, labels, enc_cfg, head_cfg, train_cfg)
+# run_folds trains one fold per request; summarize pools the held-out counts
+result = summarize(r for r, _ in
+                   run_folds(images, labels, enc_cfg, head_cfg, train_cfg))
 
 losses = result.fold_results[0].epoch_losses
 print(f"\nfold 0 loss: {losses[0]:.3f} (epoch 0) -> "

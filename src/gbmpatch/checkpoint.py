@@ -4,10 +4,10 @@ Layout: a text header (magic line, one JSON metadata line, a parameter
 count, then one ``name<TAB>(shape)`` line per parameter, a ``DATA``
 sentinel) followed by every parameter as raw little-endian float32,
 concatenated in listing order. The listing alone fixes the blob: each
-parameter starts where the one before it ends, and the sizes it lists
-must add up to the blob's length exactly. Everything needed to rebuild
-the model lives in the metadata line, so a file is loadable without
-knowing the configuration that produced it.
+parameter starts where the one before it ends, the sizes it lists must
+add up to the blob's length exactly, and no name may appear twice.
+Everything needed to rebuild the model lives in the metadata line, so a
+file is loadable without knowing the configuration that produced it.
 """
 
 from __future__ import annotations
@@ -90,6 +90,8 @@ def load_checkpoint(path) -> Tuple[Dict[str, np.ndarray], dict]:
     params: Dict[str, np.ndarray] = {}
     pieces = np.split(np.frombuffer(blob, dtype=BLOB_DTYPE), np.cumsum(sizes)[:-1])
     for (name, shape), piece in zip(listing, pieces):
+        if name in params:
+            raise DataError(f"{path} lists parameter {name!r} twice")
         try:
             params[name] = piece.reshape(shape).copy()
         except ValueError as exc:   # more axes or a longer axis than numpy allows

@@ -1,6 +1,6 @@
 """Command-line front end: gen-data, cv, eval, report.
 
-Exit codes: 0 success, 2 usage problems (bad flags, bad config values),
+Exit codes: 0 success, 2 usage problems (bad flags and flag values),
 3 data problems (bad manifests, classes too small, and paths that cannot
 be read or written), 4 numeric failures (non-finite loss). ``cv`` drops
 its artifacts into a timestamped run directory and refreshes a ``latest``
@@ -90,42 +90,10 @@ def cmd_gen_data(args) -> int:
 # cv
 
 
-def _default_settings() -> dict:
-    """The flat key set shared by the JSON config file and the cv flags."""
-    return {f.name: f.default for config in CV_CONFIGS
+def _settings(args) -> dict:
+    """The cv settings from the parsed flags, in CV_CONFIGS field order."""
+    return {f.name: getattr(args, f.name) for config in CV_CONFIGS
             for f in fields(config)}
-
-
-def _check_type(key: str, value, default):
-    # an int may stand in for a float; a bool never stands in for a number
-    kind = type(default)
-    ok = isinstance(value, (int, float) if kind is float else kind)
-    if not ok or isinstance(value, bool) != (kind is bool):
-        raise ParameterError(
-            f"config key {key!r} must be {kind.__name__}, got {value!r}")
-
-
-def _resolve_settings(args) -> dict:
-    settings = _default_settings()
-    if args.config:
-        path = Path(args.config)
-        if not path.is_file():
-            raise ParameterError(f"config file {path} does not exist")
-        loaded = parse_json_object(path.read_bytes(), f"config file {path}",
-                                   ParameterError)
-        unknown = sorted(set(loaded) - set(settings))
-        if unknown:
-            raise ParameterError(
-                f"unknown config keys {unknown}; valid keys: "
-                f"{sorted(settings)}")
-        for key, value in loaded.items():
-            _check_type(key, value, settings[key])
-        settings.update(loaded)
-    for key in settings:
-        value = getattr(args, key, None)
-        if value is not None:
-            settings[key] = value
-    return settings
 
 
 def _build_configs(settings: dict) -> tuple:
@@ -158,7 +126,7 @@ def _point_latest(base: Path, run: Path):
 
 
 def cmd_cv(args) -> int:
-    settings = _resolve_settings(args)
+    settings = _settings(args)
     train_cfg, enc_cfg, head_cfg = _build_configs(settings)
 
     manifest = DatasetManifest.load(args.data)
@@ -302,17 +270,13 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("cv", help="stratified k-fold cross-validation")
     c.add_argument("--data", required=True, help="dataset directory")
     c.add_argument("--out", default="runs", help="where run directories go")
-    c.add_argument("--config", help="JSON file of flat settings; flags win")
     c.add_argument("--verbose", action="store_true",
                    help="print every epoch")
-    for key, default in _default_settings().items():
-        flag = "--" + key.replace("_", "-")
-        if isinstance(default, bool):
-            c.add_argument(flag, action=argparse.BooleanOptionalAction,
-                           default=None)
-        else:
-            c.add_argument(flag, type=type(default), default=None,
-                           help=f"default {default}")
+    for config in CV_CONFIGS:
+        for f in fields(config):
+            c.add_argument("--" + f.name.replace("_", "-"),
+                           type=type(f.default), default=f.default,
+                           help=f"default {f.default}")
     c.set_defaults(func=cmd_cv)
 
     e = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")

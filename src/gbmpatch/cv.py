@@ -36,7 +36,6 @@ class TrainConfig:
     lr_min: float = 1e-6
     weight_decay: float = 0.01
     seed: int = 0
-    freeze_encoder: bool = False
 
     def __post_init__(self):
         if self.folds < 2:
@@ -194,11 +193,7 @@ def train_fold(images: np.ndarray, labels: np.ndarray,
     labels = np.asarray(labels, dtype=np.int64)
     model = PatchClassifier(enc_cfg, head_cfg,
                             seed=cfg.seed * 1000 + assignment.fold)
-    if cfg.freeze_encoder:
-        # untracked weights: the encoder forward records no graph
-        for p in model.encoder.values():
-            p.requires_grad = False
-    params = {k: p for k, p in model.parameters().items() if p.requires_grad}
+    params = model.parameters()
     state = AdamState(params)
 
     tr = assignment.train_idx
@@ -208,28 +203,31 @@ def train_fold(images: np.ndarray, labels: np.ndarray,
 
     epoch_losses: List[float] = []
     step = 0
-    for epoch in range(cfg.epochs):
-        order = np.random.default_rng(
-            [cfg.seed, assignment.fold, epoch]).permutation(len(tr))
-        running = 0.0
-        for b in range(steps_per_epoch):
-            batch = tr[order[b * cfg.batch_size:(b + 1) * cfg.batch_size]]
-            model.zero_grad()
-            loss = model.loss(images[batch], labels[batch], train=True,
-                              dropout_seed=cfg.seed * 1_000_003
-                              + assignment.fold * 10_007 + step)
-            value = loss.item()
-            if not math.isfinite(value):
-                raise NumericError(
-                    f"non-finite loss {value} at fold {assignment.fold} "
-                    f"epoch {epoch} step {step}")
-            loss.backward()
-            adam_step(params, state,
-                      lr_at(step, total_steps, warmup_steps,
-                            cfg.lr_max, cfg.lr_min), cfg)
-            running += value * len(batch)
-            step += 1
-        epoch_losses.append(running / len(tr))
+    # an overflow shows as a non-finite loss or parameter, which the checks
+    # below report in one error; numpy's warnings would only repeat it
+    with np.errstate(all="ignore"):
+        for epoch in range(cfg.epochs):
+            order = np.random.default_rng(
+                [cfg.seed, assignment.fold, epoch]).permutation(len(tr))
+            running = 0.0
+            for b in range(steps_per_epoch):
+                batch = tr[order[b * cfg.batch_size:(b + 1) * cfg.batch_size]]
+                model.zero_grad()
+                loss = model.loss(images[batch], labels[batch], train=True,
+                                  dropout_seed=cfg.seed * 1_000_003
+                                  + assignment.fold * 10_007 + step)
+                value = loss.item()
+                if not math.isfinite(value):
+                    raise NumericError(
+                        f"non-finite loss {value} at fold {assignment.fold} "
+                        f"epoch {epoch} step {step}")
+                loss.backward()
+                adam_step(params, state,
+                          lr_at(step, total_steps, warmup_steps,
+                                cfg.lr_max, cfg.lr_min), cfg)
+                running += value * len(batch)
+                step += 1
+            epoch_losses.append(running / len(tr))
     # each loss was checked before its update; this covers the last one
     for name, p in params.items():
         if not np.isfinite(p.data).all():
@@ -268,12 +266,3 @@ def summarize(fold_results: Iterable[FoldResult]) -> CVResult:
     }
     return CVResult(fold_results=results, confusion=total, micro=micro,
                     per_class=per_class, fold_average=fold_average)
-
-
-def cross_validate(images: np.ndarray, labels: np.ndarray,
-                   enc_cfg: EncoderConfig, head_cfg: HeadConfig,
-                   cfg: TrainConfig) -> CVResult:
-    """Run every fold and aggregate them; the models are discarded (use
-    run_folds to keep them)."""
-    return summarize(result for result, _ in
-                     run_folds(images, labels, enc_cfg, head_cfg, cfg))

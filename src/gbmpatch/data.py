@@ -6,7 +6,7 @@ image is its pixels, an (H, W, 3) uint8 array; its size is the array's
 shape. The preprocessing chain is resize (bilinear, half-pixel centers) ->
 scale to [0, 1] channel-major -> per-channel normalization with ImageNet
 statistics. ``parse_json_object`` is the one parser of untrusted JSON
-(manifests here, configs, run manifests and checkpoint metadata).
+(manifests here, run manifests and checkpoint metadata).
 
 The synthetic generator renders each class with its own texture family
 (base hue, blob density, stripe frequency) so a dataset with a long-tailed
@@ -190,18 +190,18 @@ def write_atomic(path, content) -> Path:
     return path
 
 
-def parse_json_object(text, where: str, error=DataError) -> dict:
+def parse_json_object(text, where: str) -> dict:
     """Parse untrusted JSON text or bytes that must hold an object.
 
     Undecodable bytes, malformed or too deeply nested JSON, and any other
-    top-level value raise ``error`` naming ``where``.
+    top-level value raise ``DataError`` naming ``where``.
     """
     try:
         value = json.loads(text)
     except (ValueError, RecursionError) as exc:   # incl. UnicodeDecodeError
-        raise error(f"{where} is not valid JSON: {exc}")
+        raise DataError(f"{where} is not valid JSON: {exc}")
     if not isinstance(value, dict):
-        raise error(f"{where} is not a JSON object")
+        raise DataError(f"{where} is not a JSON object")
     return value
 
 

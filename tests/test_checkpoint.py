@@ -96,8 +96,9 @@ class TestRawFormat:
 
 
 def raw_checkpoint(meta=b"{}", listing=b"x\t(8)", blob=bytes(32)):
-    """A hand-built one-parameter checkpoint file."""
-    return (MAGIC + b"\n" + meta + b"\n1\n" + listing
+    """A hand-built checkpoint file whose count matches its listing."""
+    count = b"%d" % (listing.count(b"\n") + 1)
+    return (MAGIC + b"\n" + meta + b"\n" + count + b"\n" + listing
             + b"\nDATA\n" + blob)
 
 
@@ -119,6 +120,7 @@ class TestListingValidation:
         b"x\t(2,,4)",
         b"x\t(" + b",".join([b"1"] * 65) + b")",   # more axes than numpy has
         b"x\t(0,99999999999999999999)",     # dimension past numpy's limit
+        b"x\t(4)\nx\t(4)",                  # one name listed twice
     ])
     def test_bad_listing_is_data_error(self, tmp_path, listing):
         path = tmp_path / "w.ckpt"

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +13,7 @@ from gbmpatch.data import (CLASS_CODES, DatasetManifest, generate_synthetic,
                            write_atomic)
 from gbmpatch.metrics import METRIC_NAMES
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 SMALL_NET = ["--image-size", "28", "--tile-size", "14", "--dim", "8",
              "--depth", "1", "--heads", "2", "--registers", "2",
              "--mlp-ratio", "2", "--bottleneck", "4"]
@@ -169,6 +173,29 @@ class TestCv:
         assert one_line_error(capsys)
         assert not list(tmp_path.rglob("model.ckpt"))
 
+    def test_numeric_failure_prints_one_stderr_line(self, dataset, tmp_path):
+        """Run as a process: pytest records numpy's warnings apart from the
+        captured stderr, so only a real stderr shows them."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "gbmpatch.cli", "cv", "--data",
+             str(dataset), "--out", str(tmp_path / "runs"), "--lr-max=1e300",
+             "--lr-min=1e300", "--epochs", "1", "--warmup-epochs", "0",
+             "--folds", "3"] + SMALL_NET,
+            env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
+            text=True, timeout=120)
+        assert proc.returncode == 4
+        assert proc.stderr.startswith("error: non-finite parameter")
+        assert proc.stderr.count("\n") == 1, proc.stderr
+
+    def test_settings_keys_pinned(self, finished_run):
+        _, run = finished_run
+        settings = json.loads((run / "run.json").read_text())["settings"]
+        assert list(settings) == [
+            "folds", "epochs", "warmup_epochs", "batch_size", "lr_max",
+            "lr_min", "weight_decay", "seed",
+            "image_size", "tile_size", "dim", "depth", "heads", "registers",
+            "mlp_ratio", "bottleneck", "dropout"]
+
     @pytest.mark.parametrize("command", ["cv", "eval"])
     def test_empty_dataset_is_data_error(self, finished_run, tmp_path, capsys,
                                          command):
@@ -187,18 +214,11 @@ class TestCv:
 
     @pytest.mark.parametrize("entry", [{"heads": 0}, {"heads": -4}, {"dim": 0},
                                        {"seed": -1}])
-    @pytest.mark.parametrize("source", ["flag", "config"])
     def test_bad_model_value_is_usage_error(self, dataset, tmp_path, capsys,
-                                            entry, source):
+                                            entry):
         (key, value), = entry.items()
-        if source == "flag":
-            extra = [f"--{key}={value}"]
-        else:
-            path = tmp_path / "cfg.json"
-            path.write_text(json.dumps(entry))
-            extra = ["--config", str(path)]
         code = main(["cv", "--data", str(dataset),
-                     "--out", str(tmp_path / "runs")] + extra)
+                     "--out", str(tmp_path / "runs"), f"--{key}={value}"])
         err = capsys.readouterr().err
         assert code == 2
         assert err.count("\n") == 1 and "Traceback" not in err
@@ -236,93 +256,6 @@ class TestCv:
         assert sorted(written) == files == [
             "confusion.txt", "metrics.csv", "model.ckpt", "report.txt",
             "run.json"]
-
-
-class TestConfigFile:
-    def test_config_applies_and_flags_override(self, dataset, tmp_path):
-        cfg = {key.replace("-", "_"): v for key, v in
-               (("image_size", 28), ("tile_size", 14), ("dim", 8),
-                ("depth", 1), ("heads", 2), ("registers", 2),
-                ("mlp_ratio", 2), ("bottleneck", 4), ("folds", 3),
-                ("epochs", 1), ("warmup_epochs", 0), ("batch_size", 16),
-                ("lr_max", 1e-3), ("lr_min", 1e-4))}
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg))
-        out = tmp_path / "runs"
-        code = main(["cv", "--data", str(dataset), "--out", str(out),
-                     "--config", str(path), "--epochs", "2"])
-        assert code == 0
-        run = json.loads((out / "latest" / "run.json").read_text())
-        assert run["settings"]["epochs"] == 2          # flag wins
-        assert run["settings"]["warmup_epochs"] == 0   # config wins
-        assert run["settings"]["batch_size"] == 16
-
-    def test_unknown_key_rejected(self, dataset, tmp_path, capsys):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"learningrate": 1e-3}))
-        code = main(["cv", "--data", str(dataset),
-                     "--out", str(tmp_path / "runs"), "--config", str(path)])
-        assert code == 2
-        assert "learningrate" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("entry", [{"dim": "32"}, {"epochs": 1.5},
-                                       {"dim": True},
-                                       {"freeze_encoder": "false"}])
-    def test_wrong_value_type_is_usage_error(self, dataset, tmp_path, capsys,
-                                             entry):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(entry))
-        code = main(["cv", "--data", str(dataset),
-                     "--out", str(tmp_path / "runs"), "--config", str(path)])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.count("\n") == 1 and "Traceback" not in err
-        assert next(iter(entry)) in err
-
-    def test_int_accepted_for_float(self, dataset, tmp_path):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"lr_max": 1, "lr_min": 1, "folds": 3,
-                                    "epochs": 1, "warmup_epochs": 0}))
-        out = tmp_path / "runs"
-        assert main(["cv", "--data", str(dataset), "--out", str(out),
-                     "--config", str(path)] + SMALL_NET) == 0
-        run = json.loads((out / "latest" / "run.json").read_text())
-        assert run["settings"]["lr_max"] == 1
-
-    def test_no_flag_overrides_config_true(self, dataset, tmp_path):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"freeze_encoder": True}))
-        out = tmp_path / "runs"
-        code = main(["cv", "--data", str(dataset), "--out", str(out),
-                     "--config", str(path), "--no-freeze-encoder",
-                     "--folds", "3", "--epochs", "1", "--warmup-epochs", "0"]
-                    + SMALL_NET)
-        assert code == 0
-        run = json.loads((out / "latest" / "run.json").read_text())
-        assert run["settings"]["freeze_encoder"] is False
-
-    def test_settings_keys_pinned(self, finished_run):
-        _, run = finished_run
-        settings = json.loads((run / "run.json").read_text())["settings"]
-        assert list(settings) == [
-            "folds", "epochs", "warmup_epochs", "batch_size", "lr_max",
-            "lr_min", "weight_decay", "seed", "freeze_encoder",
-            "image_size", "tile_size", "dim", "depth", "heads", "registers",
-            "mlp_ratio", "bottleneck", "dropout"]
-
-    def test_deeply_nested_config_is_usage_error(self, dataset, tmp_path,
-                                                 capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(DEEP_JSON)
-        assert main(["cv", "--data", str(dataset),
-                     "--out", str(tmp_path / "runs"),
-                     "--config", str(cfg)]) == 2
-        assert one_line_error(capsys)
-
-    def test_missing_config_rejected(self, dataset, tmp_path):
-        assert main(["cv", "--data", str(dataset),
-                     "--out", str(tmp_path / "runs"),
-                     "--config", str(tmp_path / "nope.json")]) == 2
 
 
 class TestEval:

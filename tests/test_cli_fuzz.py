@@ -9,7 +9,9 @@ manifest and checkpoint. Each
 example runs in a fresh copy of that tree, so one that writes cannot
 change the next. Numbers come from small ranges plus zero and negatives,
 and every ``cv`` example sets the image size, epochs and folds, so it
-trains for a few steps on 27 images of 28 px at most.
+trains for a few steps on 27 images of 28 px at most. Beside the fuzz, a
+fixed grid sets each path flag of each subcommand to each tree entry
+with every other value clean.
 """
 
 import argparse
@@ -33,12 +35,11 @@ FUZZ = settings(max_examples=40, deadline=None, database=None,
                                        HealthCheck.function_scoped_fixture])
 
 PATHS = ["data", "baddata", "nodata", "run", "badrun", "run/model.ckpt",
-         "bad.ckpt",
-         "config.json", "file.txt", "empty", "missing", "missing/sub",
+         "bad.ckpt", "file.txt", "empty", "missing", "missing/sub",
          "file.txt/sub"]
 # per path flag, the tree entry a clean example uses
 GOOD_PATH = {"data": "data", "checkpoint": "run/model.ckpt", "run": "run",
-             "config": "config.json", "out": "missing", "csv": "missing"}
+             "out": "missing", "csv": "missing"}
 # flags every example of a subcommand sets, to bound its work
 ALWAYS = {"gen-data": {"counts", "size"},
           "cv": {"image_size", "epochs", "folds", "warmup_epochs"}}
@@ -71,8 +72,6 @@ def _flag_values(action, clean):
     flag = action.option_strings[0]
     if action.nargs == 0:                      # --force, --verbose
         return st.just([flag])
-    if isinstance(action, argparse.BooleanOptionalAction):
-        return st.sampled_from([[s] for s in action.option_strings])
     if action.dest in GOOD_PATH:
         values = [GOOD_PATH[action.dest]] if clean else PATHS
     elif action.dest == "counts":
@@ -115,7 +114,6 @@ def tree(tmp_path_factory):
     shutil.move(str(run), str(root / "run"))
     shutil.rmtree(root / "runs")
     (root / "file.txt").write_text("not json, not a dataset\n")
-    (root / "config.json").write_text('{"dim": 8, "heads": 2, "seed": 3}')
     (root / "empty").mkdir()
     shutil.copytree(root / "data", root / "baddata")
     manifest = (root / "data" / MANIFEST_NAME).read_bytes()
@@ -130,12 +128,8 @@ def tree(tmp_path_factory):
     return root
 
 
-@pytest.mark.parametrize("command", sorted(_subparsers()))
-@FUZZ
-@given(data=st.data())
-def test_any_argv_exits_cleanly(tree, tmp_path, monkeypatch, capsys,
-                                command, data):
-    argv = data.draw(argvs(command), label="argv")
+def _exits_cleanly(tree, tmp_path, monkeypatch, capsys, argv):
+    """Run ``argv`` in a fresh copy of the tree and check the contract."""
     work = Path(tempfile.mkdtemp(dir=tmp_path))
     shutil.copytree(tree, work, dirs_exist_ok=True)
     monkeypatch.chdir(work)
@@ -152,3 +146,44 @@ def test_any_argv_exits_cleanly(tree, tmp_path, monkeypatch, capsys,
     assert code in (0, 2, 3, 4), argv
     if code:
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
+
+@pytest.mark.parametrize("command", sorted(_subparsers()))
+@FUZZ
+@given(data=st.data())
+def test_any_argv_exits_cleanly(tree, tmp_path, monkeypatch, capsys,
+                                command, data):
+    argv = data.draw(argvs(command), label="argv")
+    _exits_cleanly(tree, tmp_path, monkeypatch, capsys, argv)
+
+
+# (command, path flag, tree entry): every entry for every path flag
+PATH_GRID = [(command, action.dest, entry)
+             for command, parser in sorted(_subparsers().items())
+             for action in parser._actions if action.dest in GOOD_PATH
+             for entry in PATHS]
+
+
+def _clean_argv(command, bad_flag, entry):
+    """argv that sets ``bad_flag`` to ``entry``, every other required path
+    flag to its clean entry and the bounding flags to their first clean
+    value."""
+    argv = [command]
+    for action in _subparsers()[command]._actions:
+        if action.dest == bad_flag:
+            argv.append(f"{action.option_strings[0]}={entry}")
+        elif action.dest in GOOD_PATH and action.required:
+            argv.append(f"{action.option_strings[0]}={GOOD_PATH[action.dest]}")
+        elif action.dest in ALWAYS.get(command, ()):
+            argv.append(f"{action.option_strings[0]}={GOOD[action.dest][0]}")
+    return argv
+
+
+@pytest.mark.parametrize("command,flag,entry", PATH_GRID,
+                         ids=["-".join(case) for case in PATH_GRID])
+def test_each_bad_path_exits_cleanly(tree, tmp_path, monkeypatch, capsys,
+                                     command, flag, entry):
+    """The fuzz rarely pairs a bad path with otherwise valid flags, which
+    is what reaches the data-dependent failures behind a path."""
+    argv = _clean_argv(command, flag, entry)
+    _exits_cleanly(tree, tmp_path, monkeypatch, capsys, argv)

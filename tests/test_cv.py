@@ -6,8 +6,8 @@ import pytest
 
 import gbmpatch.cv as cv
 from gbmpatch.cv import (ADAM_EPS, AdamState, CVResult, FoldAssignment,
-                         FoldResult, TrainConfig, adam_step, cross_validate,
-                         lr_at, run_folds, stratified_kfold, train_fold)
+                         FoldResult, TrainConfig, adam_step, lr_at, run_folds,
+                         stratified_kfold, summarize, train_fold)
 from gbmpatch.data import DEFAULT_PROFILE
 from gbmpatch.encoder import EncoderConfig
 from gbmpatch.errors import (NumericError, ParameterError,
@@ -219,20 +219,6 @@ class TestTrainFold:
         assert len(result.epoch_losses) == 3
         assert all(math.isfinite(l) for l in result.epoch_losses)
 
-    def test_frozen_encoder_trains_head_only(self):
-        rng = np.random.default_rng(3)
-        images, labels = separable_dataset(rng, per_class=3)
-        cfg = self.quick_cfg(epochs=2, freeze_encoder=True)
-        assignment = stratified_kfold(labels, cfg.folds, cfg.seed)[2]
-        _, model = train_fold(images, labels, assignment, TINY, self.HEAD, cfg)
-        fresh = PatchClassifier(TINY, self.HEAD,
-                                seed=cfg.seed * 1000 + assignment.fold)
-        for name, p in model.encoder.items():
-            assert p.data.tobytes() == fresh.encoder[name].data.tobytes(), name
-            assert p.grad is None, f"{name} took part in backward"
-        for name, p in model.head.items():
-            assert not np.array_equal(p.data, fresh.head[name].data), name
-
 
 class TestCrossValidate:
     HEAD = HeadConfig(bottleneck=8, dropout=0.5)
@@ -242,11 +228,14 @@ class TestCrossValidate:
                            lr_max=1e-3, lr_min=1e-4, weight_decay=0.01,
                            seed=seed)
 
+    def run_all(self, images, labels, seed=3):
+        folds = run_folds(images, labels, TINY, self.HEAD, self.small_cfg(seed))
+        return summarize(result for result, _ in folds)
+
     def test_summed_confusion_covers_every_sample(self):
         rng = np.random.default_rng(3)
         images, labels = separable_dataset(rng, per_class=4)
-        result = cross_validate(images, labels, TINY, self.HEAD,
-                                self.small_cfg())
+        result = self.run_all(images, labels)
         assert isinstance(result, CVResult)
         assert len(result.fold_results) == 3
         assert result.confusion.total == len(labels)
@@ -257,8 +246,8 @@ class TestCrossValidate:
     def test_same_seed_reproduces_everything(self):
         rng = np.random.default_rng(4)
         images, labels = separable_dataset(rng, per_class=4)
-        a = cross_validate(images, labels, TINY, self.HEAD, self.small_cfg())
-        b = cross_validate(images, labels, TINY, self.HEAD, self.small_cfg())
+        a = self.run_all(images, labels)
+        b = self.run_all(images, labels)
         assert np.array_equal(a.confusion.counts, b.confusion.counts)
         for fa, fb in zip(a.fold_results, b.fold_results):
             assert fa.epoch_losses == fb.epoch_losses
@@ -294,8 +283,7 @@ class TestCrossValidate:
     def test_fold_average_tracks_micro_means(self):
         rng = np.random.default_rng(5)
         images, labels = separable_dataset(rng, per_class=4)
-        result = cross_validate(images, labels, TINY, self.HEAD,
-                                self.small_cfg(seed=6))
+        result = self.run_all(images, labels, seed=6)
         for name in ("accuracy", "f1", "mcc"):
             want = np.mean([getattr(r.micro, name)
                             for r in result.fold_results])

@@ -1,14 +1,15 @@
-"""Property tests for the on-disk formats: checkpoints, manifests, PPM,
-the ``cv`` config file and the run manifest ``report`` reads.
+"""Property tests for the on-disk formats: checkpoints, manifests, PPM
+and the run manifest ``report`` reads; and for the ``cv`` setting flags.
 
 Any bytes must either load into a valid object or raise a GbmPatchError,
-and save -> load must be the identity. Example counts are bounded so the
+and save -> load must be the identity; any flag values must either build
+valid configs or raise a GbmPatchError. Example counts are bounded so the
 file runs in a few seconds.
 """
 
-import argparse
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -18,8 +19,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from gbmpatch.checkpoint import load_checkpoint, save_checkpoint
-from gbmpatch.cli import (_build_configs, _default_settings,
-                          _resolve_settings, main)
+from gbmpatch.cli import (CV_CONFIGS, _build_configs, _settings, build_parser,
+                          main)
 from gbmpatch.data import (CLASS_CODES, MANIFEST_NAME, DatasetManifest,
                            generate_synthetic, load_ppm, save_ppm)
 from gbmpatch.errors import GbmPatchError
@@ -234,25 +235,29 @@ class TestPpm:
         loads_or_rejects(load_ppm, path)
 
 
-SETTING_KEYS = sorted(_default_settings())
+SETTING_TYPES = {f.name: type(f.default) for config in CV_CONFIGS
+                 for f in fields(config)}
 
 
-class TestConfigFile:
+def setting_flag(key):
+    """``--key=value`` with a value of the setting's type, in or out of
+    range (floats include nan and the infinities)."""
+    values = (st.integers(-2, 64) if SETTING_TYPES[key] is int
+              else st.floats())
+    return values.map(lambda v: f"--{key.replace('_', '-')}={v}")
+
+
+class TestCvFlags:
     @BOUNDED
-    @given(st.binary(max_size=64)
-           | st.dictionaries(st.sampled_from(SETTING_KEYS),
-                             st.integers(-2, 2) | JSON, max_size=3)
-           .map(lambda d: json.dumps(d).encode()))
-    @example(b'{"dim": 0}')
-    @example(b'{"heads": 0}')
-    @example(b'{"heads": -4}')
-    @example(DEEP)
-    def test_builds_valid_configs_or_rejects(self, ckpt_dir, raw):
-        path = ckpt_dir / "cfg.json"
-        path.write_bytes(raw)
+    @given(st.lists(st.sampled_from(sorted(SETTING_TYPES))
+                    .flatmap(setting_flag), max_size=3))
+    @example(["--dim=0"])
+    @example(["--heads=0"])
+    @example(["--heads=-4"])
+    def test_builds_valid_configs_or_rejects(self, flags):
+        args = build_parser().parse_args(["cv", "--data", "d"] + flags)
         try:
-            _, enc_cfg, _ = _build_configs(
-                _resolve_settings(argparse.Namespace(config=str(path))))
+            _, enc_cfg, _ = _build_configs(_settings(args))
         except GbmPatchError:
             return
         # a config that builds splits dim into heads of positive width
