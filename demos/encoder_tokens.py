@@ -2,11 +2,11 @@
 """Token geometry of the encoder, from pixels to the aggregate feature.
 
 A 224x224 RGB patch is cut into 14x14 tiles (256 of them), each flattened
-channel-major and projected to the model width. One class token and four
-register tokens are prepended, so the sequence the blocks see has
-1 + 4 + 256 = 261 positions. The classification head never looks at the
-registers: it concatenates the mean of the 256 patch tokens with the class
-token, giving a 2*dim feature.
+channel-major, projected to the model width and given its tile's position
+embedding. One class token and four register tokens are then prepended, so
+the sequence the blocks see has 1 + 4 + 256 = 261 slots. The classification
+head never looks at the registers: it concatenates the mean of the 256 patch
+tokens with the class token, giving a 2*dim feature.
 """
 
 import numpy as np
@@ -32,9 +32,9 @@ weights = init_encoder(cfg, seed=0)
 seq = encode_batch(images, weights, cfg)
 print("encoded        :", seq.data.shape)  # (2, 261, 32)
 
-cls, regs, patches = split_tokens(seq, cfg)
+cls, patches = split_tokens(seq, cfg)
 print("class token    :", cls.data.shape)
-print("registers      :", regs.data.shape)
+print("registers      :", seq.data[:, 1:1 + cfg.registers].shape)
 print("patch tokens   :", patches.data.shape)
 
 feats = aggregate_features(seq, cfg)
@@ -60,7 +60,7 @@ img = rng.normal(size=(1, 3, 28, 28)).astype(np.float32)
 rolled = np.roll(img, cfg_tiny.tile_size, axis=3)  # swap the two tile columns
 out = encode_batch(img, w, cfg_tiny)
 out2 = encode_batch(rolled, w, cfg_tiny)
-_, _, p1 = split_tokens(out, cfg_tiny)
-_, _, p2 = split_tokens(out2, cfg_tiny)
+_, p1 = split_tokens(out, cfg_tiny)
+_, p2 = split_tokens(out2, cfg_tiny)
 print("\nwithout pos, swapping tile columns permutes patch tokens:",
       np.allclose(p1.data[0, 1], p2.data[0, 0], atol=1e-5))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, astuple
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
@@ -24,7 +24,7 @@ from .data import parse_json_object, write_atomic
 from .encoder import EncoderConfig
 from .errors import ContractError, DataError
 from .head import HeadConfig
-from .model import PatchClassifier
+from .model import PatchClassifier, parameter_shapes
 
 MAGIC = b"GBMPATCH-CKPT-2"
 BLOB_DTYPE = "<f4"
@@ -111,25 +111,32 @@ def save_model(path, model: PatchClassifier, extra_meta: Optional[dict] = None):
 
 
 def load_model(path) -> Tuple[PatchClassifier, dict]:
-    """Rebuild a classifier from a checkpoint; weights load bit for bit."""
+    """Rebuild a classifier from a checkpoint; weights load bit for bit.
+    The listing is checked against the metadata's shapes before any model
+    exists, so a load allocates no parameter and draws nothing."""
     params, meta = load_checkpoint(path)
-    # ValueError: a config's ParameterError, or a shape numpy cannot allocate
+    # ValueError: a config's ParameterError, or the size check below
     try:
-        model = PatchClassifier(EncoderConfig(**meta["encoder"]),
-                                HeadConfig(**meta["head"]), seed=0)
+        enc_cfg = EncoderConfig(**meta["encoder"])
+        head_cfg = HeadConfig(**meta["head"])
+        # a float size would pass the shape check and break the forward,
+        # and a depth past the listing's length would only grow the table
+        sizes = (*astuple(enc_cfg), head_cfg.bottleneck)
+        if any(type(n) is not int for n in sizes) or enc_cfg.depth > len(params):
+            raise ValueError(f"sizes {sizes} are not integers that fit "
+                             f"{len(params)} listed parameters")
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path} metadata does not describe a model: {exc}")
-    expected = model.parameters()
-    missing = sorted(set(expected) - set(params))
-    extra = sorted(set(params) - set(expected))
+    shapes = parameter_shapes(enc_cfg, head_cfg)
+    missing = sorted(set(shapes) - set(params))
+    extra = sorted(set(params) - set(shapes))
     if missing or extra:
         raise DataError(
             f"{path} parameter names do not match the model "
             f"(missing {missing[:3]}, extra {extra[:3]})")
-    for name, tensor in expected.items():
-        if params[name].shape != tensor.shape:
+    for name, shape in shapes.items():
+        if params[name].shape != shape:
             raise DataError(
-                f"{path}: {name} has shape {params[name].shape}, "
-                f"model expects {tensor.shape}")
-        tensor.data[...] = params[name]
-    return model, meta
+                f"{path} metadata does not describe a model: {name} has "
+                f"shape {params[name].shape}, the metadata gives {shape}")
+    return PatchClassifier.from_arrays(enc_cfg, head_cfg, params), meta

@@ -1,11 +1,11 @@
 """Command-line front end: gen-data, cv, eval, report.
 
 Exit codes: 0 success, 2 usage problems (bad flags and flag values),
-3 data problems (bad manifests, classes too small, and paths that cannot
-be read or written), 4 numeric failures (non-finite loss). ``cv`` drops
-its artifacts into a timestamped run directory and refreshes a ``latest``
-symlink; the run manifest (run.json) is written last, atomically, so an
-interrupted run never looks complete.
+3 data problems (bad manifests, classes too small, paths that cannot be
+read or written, and sizes too large to allocate), 4 numeric failures
+(non-finite loss). ``cv`` drops its artifacts into a timestamped run
+directory and refreshes a ``latest`` symlink; the run manifest (run.json)
+is written last, atomically, so an interrupted run never looks complete.
 """
 
 from __future__ import annotations
@@ -303,6 +303,9 @@ def main(argv=None) -> int:
         return 2
     except (DataError, OSError) as exc:
         _fail(str(exc))
+        return 3
+    except MemoryError as exc:
+        _fail(f"out of memory: {exc}")
         return 3
     except NumericError as exc:
         _fail(str(exc))

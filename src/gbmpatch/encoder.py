@@ -1,10 +1,12 @@
 """Toy vision-transformer encoder over non-overlapping image tiles.
 
-The token sequence is [class token; register tokens; patch tokens] with
-learned position embeddings added to every slot. Blocks are pre-norm:
-x + attention(norm(x)) followed by x + mlp(norm(x)), and a final norm is
-applied to the whole sequence. Register tokens take part in attention but
-carry no classification signal downstream; callers slice them off.
+The token sequence is [class token; register tokens; patch tokens].
+Learned position embeddings go on the patch slots only, and the class and
+register tokens are inserted after them (Darcet et al., arXiv 2309.16588).
+Blocks are pre-norm: x + attention(norm(x)) followed by x + mlp(norm(x)),
+and a final norm is applied to the whole sequence. Register tokens take
+part in attention but carry no classification signal downstream; callers
+slice them off.
 
 Defaults are desk scale (dim 32, depth 2) so the whole pipeline trains in
 seconds on a CPU; the geometry (224 input, 14 tile) matches the full-scale
@@ -76,47 +78,39 @@ class EncoderConfig:
         return CHANNELS * self.tile_size ** 2
 
 
+def init_params(table: list, seed: int, dtype) -> Dict[str, Tensor]:
+    """Weights for a (name, shape, init) table, drawn in table order:
+    Normal(0, 0.02) for "normal", and constant "zeros" or "ones"."""
+    rng = np.random.default_rng(seed)
+    draw = {"normal": lambda shape: rng.normal(0.0, 0.02, shape).astype(dtype),
+            "zeros": lambda shape: np.zeros(shape, dtype),
+            "ones": lambda shape: np.ones(shape, dtype)}
+    return {name: Tensor(draw[init](shape), requires_grad=True)
+            for name, shape, init in table}
+
+
+def encoder_table(cfg: EncoderConfig) -> list:
+    """(name, shape, init) of every encoder weight, in draw order."""
+    d, hidden = cfg.dim, cfg.mlp_ratio * cfg.dim
+    # no key bias: softmax cancels the constant it adds to a score row
+    block = [("ln1.g", (d,), "ones"), ("ln1.b", (d,), "zeros"),
+             *[(f"attn.{m}", (d, d), "normal") for m in ("wq", "wk", "wv", "wo")],
+             *[(f"attn.{b}", (d,), "zeros") for b in ("bq", "bv", "bo")],
+             ("ln2.g", (d,), "ones"), ("ln2.b", (d,), "zeros"),
+             ("mlp.w1", (d, hidden), "normal"), ("mlp.b1", (hidden,), "zeros"),
+             ("mlp.w2", (hidden, d), "normal"), ("mlp.b2", (d,), "zeros")]
+    return ([("patch.w", (cfg.patch_dim, d), "normal"), ("patch.b", (d,), "zeros"),
+             ("cls", (1, d), "normal"), ("reg", (cfg.registers, d), "normal"),
+             ("pos", (cfg.n_patches, d), "normal")]
+            + [(f"blk{i}.{name}", shape, init)
+               for i in range(cfg.depth) for name, shape, init in block]
+            + [("final.g", (d,), "ones"), ("final.b", (d,), "zeros")])
+
+
 def init_encoder(cfg: EncoderConfig, seed: int = 0,
                  dtype=np.float32) -> EncoderWeights:
-    """Fresh weights: Normal(0, 0.02) matrices/embeddings, zero biases,
-    unit norm gains."""
-    rng = np.random.default_rng(seed)
-    d = cfg.dim
-
-    def normal(*shape):
-        return Tensor(rng.normal(0.0, 0.02, size=shape).astype(dtype),
-                      requires_grad=True)
-
-    def zeros(*shape):
-        return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
-
-    def ones(*shape):
-        return Tensor(np.ones(shape, dtype=dtype), requires_grad=True)
-
-    w: EncoderWeights = {
-        "patch.w": normal(cfg.patch_dim, d),
-        "patch.b": zeros(d),
-        "cls": normal(1, d),
-        "reg": normal(cfg.registers, d),
-        "pos": normal(cfg.seq_len, d),
-    }
-    for i in range(cfg.depth):
-        p = f"blk{i}"
-        w[f"{p}.ln1.g"] = ones(d)
-        w[f"{p}.ln1.b"] = zeros(d)
-        for name in ("wq", "wk", "wv", "wo"):
-            w[f"{p}.attn.{name}"] = normal(d, d)
-        for name in ("bq", "bk", "bv", "bo"):
-            w[f"{p}.attn.{name}"] = zeros(d)
-        w[f"{p}.ln2.g"] = ones(d)
-        w[f"{p}.ln2.b"] = zeros(d)
-        w[f"{p}.mlp.w1"] = normal(d, cfg.mlp_ratio * d)
-        w[f"{p}.mlp.b1"] = zeros(cfg.mlp_ratio * d)
-        w[f"{p}.mlp.w2"] = normal(cfg.mlp_ratio * d, d)
-        w[f"{p}.mlp.b2"] = zeros(d)
-    w["final.g"] = ones(d)
-    w["final.b"] = zeros(d)
-    return w
+    """Fresh weights for every row of ``encoder_table``."""
+    return init_params(encoder_table(cfg), seed, dtype)
 
 
 def tile_image(images: np.ndarray, tile: int) -> np.ndarray:
@@ -140,8 +134,8 @@ def tile_image(images: np.ndarray, tile: int) -> np.ndarray:
 
 
 def embed(tiles: np.ndarray, w: EncoderWeights, cfg: EncoderConfig) -> Tensor:
-    """Project (B, tiles, patch_dim) rows to tokens, prepend class/register
-    slots, add positions -> (B, seq_len, dim)."""
+    """Project (B, tiles, patch_dim) rows to tokens, add their positions,
+    then prepend the class and register slots -> (B, seq_len, dim)."""
     if tiles.ndim != 3:
         raise DimensionError(
             f"expected (B, tiles, patch_dim), got shape {tiles.shape}")
@@ -150,11 +144,11 @@ def embed(tiles: np.ndarray, w: EncoderWeights, cfg: EncoderConfig) -> Tensor:
         raise DimensionError(
             f"tiles {tiles.shape[1:]} do not match config "
             f"({cfg.n_patches}, {cfg.patch_dim})")
-    tokens = Tensor(tiles) @ w["patch.w"] + w["patch.b"]
+    tokens = Tensor(tiles) @ w["patch.w"] + w["patch.b"] + w["pos"]
     cls = broadcast_to(reshape(w["cls"], (1, 1, cfg.dim)), (b, 1, cfg.dim))
     reg = broadcast_to(reshape(w["reg"], (1, cfg.registers, cfg.dim)),
                        (b, cfg.registers, cfg.dim))
-    return concat([cls, reg, tokens], axis=1) + w["pos"]
+    return concat([cls, reg, tokens], axis=1)
 
 
 def _attention(x: Tensor, w: EncoderWeights, p: str, cfg: EncoderConfig) -> Tensor:
@@ -165,7 +159,7 @@ def _attention(x: Tensor, w: EncoderWeights, p: str, cfg: EncoderConfig) -> Tens
         return transpose(reshape(t, (b, n, h, dh)), (0, 2, 1, 3))
 
     q = heads(x @ w[f"{p}.wq"] + w[f"{p}.bq"])
-    k = heads(x @ w[f"{p}.wk"] + w[f"{p}.bk"])
+    k = heads(x @ w[f"{p}.wk"])
     v = heads(x @ w[f"{p}.wv"] + w[f"{p}.bv"])
     ctx = attention(q, k, v, 1.0 / math.sqrt(dh))
     ctx = reshape(transpose(ctx, (0, 2, 1, 3)), (b, n, d))
@@ -197,11 +191,8 @@ def encode_batch(images: np.ndarray, w: EncoderWeights,
 
 
 def split_tokens(seq: Tensor, cfg: EncoderConfig):
-    """(class_token, register_tokens, patch_tokens) views of a
-    (B, seq_len, dim) sequence; the class token keeps a length-1 sequence
-    axis so shapes stay uniform.
+    """(class_token, patch_tokens) views of a (B, seq_len, dim) sequence;
+    the class token keeps a length-1 sequence axis so shapes stay uniform.
     """
-    cls = narrow(seq, 1, 0, 1)
-    regs = narrow(seq, 1, 1, cfg.registers)
-    patches = narrow(seq, 1, 1 + cfg.registers, cfg.n_patches)
-    return cls, regs, patches
+    return (narrow(seq, 1, 0, 1),
+            narrow(seq, 1, 1 + cfg.registers, cfg.n_patches))

@@ -13,7 +13,7 @@ from typing import Dict
 import numpy as np
 
 from .data import N_CLASSES
-from .encoder import EncoderConfig, split_tokens
+from .encoder import EncoderConfig, init_params, split_tokens
 from .errors import DimensionError, ParameterError
 from .tensor import Tensor, concat, dropout, reshape, silu, tensor_mean
 
@@ -32,17 +32,18 @@ class HeadConfig:
             raise ParameterError(f"dropout must be in [0, 1), got {self.dropout}")
 
 
+def head_table(cfg: HeadConfig, dim: int) -> list:
+    """(name, shape, init) of every head weight, in draw order."""
+    return [("w1", (2 * dim, cfg.bottleneck), "normal"),
+            ("b1", (cfg.bottleneck,), "zeros"),
+            ("w2", (cfg.bottleneck, N_CLASSES), "normal"),
+            ("b2", (N_CLASSES,), "zeros")]
+
+
 def init_head(cfg: HeadConfig, dim: int, seed: int = 0,
               dtype=np.float32) -> HeadWeights:
-    rng = np.random.default_rng(seed)
-    return {
-        "w1": Tensor(rng.normal(0.0, 0.02, size=(2 * dim, cfg.bottleneck))
-                     .astype(dtype), requires_grad=True),
-        "b1": Tensor(np.zeros(cfg.bottleneck, dtype=dtype), requires_grad=True),
-        "w2": Tensor(rng.normal(0.0, 0.02, size=(cfg.bottleneck, N_CLASSES))
-                     .astype(dtype), requires_grad=True),
-        "b2": Tensor(np.zeros(N_CLASSES, dtype=dtype), requires_grad=True),
-    }
+    """Fresh weights for every row of ``head_table``."""
+    return init_params(head_table(cfg, dim), seed, dtype)
 
 
 def aggregate_features(seq: Tensor, enc_cfg: EncoderConfig) -> Tensor:
@@ -51,7 +52,7 @@ def aggregate_features(seq: Tensor, enc_cfg: EncoderConfig) -> Tensor:
         raise DimensionError(
             f"expected (B, {enc_cfg.seq_len}, dim) sequence, got {seq.shape}")
     b = seq.shape[0]
-    cls, _, patches = split_tokens(seq, enc_cfg)
+    cls, patches = split_tokens(seq, enc_cfg)
     pooled = tensor_mean(patches, axis=1)
     return concat([pooled, reshape(cls, (b, enc_cfg.dim))], axis=1)
 

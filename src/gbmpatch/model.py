@@ -6,10 +6,19 @@ from typing import Dict
 
 import numpy as np
 
-from .encoder import EncoderConfig, encode_batch, init_encoder
-from .head import (HeadConfig, HeadWeights, aggregate_features, head_forward,
+from .encoder import EncoderConfig, encode_batch, encoder_table, init_encoder
+from .head import (HeadConfig, aggregate_features, head_forward, head_table,
                    init_head, predict)
 from .tensor import Tensor, cross_entropy
+
+
+def parameter_shapes(enc_cfg: EncoderConfig,
+                     head_cfg: HeadConfig) -> Dict[str, tuple]:
+    """Every parameter's shape under its ``parameters()`` name, in order,
+    from the configs alone: nothing is allocated."""
+    shapes = {f"enc.{n}": s for n, s, _ in encoder_table(enc_cfg)}
+    shapes.update({f"head.{n}": s for n, s, _ in head_table(head_cfg, enc_cfg.dim)})
+    return shapes
 
 
 class PatchClassifier:
@@ -26,6 +35,19 @@ class PatchClassifier:
         self.head_cfg = head_cfg
         self.encoder = init_encoder(self.enc_cfg, seed=seed)
         self.head = init_head(self.head_cfg, self.enc_cfg.dim, seed=seed + 1)
+
+    @classmethod
+    def from_arrays(cls, enc_cfg: EncoderConfig, head_cfg: HeadConfig,
+                    arrays: Dict[str, np.ndarray]) -> "PatchClassifier":
+        """A classifier holding ``arrays``, named and shaped as
+        ``parameter_shapes`` gives; nothing is drawn."""
+        model = cls.__new__(cls)
+        model.enc_cfg, model.head_cfg = enc_cfg, head_cfg
+        model.encoder = {n: Tensor(arrays[f"enc.{n}"], requires_grad=True)
+                         for n, _, _ in encoder_table(enc_cfg)}
+        model.head = {n: Tensor(arrays[f"head.{n}"], requires_grad=True)
+                      for n, _, _ in head_table(head_cfg, enc_cfg.dim)}
+        return model
 
     def parameters(self) -> Dict[str, Tensor]:
         """Every named parameter, encoder first."""

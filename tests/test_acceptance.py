@@ -234,9 +234,8 @@ def test_shape_contract():
         img = rng.normal(size=(1, 3, 224, 224)).astype(np.float32)
         seq = encode_batch(img, w, cfg)
         assert seq.shape == (1, 261, dim)
-        cls, regs, patches = split_tokens(seq, cfg)
+        cls, patches = split_tokens(seq, cfg)
         assert cls.shape == (1, 1, dim)
-        assert regs.shape == (1, 4, dim)
         assert patches.shape == (1, 256, dim)
         feats = aggregate_features(seq, cfg)
         assert feats.shape == (1, 2 * dim)
@@ -255,7 +254,7 @@ def test_shape_contract():
     dw = init_encoder(deep, seed=0)
     assert dw["blk1.attn.wq"].shape == (1280, 1280)
     assert dw["blk1.mlp.w1"].shape == (1280, 5120)
-    assert dw["pos"].shape == (261, 1280)
+    assert dw["pos"].shape == (256, 1280)
     details.append("D=1280 shape-only ok (feature vector 2560)")
     _line("shape contract", True,
           "256 patch + 4 register + 1 class tokens; " + "; ".join(details))

@@ -1,13 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from gbmpatch.checkpoint import (MAGIC, load_checkpoint, load_model,
                                  save_checkpoint, save_model)
 from gbmpatch.cli import main
-from gbmpatch.encoder import EncoderConfig
+from gbmpatch.encoder import EncoderConfig, encoder_table, init_encoder
 from gbmpatch.errors import ContractError, DataError
-from gbmpatch.head import HeadConfig
-from gbmpatch.model import PatchClassifier
+from gbmpatch.head import HeadConfig, head_table, init_head
+from gbmpatch.model import PatchClassifier, parameter_shapes
 
 TINY = EncoderConfig(image_size=28, tile_size=14, dim=8, depth=1, heads=2,
                      registers=2)
@@ -160,6 +162,38 @@ class TestModelRoundTrip:
         assert meta["tag"] == "unit"
         after = restored.logits(imgs).data
         assert before.tobytes() == after.tobytes()
+
+    @pytest.mark.parametrize("change", [{"registers": 0}, {"depth": 0}],
+                             ids=["registers0", "depth0"])
+    def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch,
+                                          change):
+        enc_cfg, head_cfg = replace(TINY, **change), HeadConfig(bottleneck=4)
+        model = PatchClassifier(enc_cfg, head_cfg, seed=3)
+        path = tmp_path / "model.ckpt"
+        save_model(path, model)
+
+        def rows(table):
+            return [(name, shape) for name, shape, _ in table]
+
+        def shapes(weights):
+            return [(name, t.shape) for name, t in weights.items()]
+
+        assert shapes(init_encoder(enc_cfg)) == rows(encoder_table(enc_cfg))
+        assert (shapes(init_head(head_cfg, enc_cfg.dim))
+                == rows(head_table(head_cfg, enc_cfg.dim)))
+        listed = [(name, a.shape) for name, a in load_checkpoint(path)[0].items()]
+        assert listed == list(parameter_shapes(enc_cfg, head_cfg).items())
+
+        imgs = np.random.default_rng(2).normal(
+            size=(2, 3, 28, 28)).astype(np.float32)
+        before = model.logits(imgs).data
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("load_model drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        restored, _ = load_model(path)
+        assert restored.logits(imgs).data.tobytes() == before.tobytes()
 
     def test_configs_restored(self, tmp_path):
         model = tiny_model()

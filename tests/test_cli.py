@@ -298,6 +298,9 @@ class TestEval:
         ("encoder", "dim", 2 ** 62),        # more than numpy can allocate
         ("encoder", "channels", 3),         # written before it was a constant
         ("head", "n_classes", 9),
+        ("encoder", "heads", 2.0),          # in no shape; broke the forward
+        ("head", "bottleneck", 4.0),
+        ("encoder", "depth", 10 ** 12),     # a table longer than the listing
     ])
     def test_bad_model_metadata_is_data_error(self, dataset, finished_run,
                                               tmp_path, capsys, section, key,
@@ -381,6 +384,43 @@ def test_path_error_is_data_error(dataset, finished_run, tmp_path, capsys,
     code = main(argv(str(tmp_path), str(dataset), str(run / "model.ckpt")))
     assert code == 3
     assert one_line_error(capsys)
+
+
+# Each size asks for arrays past 128 TiB, the x86-64 user address space, so
+# numpy is refused under any overcommit setting and no memory is touched. A
+# size in the GiB range could be granted, and the test would then swap.
+CV_QUICK = ["--image-size", "28"] + QUICK_TRAIN
+
+
+@pytest.mark.parametrize("argv,says", [
+    # dim 2**46: patch.w and even a float32 bias vector (256 TiB)
+    (lambda tmp, data, ckpt: ["cv", "--data", data, "--out", tmp] + CV_QUICK
+     + ["--dim", str(2 ** 46), "--heads", "1"], "out of memory"),
+    # 2**40 registers at dim 32: reg is drawn as 256 TiB of float64
+    (lambda tmp, data, ckpt: ["cv", "--data", data, "--out", tmp] + CV_QUICK
+     + ["--registers", str(2 ** 40)], "out of memory"),
+    # 27 images at 1400000 px: load_preprocessed's block is 577 TiB
+    (lambda tmp, data, ckpt: ["cv", "--data", data, "--out", tmp] + CV_QUICK
+     + ["--image-size", "1400000", "--tile-size", "14"], "out of memory"),
+    # _render_patch's pixel grid is 142 PiB
+    (lambda tmp, data, ckpt: ["gen-data", "--out", f"{tmp}/d",
+                              "--size", "100000000"], "out of memory"),
+    # metadata saying dim 2**46 fails the shape check, before any allocation
+    (lambda tmp, data, ckpt: ["eval", "--checkpoint", ckpt, "--data", data],
+     "describe a model"),
+], ids=["cv_dim", "cv_registers", "cv_image_size", "gen_data_size",
+        "eval_metadata_dim"])
+def test_unallocatable_size_exits_3(dataset, finished_run, tmp_path, capsys,
+                                    argv, says):
+    _, run = finished_run
+    params, meta = load_checkpoint(run / "model.ckpt")
+    meta["encoder"]["dim"] = 2 ** 46
+    save_checkpoint(tmp_path / "m.ckpt", params, meta)
+    code = main(argv(str(tmp_path), str(dataset), str(tmp_path / "m.ckpt")))
+    err = capsys.readouterr().err
+    assert code == 3
+    assert says in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestFormatReport:

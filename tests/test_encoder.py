@@ -83,11 +83,12 @@ class TestEmbed:
         tiles = tile_image(rand_image(rng, TINY, batch=1), 14)
         seq = embed(tiles, w, TINY)
         assert seq.shape == (1, TINY.seq_len, TINY.dim)
-        # class slot = cls + pos[0], register slots follow
-        assert np.allclose(seq.data[0, 0], w["cls"].data[0] + w["pos"].data[0],
-                           atol=1e-6)
-        assert np.allclose(seq.data[0, 1], w["reg"].data[0] + w["pos"].data[1],
-                           atol=1e-6)
+        # class slot = cls, register slots = reg, then patches + positions
+        assert np.array_equal(seq.data[0, 0], w["cls"].data[0])
+        assert np.array_equal(seq.data[0, 1:1 + TINY.registers], w["reg"].data)
+        first = tiles[0, 0] @ w["patch.w"].data + w["patch.b"].data
+        assert np.allclose(seq.data[0, 1 + TINY.registers],
+                           first + w["pos"].data[0], atol=1e-6)
 
     def test_wrong_tile_block_rejected(self):
         w = init_encoder(TINY, seed=0)
@@ -149,12 +150,12 @@ class TestEncode:
 
         base = encode_batch(img, w, TINY)
         moved = encode_batch(img_perm, w, TINY)
-        _, _, patches_base = split_tokens(base, TINY)
-        _, _, patches_moved = split_tokens(moved, TINY)
+        _, patches_base = split_tokens(base, TINY)
+        _, patches_moved = split_tokens(moved, TINY)
         assert np.allclose(patches_moved.data, patches_base.data[:, perm],
                            atol=1e-4)
-        cls_base, _, _ = split_tokens(base, TINY)
-        cls_moved, _, _ = split_tokens(moved, TINY)
+        cls_base, _ = split_tokens(base, TINY)
+        cls_moved, _ = split_tokens(moved, TINY)
         assert np.allclose(cls_moved.data, cls_base.data, atol=1e-4)
 
     def test_position_embeddings_break_the_symmetry(self):
@@ -163,19 +164,19 @@ class TestEncode:
         img = rand_image(rng, TINY, batch=1)
         perm = np.array([1, 0, 2, 3])
         img_perm = untile_image(tile_image(img, 14)[:, perm], TINY)
-        _, _, p_base = split_tokens(encode_batch(img, w, TINY), TINY)
-        _, _, p_moved = split_tokens(encode_batch(img_perm, w, TINY), TINY)
+        _, p_base = split_tokens(encode_batch(img, w, TINY), TINY)
+        _, p_moved = split_tokens(encode_batch(img_perm, w, TINY), TINY)
         assert not np.allclose(p_moved.data, p_base.data[:, perm], atol=1e-4)
 
     def test_split_tokens_partition(self):
         rng = np.random.default_rng(9)
         w = init_encoder(TINY, seed=7)
         seq = encode_batch(rand_image(rng, TINY, batch=2), w, TINY)
-        cls, regs, patches = split_tokens(seq, TINY)
+        cls, patches = split_tokens(seq, TINY)
         assert cls.shape == (2, 1, TINY.dim)
-        assert regs.shape == (2, TINY.registers, TINY.dim)
         assert patches.shape == (2, TINY.n_patches, TINY.dim)
-        rebuilt = np.concatenate([cls.data, regs.data, patches.data], axis=1)
+        regs = seq.data[:, 1:1 + TINY.registers]
+        rebuilt = np.concatenate([cls.data, regs, patches.data], axis=1)
         assert np.array_equal(rebuilt, seq.data)
 
     def test_wrong_image_shape_rejected(self):

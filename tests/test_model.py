@@ -64,3 +64,18 @@ def test_builds_no_graph(model, images, monkeypatch):
     assert len(built) == 3
     assert all(out._parents == () and not out.requires_grad for out in built)
     assert all(p.grad is None for p in model.parameters().values())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_no_parameter_is_inert(images, seed):
+    # a weight the math cancels (a key bias under softmax) gets a gradient
+    # of rounding noise only, some 1e-13 of the largest
+    model = PatchClassifier(TINY, HeadConfig(bottleneck=4), seed=seed)
+    model.loss(images, [0, 1, 2, 3, 4, 5, 6], train=True,
+               dropout_seed=seed).backward()
+    peaks = {name: float(np.abs(p.grad).max())
+             for name, p in model.parameters().items() if p.data.size}
+    top = max(peaks.values())
+    inert = {name: peak / top for name, peak in peaks.items()
+             if peak < 1e-9 * top}
+    assert not inert, inert
