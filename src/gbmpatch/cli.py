@@ -11,6 +11,7 @@ is written last, atomically, so an interrupted run never looks complete.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime as _dt
 import json
 import sys
@@ -136,50 +137,56 @@ def cmd_cv(args) -> int:
     run_dir = _make_run_dir(Path(args.out))
     _say(f"run directory: {run_dir}")
 
-    fold_results, best, best_model = [], None, None
-    for r, model in run_folds(images, labels, enc_cfg, head_cfg, train_cfg):
-        if args.verbose:
-            for epoch, loss in enumerate(r.epoch_losses):
-                _say(f"  fold {r.fold} epoch {epoch}: loss {loss:.4f}")
-        _say(f"fold {r.fold}: micro f1 {r.micro.f1:.4f} "
-             f"after {len(r.epoch_losses)} epochs "
-             f"(loss {r.epoch_losses[-1]:.4f})")
-        fold_results.append(r)
-        # the first fold with the best f1 keeps the checkpoint
-        if best is None or r.micro.f1 > best.micro.f1:
-            best, best_model = r, model
-    result = summarize(fold_results)
+    try:
+        fold_results, best, best_model = [], None, None
+        for r, model in run_folds(images, labels, enc_cfg, head_cfg, train_cfg):
+            if args.verbose:
+                for epoch, loss in enumerate(r.epoch_losses):
+                    _say(f"  fold {r.fold} epoch {epoch}: loss {loss:.4f}")
+            _say(f"fold {r.fold}: micro f1 {r.micro.f1:.4f} "
+                 f"after {len(r.epoch_losses)} epochs "
+                 f"(loss {r.epoch_losses[-1]:.4f})")
+            fold_results.append(r)
+            # the first fold with the best f1 keeps the checkpoint
+            if best is None or r.micro.f1 > best.micro.f1:
+                best, best_model = r, model
+        result = summarize(fold_results)
 
-    artifacts = ["metrics.csv", "confusion.txt", "report.txt", "model.ckpt"]
-    write_atomic(run_dir / "metrics.csv",
-                 metrics_csv(result.per_class, result.micro, CLASS_CODES))
-    write_atomic(run_dir / "confusion.txt",
-                 confusion_text(result.confusion, CLASS_CODES) + "\n"
-                 + confusion_text(result.confusion, CLASS_CODES, normalized=True))
-    report = format_report([b.as_dict() for b in result.per_class],
-                           result.micro.as_dict())
-    write_atomic(run_dir / "report.txt", report)
-    save_model(run_dir / "model.ckpt", best_model,
-               {"fold": best.fold, "micro_f1": float(best.micro.f1),
-                "data": str(args.data)})
+        artifacts = ["metrics.csv", "confusion.txt", "report.txt", "model.ckpt"]
+        write_atomic(run_dir / "metrics.csv",
+                     metrics_csv(result.per_class, result.micro, CLASS_CODES))
+        write_atomic(run_dir / "confusion.txt",
+                     confusion_text(result.confusion, CLASS_CODES) + "\n"
+                     + confusion_text(result.confusion, CLASS_CODES, normalized=True))
+        report = format_report([b.as_dict() for b in result.per_class],
+                               result.micro.as_dict())
+        write_atomic(run_dir / "report.txt", report)
+        save_model(run_dir / "model.ckpt", best_model,
+                   {"fold": best.fold, "micro_f1": float(best.micro.f1),
+                    "data": str(args.data)})
 
-    payload = {
-        "created": _dt.datetime.now().isoformat(timespec="seconds"),
-        "data": str(args.data),
-        "settings": settings,
-        "per_class": [b.as_dict() for b in result.per_class],
-        "micro": result.micro.as_dict(),
-        "fold_average": result.fold_average,
-        "confusion": result.confusion.counts.tolist(),
-        "folds": [{"fold": r.fold, "epochs_run": len(r.epoch_losses),
-                   "final_loss": r.epoch_losses[-1],
-                   "micro": r.micro.as_dict()}
-                  for r in result.fold_results],
-        "best_fold": best.fold,
-        "artifacts": artifacts,
-    }
-    # run.json lands last: its presence marks the run as complete
-    write_atomic(run_dir / RUN_MANIFEST, json.dumps(payload, indent=1) + "\n")
+        payload = {
+            "created": _dt.datetime.now().isoformat(timespec="seconds"),
+            "data": str(args.data),
+            "settings": settings,
+            "per_class": [b.as_dict() for b in result.per_class],
+            "micro": result.micro.as_dict(),
+            "fold_average": result.fold_average,
+            "confusion": result.confusion.counts.tolist(),
+            "folds": [{"fold": r.fold, "epochs_run": len(r.epoch_losses),
+                       "final_loss": r.epoch_losses[-1],
+                       "micro": r.micro.as_dict()}
+                      for r in result.fold_results],
+            "best_fold": best.fold,
+            "artifacts": artifacts,
+        }
+        # run.json lands last: its presence marks the run as complete
+        write_atomic(run_dir / RUN_MANIFEST, json.dumps(payload, indent=1) + "\n")
+    except BaseException:
+        # a run that wrote nothing leaves no directory behind
+        with contextlib.suppress(OSError):
+            run_dir.rmdir()
+        raise
     _point_latest(Path(args.out), run_dir)
 
     _say("")

@@ -21,6 +21,9 @@ from .errors import ContractError, DataError, DimensionError, ParameterError
 
 DEFAULT_DTYPE = np.float32
 
+# bytes of one attention chunk's score block: about half of a 2 MiB L2 cache
+_SCORE_BYTES = 1 << 20
+
 
 def _as_array(data, dtype=None) -> np.ndarray:
     arr = np.asarray(data)
@@ -318,12 +321,7 @@ def tensor_mean(x: Tensor, axis=None) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    return 0.5 * (1 + np.tanh(x * 0.5))
 
 
 def silu(x: Tensor) -> Tensor:
@@ -350,41 +348,57 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
     The graph keeps q, k, v, the output and each query row's log-sum-exp;
     the probability block lives only while each pass runs. Backward
     recomputes it as exp(q @ k^T * scale - lse) and takes the softmax
-    row term rowsum(dP * P) as rowsum(dO * O), which is equal (Rabe &
+    row term rowsum(dP * P) as rowsum(dO * O), which is equal. Both passes
+    walk the leading axes in chunks whose score block fits in _SCORE_BYTES,
+    with the scale on q and the row-sum division after ``@ v`` (Rabe &
     Staats, arXiv 2112.05682; FlashAttention, arXiv 2205.14135).
     """
     if (q.ndim < 2 or k.ndim != q.ndim or k.shape[:-2] != q.shape[:-2]
             or k.shape[-1] != q.shape[-1] or v.shape[:-1] != k.shape[:-1]):
         raise DimensionError(
             f"attention shapes incompatible: q {q.shape}, k {k.shape}, v {v.shape}")
-    k_t = np.swapaxes(k.data, -1, -2)
+    slices = int(np.prod(q.shape[:-2]))
 
-    def scores():
-        s = q.data @ k_t
-        s *= scale
-        return s
+    def flat():
+        return (t.data.reshape((slices,) + t.shape[-2:]) for t in (q, k, v))
 
-    p = scores()
-    row_max = p.max(axis=-1, keepdims=True)
-    p -= row_max
-    np.exp(p, out=p)
-    total = p.sum(axis=-1, keepdims=True)
-    p /= total
-    out_data = p @ v.data
-    lse = row_max + np.log(total)
+    def scores(q3, k3, c):
+        qs = q3[c] * scale
+        return qs, qs @ np.swapaxes(k3[c], -1, -2)
+
+    q3, k3, v3 = flat()
+    out = np.empty(q3.shape[:-1] + v3.shape[-1:], np.result_type(q3, k3, v3))
+    lse = np.empty(q3.shape[:-1] + (1,), out.dtype)
+    step = max(1, _SCORE_BYTES // max(1, q3.shape[1] * k3.shape[1] * out.itemsize))
+    chunks = [slice(i, i + step) for i in range(0, slices, step)]
+    for c in chunks:
+        _, p = scores(q3, k3, c)
+        row_max = p.max(axis=-1, keepdims=True)
+        p -= row_max
+        np.exp(p, out=p)
+        total = p.sum(axis=-1, keepdims=True)
+        out[c] = p @ v3[c] / total
+        lse[c] = row_max + np.log(total)
 
     def backward(g):
-        p = scores()
-        p -= lse
-        np.exp(p, out=p)
-        dv = np.swapaxes(p, -1, -2) @ g
-        ds = g @ np.swapaxes(v.data, -1, -2)
-        ds -= (g * out_data).sum(axis=-1, keepdims=True)
-        ds *= p
-        ds *= scale
-        return ds @ k.data, np.swapaxes(ds, -1, -2) @ q.data, dv
+        q3, k3, v3 = flat()
+        g = g.reshape(out.shape)
+        dq, dk, dv = (np.empty(t.shape, out.dtype) for t in (q3, k3, v3))
+        for c in chunks:
+            qs, p = scores(q3, k3, c)
+            p -= lse[c]
+            np.exp(p, out=p)
+            dv[c] = np.swapaxes(p, -1, -2) @ g[c]
+            ds = g[c] @ np.swapaxes(v3[c], -1, -2)
+            ds -= (g[c] * out[c]).sum(axis=-1, keepdims=True)
+            ds *= p
+            dq[c] = ds @ k3[c]
+            dk[c] = np.swapaxes(ds, -1, -2) @ qs
+        dq *= scale
+        return dq.reshape(q.shape), dk.reshape(k.shape), dv.reshape(v.shape)
 
-    return _make(out_data, (q, k, v), backward, "attention")
+    return _make(out.reshape(q.shape[:-1] + v.shape[-1:]), (q, k, v), backward,
+                 "attention")
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

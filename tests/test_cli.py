@@ -155,6 +155,18 @@ class TestCv:
         assert code == 3
         assert "fewer than" in capsys.readouterr().err
 
+    def test_failed_run_leaves_no_run_directory(self, dataset, tmp_path,
+                                                capsys):
+        # dim 2**46 fails to allocate once training starts, after the
+        # run directory was made
+        out = tmp_path / "runs"
+        assert main(["cv", "--data", str(dataset), "--out", str(out),
+                     "--image-size", "28", "--folds", "3",
+                     "--dim", str(2 ** 46), "--heads", "1"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory") and err.count("\n") == 1
+        assert out.is_dir() and not list(out.glob("run-*"))
+
     @pytest.mark.parametrize("extra,code", [
         (["--lr-max=inf"], 2),
         (["--weight-decay=inf"], 2),

@@ -122,6 +122,26 @@ class TestAttention:
             np.testing.assert_allclose(fused, unfused, rtol=1e-4,
                                        atol=1e-4 * np.abs(unfused).max())
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_chunk_size_moves_no_bits(self, monkeypatch, dtype):
+        # 15 (batch, head) slices: chunks of 1, of 4 (which leave a
+        # remainder of 3) and one chunk over all of them
+        rng = np.random.default_rng(5)
+        q, k, v, w = (rng.normal(size=(3, 5, 37, 8)).astype(dtype)
+                      for _ in range(4))
+        block = 37 * 37 * np.dtype(dtype).itemsize
+        runs = []
+        for score_bytes in (1, 4 * block, 1 << 40):
+            monkeypatch.setattr(T, "_SCORE_BYTES", score_bytes)
+            leaves = [Tensor(a, requires_grad=True) for a in (q, k, v)]
+            out = T.attention(*leaves, 0.3)
+            (out * Tensor(w)).sum().backward()
+            runs.append([out.data] + [t.grad for t in leaves])
+        for run in runs[1:]:
+            for got, want in zip(run, runs[0]):
+                assert got.dtype == dtype
+                np.testing.assert_array_equal(got, want)
+
     @pytest.mark.parametrize("k_shape,v_shape", [
         ((2, 5, 4), (2, 5, 3)),      # k lacks the head axis
         ((2, 3, 5, 6), (2, 3, 5, 3)),  # key width differs from query width
@@ -144,6 +164,18 @@ class TestSilu:
     def test_at_one(self):
         out = T.silu(Tensor(np.array(1.0), dtype=np.float64)).item()
         assert abs(out - 0.7310585786300049) < 1e-12
+
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_extremes(self, dtype):
+        x = np.array([-1e4, -100, -88.8, 0, 88.8, 100, 1e4], dtype=dtype)
+        leaf = Tensor(x, requires_grad=True)
+        out = T.silu(leaf)
+        out.sum().backward()  # a RuntimeWarning fails the test
+        assert out.dtype == dtype and leaf.grad.dtype == dtype
+        assert np.all(np.isfinite(out.data)) and np.all(np.isfinite(leaf.grad))
+        np.testing.assert_array_equal(out.data[x > 50], x[x > 50])
+        assert np.all(np.abs(out.data[x < -50]) < 1e-30)
 
 
 class TestLayerNorm:
