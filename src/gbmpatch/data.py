@@ -15,7 +15,9 @@ class profile can stand in for real histology patches.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -127,7 +129,6 @@ def resize_bilinear(pixels: np.ndarray, width: int = 224,
     if (src_w, src_h) == (width, height):
         return pixels.copy()
 
-    src = pixels.astype(np.float64)
     xs = np.clip((np.arange(width) + 0.5) * (src_w / width) - 0.5,
                  0.0, src_w - 1.0)
     ys = np.clip((np.arange(height) + 0.5) * (src_h / height) - 0.5,
@@ -139,11 +140,15 @@ def resize_bilinear(pixels: np.ndarray, width: int = 224,
     fx = (xs - x0)[None, :, None]
     fy = (ys - y0)[:, None, None]
 
-    out = (src[np.ix_(y0, x0)] * (1 - fy) * (1 - fx)
-           + src[np.ix_(y0, x1)] * (1 - fy) * fx
-           + src[np.ix_(y1, x0)] * fy * (1 - fx)
-           + src[np.ix_(y1, x1)] * fy * fx)
-    return np.clip(np.rint(out), 0, 255).astype(np.uint8)
+    # gather in uint8, then cast only the four corner blocks (exactly)
+    top, bottom = pixels[y0], pixels[y1]
+    out = (top[:, x0].astype(np.float64) * (1 - fy) * (1 - fx)
+           + top[:, x1].astype(np.float64) * (1 - fy) * fx
+           + bottom[:, x0].astype(np.float64) * fy * (1 - fx)
+           + bottom[:, x1].astype(np.float64) * fy * fx)
+    np.rint(out, out=out)
+    np.clip(out, 0, 255, out=out)
+    return out.astype(np.uint8)
 
 
 def to_tensor(pixels: np.ndarray, size: int = 224) -> np.ndarray:
@@ -295,16 +300,29 @@ _BLOB_COUNTS = (18, 10, 26, 4, 12, 6, 20, 30, 14)
 _STRIPE_FREQS = (0.0, 6.0, 2.5, 0.0, 4.0, 1.5, 8.0, 3.0, 10.0)
 
 
+def _blob_span(centre: float, radius: float, size: int) -> slice:
+    """Pixel rows (or columns) a blob can cover, padded by one on each side.
+
+    Every pixel outside the span is over a pixel from the disc's edge, far
+    beyond rounding, so the blob mask is false there.
+    """
+    return slice(max(math.floor((centre - radius) * size) - 1, 0),
+                 min(math.ceil((centre + radius) * size) + 2, size))
+
+
 def _render_patch(label: int, rng: np.random.Generator, size: int) -> np.ndarray:
-    yy, xx = np.mgrid[0:size, 0:size].astype(np.float64) / size
+    # pixel (i, j) sits at (ramp[i], ramp[j]); rows and columns broadcast
+    ramp = np.arange(size, dtype=np.float64) / size
     color = _BASE_COLORS[label] + rng.normal(0.0, 8.0, size=3)
-    canvas = np.tile(color, (size, size, 1))
+    canvas = np.empty((size, size, 3))
+    canvas[...] = color
 
     freq = _STRIPE_FREQS[label]
     if freq > 0:
         theta = rng.uniform(0, np.pi)
         phase = rng.uniform(0, 2 * np.pi)
-        wave = np.sin(2 * np.pi * freq * (xx * np.cos(theta) + yy * np.sin(theta))
+        wave = np.sin(2 * np.pi * freq * (ramp[None, :] * np.cos(theta)
+                                          + ramp[:, None] * np.sin(theta))
                       + phase)
         canvas += wave[:, :, None] * rng.uniform(10.0, 25.0)
 
@@ -312,11 +330,22 @@ def _render_patch(label: int, rng: np.random.Generator, size: int) -> np.ndarray
     for _ in range(_BLOB_COUNTS[label]):
         cy, cx = rng.uniform(0, 1, size=2)
         radius = rng.uniform(0.02, 0.08)
-        mask = (yy - cy) ** 2 + (xx - cx) ** 2 < radius ** 2
-        canvas[mask] = blob_color
+        rows, cols = _blob_span(cy, radius, size), _blob_span(cx, radius, size)
+        mask = ((ramp[rows, None] - cy) ** 2 + (ramp[None, cols] - cx) ** 2
+                < radius ** 2)
+        canvas[rows, cols][mask] = blob_color
 
     canvas += rng.normal(0.0, 6.0, size=canvas.shape)
-    return np.clip(np.rint(canvas), 0, 255).astype(np.uint8)
+    np.rint(canvas, out=canvas)
+    np.clip(canvas, 0, 255, out=canvas)
+    return canvas.astype(np.uint8)
+
+
+def _make_dirs(path: Path) -> list:
+    """``mkdir -p`` that returns the directories it made, outermost first."""
+    missing = [p for p in (path, *path.parents) if not p.exists()][::-1]
+    path.mkdir(parents=True, exist_ok=True)
+    return missing
 
 
 def generate_synthetic(root, counts: Sequence[int] = DEFAULT_PROFILE,
@@ -339,18 +368,24 @@ def generate_synthetic(root, counts: Sequence[int] = DEFAULT_PROFILE,
             f"counts must be nonnegative and not all zero, got {counts}")
     root = Path(root)
     manifest = DatasetManifest(root=root, entries=[], seed=seed)
-    for label, count in enumerate(counts):
-        class_dir = root / CLASS_CODES[label]
-        if count > 0:
-            class_dir.mkdir(parents=True, exist_ok=True)
-        for i in range(count):
-            rng = np.random.default_rng([seed, label, i])
-            try:
-                rel = f"{CLASS_CODES[label]}/{i:04d}.ppm"
-                save_ppm(_render_patch(label, rng, size), root / rel)
-            except OSError as exc:
-                raise DataError(f"failed writing {root / rel}: {exc}")
-            manifest.entries.append((rel, label))
-    root.mkdir(parents=True, exist_ok=True)
-    manifest.save()
+    created = []   # directories this call made, outermost first
+    try:
+        for label, count in enumerate(counts):
+            if count > 0:
+                created += _make_dirs(root / CLASS_CODES[label])
+            for i in range(count):
+                rng = np.random.default_rng([seed, label, i])
+                try:
+                    rel = f"{CLASS_CODES[label]}/{i:04d}.ppm"
+                    save_ppm(_render_patch(label, rng, size), root / rel)
+                except OSError as exc:
+                    raise DataError(f"failed writing {root / rel}: {exc}")
+                manifest.entries.append((rel, label))
+        manifest.save()
+    except BaseException:
+        # a failed run leaves no empty directory to block its retry
+        for path in reversed(created):
+            with contextlib.suppress(OSError):
+                path.rmdir()
+        raise
     return manifest

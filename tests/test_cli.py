@@ -68,6 +68,22 @@ class TestGenData:
                      "1,1,1,1,1,1,1,1,1", "--size", "16", "--force"])
         assert code == 0
 
+    @pytest.mark.parametrize("premade", [False, True])
+    def test_failed_run_does_not_block_its_retry(self, tmp_path, capsys,
+                                                 premade):
+        out = tmp_path / "d"
+        if premade:
+            out.mkdir()
+        # the first canvas cannot be allocated, after the CT/ directory is made
+        assert main(["gen-data", "--out", str(out), "--size", "100000000"]) == 3
+        assert one_line_error(capsys)
+        # directories the run made are gone; one that was there stays
+        assert sorted(tmp_path.rglob("*")) == ([out] if premade else [])
+        code = main(["gen-data", "--out", str(out), "--size", "16",
+                     "--counts", "1,1,1,1,1,1,1,1,1"])
+        assert code == 0
+        assert len(DatasetManifest.load(out).entries) == 9
+
     def test_bad_counts_string_is_usage_error(self, tmp_path):
         assert main(["gen-data", "--out", str(tmp_path / "x"),
                      "--counts", "1,2,banana"]) == 2
@@ -414,7 +430,7 @@ CV_QUICK = ["--image-size", "28"] + QUICK_TRAIN
     # 27 images at 1400000 px: load_preprocessed's block is 577 TiB
     (lambda tmp, data, ckpt: ["cv", "--data", data, "--out", tmp] + CV_QUICK
      + ["--image-size", "1400000", "--tile-size", "14"], "out of memory"),
-    # _render_patch's pixel grid is 142 PiB
+    # _render_patch's canvas is 213 PiB
     (lambda tmp, data, ckpt: ["gen-data", "--out", f"{tmp}/d",
                               "--size", "100000000"], "out of memory"),
     # metadata saying dim 2**46 fails the shape check, before any allocation

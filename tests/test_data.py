@@ -1,13 +1,15 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from gbmpatch.data import (CLASS_CODES, DEFAULT_PROFILE, DatasetManifest,
-                           IMAGENET_STD, class_index, generate_synthetic,
-                           load_ppm, load_preprocessed, normalize,
-                           parse_json_object, preprocess, resize_bilinear,
-                           save_ppm, to_tensor)
+from gbmpatch.data import (_BASE_COLORS, _BLOB_COUNTS, _STRIPE_FREQS,
+                           CLASS_CODES, DEFAULT_PROFILE, MANIFEST_NAME,
+                           DatasetManifest, IMAGENET_STD, _render_patch,
+                           class_index, generate_synthetic, load_ppm,
+                           load_preprocessed, normalize, parse_json_object,
+                           preprocess, resize_bilinear, save_ppm, to_tensor)
 from gbmpatch.errors import DataError, DimensionError, PpmParseError
 
 
@@ -35,6 +37,35 @@ def bilinear_oracle(pixels, width, height):
                          + src[y1, x0] * fy * (1 - fx)
                          + src[y1, x1] * fy * fx)
     return out
+
+
+def render_patch_full_canvas(label, rng, size):
+    """Reference renderer: every blob's mask spans the whole canvas."""
+    yy, xx = np.mgrid[0:size, 0:size].astype(np.float64) / size
+    color = _BASE_COLORS[label] + rng.normal(0.0, 8.0, size=3)
+    canvas = np.tile(color, (size, size, 1))
+
+    freq = _STRIPE_FREQS[label]
+    if freq > 0:
+        theta = rng.uniform(0, np.pi)
+        phase = rng.uniform(0, 2 * np.pi)
+        wave = np.sin(2 * np.pi * freq * (xx * np.cos(theta) + yy * np.sin(theta))
+                      + phase)
+        canvas += wave[:, :, None] * rng.uniform(10.0, 25.0)
+
+    blob_color = _BASE_COLORS[label] * 0.55 + rng.normal(0.0, 10.0, size=3)
+    for _ in range(_BLOB_COUNTS[label]):
+        cy, cx = rng.uniform(0, 1, size=2)
+        radius = rng.uniform(0.02, 0.08)
+        mask = (yy - cy) ** 2 + (xx - cx) ** 2 < radius ** 2
+        canvas[mask] = blob_color
+
+    canvas += rng.normal(0.0, 6.0, size=canvas.shape)
+    return np.clip(np.rint(canvas), 0, 255).astype(np.uint8)
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 class TestPpm:
@@ -146,6 +177,24 @@ class TestResize:
         out = resize_bilinear(random_patch(rng, 3, 3), 224, 224)
         assert out.shape == (224, 224, 3) and out.dtype == np.uint8
 
+    @pytest.mark.parametrize("src_w, src_h, width, height, digest", [
+        (224, 224, 56, 56,
+         "53c82e8e4fc505f31296e3d16e56e53f89fc44ac5e3667ab7df33cb315316b30"),
+        (29, 13, 16, 10,
+         "2541d4ef34036756fce24c17f2ea2e11c4578a624fa1a1f35e73bd8ffff9cc64"),
+        (3, 3, 224, 224,
+         "cc3cd8dde06280768579a966a5552516fc1243e5f71dbf30ff78917559b13de0"),
+        (1, 1, 7, 5,
+         "3d6ba30a85e58ce6908171276545c69c9fc0932a65499ef90d4c37428ea6138f"),
+        (300, 180, 224, 224,
+         "e7f4d35db1c29f116be580337658ad84f84ef319d974cc221134e42ebd041ddd"),
+    ])
+    def test_output_bytes_are_pinned(self, src_w, src_h, width, height, digest):
+        rng = np.random.default_rng(src_w * 1000 + src_h)
+        out = resize_bilinear(random_patch(rng, src_w, src_h), width, height)
+        assert out.shape == (height, width, 3)
+        assert sha256(out.tobytes()) == digest
+
 
 class TestToTensor:
     def test_layout_and_range(self):
@@ -226,6 +275,40 @@ class TestGenerator:
         for (rel, _), _ in zip(a.entries, b.entries):
             assert ((tmp_path / "a" / rel).read_bytes()
                     == (tmp_path / "b" / rel).read_bytes())
+
+    @pytest.mark.parametrize("size, digest", [
+        (1, "3747918fde7067e6cff39a448a01ee565bc177e581d51cdf84c08aee6b46d87a"),
+        (2, "535a50c51e4b6c4dae880b114962a211a893c47642d14a6564ad52f76cf8ceb5"),
+        (3, "ccd45ed87341042cd0a8e7b6f96aa921f13b0dd785b475e0ea1381eb23b9636a"),
+        (16, "b2c596e4066b3d60c0cc4e73aa943bab0fc234d820fd35e0315d7cc5a5445136"),
+        (57, "61f1f73fb156ac5e9a12b23067a47035edc024e3ff023abf9ec51ef9ee87ed04"),
+        (224, "90a115793048b582b9f3481e2c844919da0a99b0f80d6531855024230b99ff8f"),
+    ])
+    def test_output_bytes_are_pinned(self, tmp_path, size, digest):
+        # one patch of every class; the digest covers the manifest, then
+        # each entry's path and PPM bytes in manifest order
+        manifest = generate_synthetic(tmp_path, [1] * 9, seed=7, size=size)
+        h = hashlib.sha256((tmp_path / MANIFEST_NAME).read_bytes())
+        for rel, _ in manifest.entries:
+            h.update(rel.encode())
+            h.update((tmp_path / rel).read_bytes())
+        assert h.hexdigest() == digest
+
+    def test_windowed_blobs_match_full_canvas_oracle(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=150, deadline=None, database=None)
+        @hypothesis.given(label=st.integers(0, len(CLASS_CODES) - 1),
+                          seed=st.integers(0, 2 ** 32 - 1),
+                          size=st.integers(1, 96))
+        def check(label, seed, size):
+            want = render_patch_full_canvas(
+                label, np.random.default_rng(seed), size)
+            got = _render_patch(label, np.random.default_rng(seed), size)
+            assert got.dtype == np.uint8 and np.array_equal(got, want)
+
+        check()
 
     def test_different_seed_differs(self, tmp_path):
         counts = [1, 0, 0, 0, 0, 0, 0, 0, 0]
@@ -318,6 +401,15 @@ class TestLoadPreprocessed:
         assert images.shape == (4, 3, 16, 16)
         assert images.dtype == np.float32
         assert labels.tolist() == [0, 0, 1, 3]
+
+    def test_tensor_bytes_are_pinned(self, tmp_path):
+        manifest = generate_synthetic(tmp_path, [2, 1, 1, 1, 1, 1, 1, 1, 1],
+                                      seed=3, size=40)
+        images, labels = load_preprocessed(manifest, size=28)
+        assert images.shape == (10, 3, 28, 28)
+        assert labels.tolist() == [0, 0, 1, 2, 3, 4, 5, 6, 7, 8]
+        assert sha256(images.tobytes()) == (
+            "8f87fe0dfadde7164f018ff75bbb6932757924a3018ea4ffb41047663eb031cf")
 
     def test_empty_manifest_is_data_error(self, tmp_path):
         manifest = DatasetManifest(root=tmp_path, entries=[], seed=0)
