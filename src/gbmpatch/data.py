@@ -16,9 +16,11 @@ class profile can stand in for real histology patches.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import math
 import os
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -311,11 +313,11 @@ def _blob_span(centre: float, radius: float, size: int) -> slice:
 
 
 def _render_patch(label: int, rng: np.random.Generator, size: int) -> np.ndarray:
+    color = _BASE_COLORS[label] + rng.normal(0.0, 8.0, size=3)
+    canvas = np.empty((size, size, 3))   # first, so a huge size fails at once
+    canvas[...] = color
     # pixel (i, j) sits at (ramp[i], ramp[j]); rows and columns broadcast
     ramp = np.arange(size, dtype=np.float64) / size
-    color = _BASE_COLORS[label] + rng.normal(0.0, 8.0, size=3)
-    canvas = np.empty((size, size, 3))
-    canvas[...] = color
 
     freq = _STRIPE_FREQS[label]
     if freq > 0:
@@ -348,13 +350,54 @@ def _make_dirs(path: Path) -> list:
     return missing
 
 
+def _write_patch(root: Path, seed: int, size: int, task: tuple) -> tuple:
+    """Render and save patch ``task = (label, i)``; its manifest entry."""
+    label, i = task
+    rng = np.random.default_rng([seed, label, i])
+    rel = f"{CLASS_CODES[label]}/{i:04d}.ppm"
+    try:
+        save_ppm(_render_patch(label, rng, size), root / rel)
+    except OSError as exc:
+        raise DataError(f"failed writing {root / rel}: {exc}")
+    return rel, label
+
+
+def _remove_patch_files(root: Path, pattern: str, keep=frozenset()):
+    """Delete root/<class>/<name> files whose name matches ``pattern``.
+
+    Entries in ``keep`` (manifest-relative paths) and every file whose
+    name does not match stay untouched.
+    """
+    for code in CLASS_CODES:
+        folder = root / code
+        if not folder.is_dir():
+            continue
+        for path in folder.iterdir():
+            if (re.fullmatch(pattern, path.name) and path.is_file()
+                    and f"{code}/{path.name}" not in keep):
+                path.unlink()
+
+
+# Datasets with fewer patch pixels than this render in-process. Only the
+# rendering speeds up in a pool, not the file writes, and a pool takes ~11
+# ms to start and join. 2-core VM, OpenBLAS on one thread, medians of 11
+# runs, in-process against 2 workers: 18 patches of 224 px (0.9 M pixels)
+# 133 against 168 ms, 27 of 224 px (1.35 M) 214 against 149 ms, 216 of
+# 64 px (0.88 M) 409 against 280 ms, 63 of 16 px 84 against 138 ms.
+_POOL_MIN_PIXELS = 1 << 20
+_POOL_CHUNK = 4   # patches per task sent to a worker
+
+
 def generate_synthetic(root, counts: Sequence[int] = DEFAULT_PROFILE,
                        seed: int = 0, size: int = 224) -> DatasetManifest:
     """Write a labeled synthetic dataset under root/<class_code>/<seq>.ppm.
 
     Each class draws from its own texture family; per-sample jitter comes
     from a generator seeded by (seed, class, index), so the same seed
-    reproduces every file bit for bit.
+    reproduces every file bit for bit. Patches are rendered on every CPU
+    the process may run on, and the output is the same whatever their
+    number. Generator-named files (<class_code>/<digits>.ppm) that the new
+    manifest does not list, left by an earlier dataset, are removed.
     """
     if seed < 0:
         raise ParameterError(f"seed must be nonnegative, got {seed}")
@@ -368,22 +411,35 @@ def generate_synthetic(root, counts: Sequence[int] = DEFAULT_PROFILE,
             f"counts must be nonnegative and not all zero, got {counts}")
     root = Path(root)
     manifest = DatasetManifest(root=root, entries=[], seed=seed)
+    write = functools.partial(_write_patch, root, seed, size)
+    tasks = [(label, i) for label, count in enumerate(counts)
+             for i in range(count)]
+    workers = min(len(os.sched_getaffinity(0)), len(tasks))
     created = []   # directories this call made, outermost first
     try:
         for label, count in enumerate(counts):
             if count > 0:
                 created += _make_dirs(root / CLASS_CODES[label])
-            for i in range(count):
-                rng = np.random.default_rng([seed, label, i])
-                try:
-                    rel = f"{CLASS_CODES[label]}/{i:04d}.ppm"
-                    save_ppm(_render_patch(label, rng, size), root / rel)
-                except OSError as exc:
-                    raise DataError(f"failed writing {root / rel}: {exc}")
-                manifest.entries.append((rel, label))
+        if workers > 1 and len(tasks) * size * size >= _POOL_MIN_PIXELS:
+            # Fork is named because Python 3.14 makes another start method
+            # the Linux default; unlike spawn, its workers start without
+            # importing numpy again. Forking is safe here: a child only
+            # draws random numbers, runs elementwise numpy and writes
+            # files, and never calls into BLAS, whose threads do not
+            # survive a fork. Imported here, as cv and eval never fork.
+            import multiprocessing
+            with multiprocessing.get_context("fork").Pool(workers) as pool:
+                manifest.entries = list(pool.imap(write, tasks, _POOL_CHUNK))
+        else:
+            manifest.entries = list(map(write, tasks))
         manifest.save()
+        _remove_patch_files(root, r"[0-9]+\.ppm",
+                            keep={rel for rel, _ in manifest.entries})
     except BaseException:
-        # a failed run leaves no empty directory to block its retry
+        # a failed run leaves no temp file (a terminated worker may die
+        # mid-write) and no empty directory to block its retry
+        with contextlib.suppress(OSError):
+            _remove_patch_files(root, r"[0-9]+\.ppm\.tmp")
         for path in reversed(created):
             with contextlib.suppress(OSError):
                 path.rmdir()

@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gbmpatch import data
 from gbmpatch.checkpoint import load_checkpoint, save_checkpoint
 from gbmpatch.cli import format_report, main
 from gbmpatch.data import (CLASS_CODES, DatasetManifest, generate_synthetic,
@@ -74,7 +76,8 @@ class TestGenData:
         out = tmp_path / "d"
         if premade:
             out.mkdir()
-        # the first canvas cannot be allocated, after the CT/ directory is made
+        # the first canvas cannot be allocated, after the class directories
+        # are made
         assert main(["gen-data", "--out", str(out), "--size", "100000000"]) == 3
         assert one_line_error(capsys)
         # directories the run made are gone; one that was there stays
@@ -83,6 +86,61 @@ class TestGenData:
                      "--counts", "1,1,1,1,1,1,1,1,1"])
         assert code == 0
         assert len(DatasetManifest.load(out).entries) == 9
+
+    def test_force_removes_earlier_patches_only(self, tmp_path):
+        out = tmp_path / "d"
+        assert main(["gen-data", "--out", str(out), "--size", "8",
+                     "--counts", "3,1,1,1,1,1,1,1,1"]) == 0
+        for name in ("notes.txt", "0001.ppm.bak", "0007.jpg"):
+            (out / "CT" / name).write_text("keep")
+        assert main(["gen-data", "--out", str(out), "--size", "8", "--force",
+                     "--counts", "1,1,1,1,1,1,1,1,1"]) == 0
+        listed = {rel for rel, _ in DatasetManifest.load(out).entries}
+        patches = {p.relative_to(out).as_posix() for p in out.rglob("*.ppm")}
+        assert patches == listed
+        assert sorted(p.name for p in (out / "CT").iterdir()) == [
+            "0000.ppm", "0001.ppm.bak", "0007.jpg", "notes.txt"]
+
+    @pytest.mark.parametrize("argv, says", [
+        (["--size", "100000000"], "error: out of memory: "),
+        (["--size", "8", "--counts", "4,4,4,4,4,4,4,4,4"], "Permission denied"),
+    ], ids=["unallocatable_size", "unwritable"])
+    def test_pool_failure_exits_3(self, tmp_path, capsys, monkeypatch, pooled,
+                                  argv, says):
+        def refuse(pixels, path):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(data, "save_ppm", refuse)
+        out = tmp_path / "d"
+        assert main(["gen-data", "--out", str(out)] + argv) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert says in err and "Traceback" not in err
+        assert pooled == ["fork"]
+        assert not out.exists()
+
+    def test_torn_down_pool_leaves_nothing_behind(self, tmp_path, capsys,
+                                                  monkeypatch, pooled):
+        out = tmp_path / "d"
+        monkeypatch.setattr(data, "_POOL_CHUNK", 1)
+
+        def stall_or_fail(pixels, path):
+            if path == out / "CT" / "0001.ppm":
+                # the second worker is stopped halfway through this write
+                path.with_name(path.name + ".tmp").write_bytes(b"P6\n")
+                time.sleep(60)
+            while not list(out.rglob("*.tmp")):
+                time.sleep(0.005)
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(data, "save_ppm", stall_or_fail)
+        assert main(["gen-data", "--out", str(out), "--size", "8"]) == 3
+        assert one_line_error(capsys)
+        assert pooled == ["fork"]
+        assert not out.exists()
+        monkeypatch.undo()
+        assert main(["gen-data", "--out", str(out), "--size", "8",
+                     "--counts", "1,1,1,1,1,1,1,1,1"]) == 0
 
     def test_bad_counts_string_is_usage_error(self, tmp_path):
         assert main(["gen-data", "--out", str(tmp_path / "x"),

@@ -1,16 +1,20 @@
 import hashlib
 import json
+import os
+import shutil
 
 import numpy as np
 import pytest
 
+from gbmpatch import data
 from gbmpatch.data import (_BASE_COLORS, _BLOB_COUNTS, _STRIPE_FREQS,
                            CLASS_CODES, DEFAULT_PROFILE, MANIFEST_NAME,
                            DatasetManifest, IMAGENET_STD, _render_patch,
                            class_index, generate_synthetic, load_ppm,
                            load_preprocessed, normalize, parse_json_object,
                            preprocess, resize_bilinear, save_ppm, to_tensor)
-from gbmpatch.errors import DataError, DimensionError, PpmParseError
+from gbmpatch.errors import (DataError, DimensionError, ParameterError,
+                             PpmParseError)
 
 
 def random_patch(rng, w, h):
@@ -391,6 +395,53 @@ class TestGenerator:
         (tmp_path / "manifest.json").write_bytes(b'{"entries": ["\xff"]}')
         with pytest.raises(DataError):
             DatasetManifest.load(tmp_path)
+
+
+def tree_bytes(root):
+    """Every file under root, by relative path, with its bytes."""
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestGeneratorPool:
+    def test_pool_output_is_byte_identical(self, tmp_path, monkeypatch, pools):
+        # uneven counts, 62 patches of 136 px: 1.15 M pixels, over the floor
+        counts = [20, 5, 3, 15, 8, 7, 2, 1, 1]
+        assert sum(counts) * 136 * 136 >= data._POOL_MIN_PIXELS
+        trees = []
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+            generate_synthetic(tmp_path / "d", counts, seed=9, size=136)
+            trees.append(tree_bytes(tmp_path / "d"))
+            shutil.rmtree(tmp_path / "d")
+        assert pools == ["fork"]   # one CPU ran in-process, two forked
+        assert len(trees[0]) == sum(counts) + 1
+        assert trees[0] == trees[1]
+
+    @pytest.mark.parametrize("error", [OSError(28, "No space left on device"),
+                                       ParameterError("bad patch")],
+                             ids=["os_error", "parameter_error"])
+    def test_worker_error_reaches_caller_unchanged(self, tmp_path, monkeypatch,
+                                                   pools, error):
+        monkeypatch.setattr(data, "_POOL_MIN_PIXELS", 0)
+        real_save = data.save_ppm
+
+        def save(pixels, path):
+            if path.relative_to(tmp_path).as_posix() == "NC/0002.ppm":
+                raise error
+            real_save(pixels, path)
+
+        monkeypatch.setattr(data, "save_ppm", save)
+        seen = []
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+            with pytest.raises(Exception) as info:
+                generate_synthetic(tmp_path, [4] * 9, seed=0, size=8)
+            seen.append((type(info.value), str(info.value)))
+        assert pools == ["fork"]
+        assert seen[0] == seen[1]
+        assert seen[0][0] is (DataError if isinstance(error, OSError)
+                              else ParameterError)
 
 
 class TestLoadPreprocessed:
