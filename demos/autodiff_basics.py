@@ -44,10 +44,9 @@ err = finite_diff_check(
     Tensor(rng.normal(size=(4, 6))))
 print(f"softmax finite-diff error: {err:.2e}")
 
-g = Tensor(np.ones(8))
-b = Tensor(np.zeros(8))
+# layer_norm has no gain or bias: the linear map after it absorbs both
 mix = Tensor(rng.normal(size=(8, 3)))
-err = finite_diff_check(lambda t: (layer_norm(t, g, b) @ mix).sum(),
+err = finite_diff_check(lambda t: (layer_norm(t) @ mix).sum(),
                         Tensor(rng.normal(size=(6, 8))))
 print(f"layer_norm chain error:   {err:.2e}")
 

@@ -14,6 +14,7 @@ import argparse
 import contextlib
 import datetime as _dt
 import json
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -37,7 +38,14 @@ CV_CONFIGS = (TrainConfig, EncoderConfig, HeadConfig)
 
 
 def _say(msg: str):
-    print(msg, flush=True)
+    try:
+        print(msg, flush=True)
+    except BrokenPipeError:
+        # no reader: the command goes on, and the rest of its output (the
+        # flush at exit included) goes to the null device
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
 
 
 def _fail(msg: str):

@@ -8,6 +8,12 @@ and a final norm is applied to the whole sequence. Register tokens take
 part in attention but carry no classification signal downstream; callers
 slice them off.
 
+No weight is one the others can absorb. Norms have no gain or bias: the
+linear map after each (for the final norm, the head's first layer) takes
+them into its weight rows and bias. Tiles have no bias, since ``pos`` is
+added to the same slots. Attention has no key bias, which softmax cancels,
+nor a value bias, which ``bo`` takes because attention rows sum to 1.
+
 Defaults are desk scale (dim 32, depth 2) so the whole pipeline trains in
 seconds on a CPU; the geometry (224 input, 14 tile) matches the full-scale
 configuration, which only changes dim/depth/heads.
@@ -80,11 +86,10 @@ class EncoderConfig:
 
 def init_params(table: list, seed: int, dtype) -> Dict[str, Tensor]:
     """Weights for a (name, shape, init) table, drawn in table order:
-    Normal(0, 0.02) for "normal", and constant "zeros" or "ones"."""
+    Normal(0, 0.02) for "normal", and constant "zeros"."""
     rng = np.random.default_rng(seed)
     draw = {"normal": lambda shape: rng.normal(0.0, 0.02, shape).astype(dtype),
-            "zeros": lambda shape: np.zeros(shape, dtype),
-            "ones": lambda shape: np.ones(shape, dtype)}
+            "zeros": lambda shape: np.zeros(shape, dtype)}
     return {name: Tensor(draw[init](shape), requires_grad=True)
             for name, shape, init in table}
 
@@ -92,19 +97,15 @@ def init_params(table: list, seed: int, dtype) -> Dict[str, Tensor]:
 def encoder_table(cfg: EncoderConfig) -> list:
     """(name, shape, init) of every encoder weight, in draw order."""
     d, hidden = cfg.dim, cfg.mlp_ratio * cfg.dim
-    # no key bias: softmax cancels the constant it adds to a score row
-    block = [("ln1.g", (d,), "ones"), ("ln1.b", (d,), "zeros"),
-             *[(f"attn.{m}", (d, d), "normal") for m in ("wq", "wk", "wv", "wo")],
-             *[(f"attn.{b}", (d,), "zeros") for b in ("bq", "bv", "bo")],
-             ("ln2.g", (d,), "ones"), ("ln2.b", (d,), "zeros"),
+    block = [*[(f"attn.{m}", (d, d), "normal") for m in ("wq", "wk", "wv", "wo")],
+             *[(f"attn.{b}", (d,), "zeros") for b in ("bq", "bo")],
              ("mlp.w1", (d, hidden), "normal"), ("mlp.b1", (hidden,), "zeros"),
              ("mlp.w2", (hidden, d), "normal"), ("mlp.b2", (d,), "zeros")]
-    return ([("patch.w", (cfg.patch_dim, d), "normal"), ("patch.b", (d,), "zeros"),
+    return ([("patch.w", (cfg.patch_dim, d), "normal"),
              ("cls", (1, d), "normal"), ("reg", (cfg.registers, d), "normal"),
              ("pos", (cfg.n_patches, d), "normal")]
             + [(f"blk{i}.{name}", shape, init)
-               for i in range(cfg.depth) for name, shape, init in block]
-            + [("final.g", (d,), "ones"), ("final.b", (d,), "zeros")])
+               for i in range(cfg.depth) for name, shape, init in block])
 
 
 def init_encoder(cfg: EncoderConfig, seed: int = 0,
@@ -144,7 +145,7 @@ def embed(tiles: np.ndarray, w: EncoderWeights, cfg: EncoderConfig) -> Tensor:
         raise DimensionError(
             f"tiles {tiles.shape[1:]} do not match config "
             f"({cfg.n_patches}, {cfg.patch_dim})")
-    tokens = Tensor(tiles) @ w["patch.w"] + w["patch.b"] + w["pos"]
+    tokens = Tensor(tiles) @ w["patch.w"] + w["pos"]
     cls = broadcast_to(reshape(w["cls"], (1, 1, cfg.dim)), (b, 1, cfg.dim))
     reg = broadcast_to(reshape(w["reg"], (1, cfg.registers, cfg.dim)),
                        (b, cfg.registers, cfg.dim))
@@ -160,7 +161,7 @@ def _attention(x: Tensor, w: EncoderWeights, p: str, cfg: EncoderConfig) -> Tens
 
     q = heads(x @ w[f"{p}.wq"] + w[f"{p}.bq"])
     k = heads(x @ w[f"{p}.wk"])
-    v = heads(x @ w[f"{p}.wv"] + w[f"{p}.bv"])
+    v = heads(x @ w[f"{p}.wv"])
     ctx = attention(q, k, v, 1.0 / math.sqrt(dh))
     ctx = reshape(transpose(ctx, (0, 2, 1, 3)), (b, n, d))
     return ctx @ w[f"{p}.wo"] + w[f"{p}.bo"]
@@ -183,11 +184,9 @@ def encode_batch(images: np.ndarray, w: EncoderWeights,
     x = embed(tile_image(images, cfg.tile_size), w, cfg)
     for i in range(cfg.depth):
         p = f"blk{i}"
-        x = x + _attention(layer_norm(x, w[f"{p}.ln1.g"], w[f"{p}.ln1.b"]),
-                           w, f"{p}.attn", cfg)
-        x = x + _mlp(layer_norm(x, w[f"{p}.ln2.g"], w[f"{p}.ln2.b"]),
-                     w, f"{p}.mlp")
-    return layer_norm(x, w["final.g"], w["final.b"])
+        x = x + _attention(layer_norm(x), w, f"{p}.attn", cfg)
+        x = x + _mlp(layer_norm(x), w, f"{p}.mlp")
+    return layer_norm(x)
 
 
 def split_tokens(seq: Tensor, cfg: EncoderConfig):

@@ -401,8 +401,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
                  "attention")
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then apply affine."""
+def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
+    """Normalize the last axis to zero mean and unit variance, with no gain
+    or bias: the linear map after it absorbs them (arXiv 1911.07013)."""
     if eps <= 0:
         raise ParameterError(f"layer_norm eps must be positive, got {eps}")
     mu = x.data.mean(axis=-1, keepdims=True)
@@ -410,15 +411,13 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     var = (centered * centered).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     normed = centered * inv
-    out_data = gain.data * normed + bias.data
 
     def backward(g):
-        gy = g * gain.data
-        m1 = gy.mean(axis=-1, keepdims=True)
-        m2 = (gy * normed).mean(axis=-1, keepdims=True)
-        return inv * (gy - m1 - normed * m2), g * normed, g
+        m1 = g.mean(axis=-1, keepdims=True)
+        m2 = (g * normed).mean(axis=-1, keepdims=True)
+        return (inv * (g - m1 - normed * m2),)
 
-    return _make(out_data, (x, gain, bias), backward, "layer_norm")
+    return _make(normed, (x,), backward, "layer_norm")
 
 
 def dropout(x: Tensor, rate: float, seed: int = 0, training: bool = True) -> Tensor:

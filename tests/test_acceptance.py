@@ -67,9 +67,10 @@ def _op_cases(rng, att_rng):
         "mean_all": ((3, 4), lambda t: t.mean()),
         "silu": ((3, 4), lambda t: (silu(t) * c34).sum()),
         "softmax": ((3, 4), lambda t: (softmax(t, axis=-1) * c34).sum()),
-        "layer_norm_x": ((3, 5), lambda t: (layer_norm(t, g5, b5) * c35).sum()),
-        "layer_norm_gain": ((5,), lambda t: (layer_norm(c35, t, b5) * c35).sum()),
-        "layer_norm_bias": ((5,), lambda t: (layer_norm(c35, g5, t) * c35).sum()),
+        "layer_norm_x": ((3, 5), lambda t: ((layer_norm(t) * g5 + b5) * c35).sum()),
+        # the affine a linear map absorbs after the norm, as (5,) probes
+        "layer_norm_gain": ((5,), lambda t: ((layer_norm(c35) * t + b5) * c35).sum()),
+        "layer_norm_bias": ((5,), lambda t: ((layer_norm(c35) * g5 + t) * c35).sum()),
         "dropout": ((3, 4), lambda t: (dropout(t, 0.4, seed=7, training=True)
                                        * c34).sum()),
         "cross_entropy": ((4, 6), lambda t: cross_entropy(t, labels)),

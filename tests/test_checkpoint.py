@@ -222,6 +222,22 @@ class TestModelRoundTrip:
         with pytest.raises(DataError, match="names"):
             load_model(path)
 
+    def test_checkpoint_with_folded_away_weights_rejected(self, tmp_path,
+                                                          capsys):
+        # the layout that still had layer-norm affines, a tile bias and
+        # value biases: its extra names exit 3 before any model is built
+        path = tmp_path / "m.ckpt"
+        save_model(path, tiny_model())
+        params, meta = load_checkpoint(path)
+        for name in ("patch.b", "blk0.ln1.g", "blk0.ln1.b", "blk0.attn.bv",
+                     "blk0.ln2.g", "blk0.ln2.b", "final.g", "final.b"):
+            params[f"enc.{name}"] = np.zeros(TINY.dim, np.float32)
+        save_checkpoint(path, params, meta)
+        assert main(["eval", "--checkpoint", str(path),
+                     "--data", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "enc.blk0.attn.bv" in err, err
+
     def test_meta_without_configs_rejected(self, tmp_path):
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, {"x": np.zeros(1, np.float32)}, {"foo": 1})

@@ -526,3 +526,43 @@ class TestFormatReport:
         with pytest.raises(SystemExit) as info:
             main(["definitely-not-a-command"])
         assert info.value.code == 2
+
+
+def run_with_closed_stdout(args):
+    """Run the CLI as a process whose stdout is a pipe with no reader, as
+    under ``| head -1`` once ``head`` has exited."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "gbmpatch.cli", *args], stdout=write,
+            stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=str(SRC)),
+            text=True, timeout=300)
+    finally:
+        os.close(write)
+
+
+class TestClosedStdout:
+    """A reader that goes away stops the progress lines, not the work."""
+
+    def test_gen_data_finishes(self, tmp_path):
+        out = tmp_path / "d"
+        proc = run_with_closed_stdout(["gen-data", "--out", str(out),
+                                       "--size", "16", "--counts",
+                                       "2,1,1,1,1,1,1,1,1"])
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert len(DatasetManifest.load(out).entries) == 10
+
+    def test_cv_finishes(self, dataset, tmp_path):
+        out = tmp_path / "runs"
+        proc = run_with_closed_stdout(["cv", "--data", str(dataset), "--out",
+                                       str(out), "--seed", "1"]
+                                      + SMALL_NET + QUICK_TRAIN)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert (out / "latest" / "run.json").is_file()
+        assert (out / "latest" / "model.ckpt").is_file()
+
+    def test_error_still_exits_with_its_code(self, tmp_path):
+        proc = run_with_closed_stdout(["cv", "--data", str(tmp_path / "none")])
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1

@@ -1,13 +1,19 @@
 """PatchClassifier.predict: argmax labels from a forward that records no
-graph and leaves every parameter's ``requires_grad`` as it found it."""
+graph and leaves every parameter's ``requires_grad`` as it found it. And
+the model's function: a forward with layer-norm affines, a tile bias and
+value biases computes nothing the model's own weights cannot."""
+
+import math
 
 import numpy as np
 import pytest
 
-from gbmpatch.encoder import EncoderConfig
+from gbmpatch.encoder import EncoderConfig, split_tokens, tile_image
 from gbmpatch.errors import DimensionError
 from gbmpatch.head import HeadConfig
 from gbmpatch.model import PatchClassifier
+from gbmpatch.tensor import (Tensor, attention, broadcast_to, concat,
+                             layer_norm, reshape, silu, tensor_mean, transpose)
 
 TINY = EncoderConfig(image_size=28, tile_size=14, dim=8, depth=1, heads=2,
                      registers=2, mlp_ratio=2)
@@ -79,3 +85,112 @@ def test_no_parameter_is_inert(images, seed):
     inert = {name: peak / top for name, peak in peaks.items()
              if peak < 1e-9 * top}
     assert not inert, inert
+
+
+# ----------------------------------------------------------------------
+# the weights the model does not have: each one folds into one it has
+
+
+def affine_reference(images, w, enc_cfg):
+    """Eval logits of the encoder and head with the weights they fold
+    away stated: a gain and bias on every layer norm, a tile-projection
+    bias ``patch.b`` and a value bias ``bv`` per block. Built from public
+    ops in the forward's own order, so unit gains and zero biases give
+    the model's bits."""
+    b, d, h = images.shape[0], enc_cfg.dim, enc_cfg.heads
+    dh = enc_cfg.head_dim
+
+    def norm(x, p):
+        return layer_norm(x) * w[f"{p}.g"] + w[f"{p}.b"]
+
+    def heads(t):
+        return transpose(reshape(t, (b, -1, h, dh)), (0, 2, 1, 3))
+
+    tiles = Tensor(tile_image(images, enc_cfg.tile_size))
+    tokens = tiles @ w["enc.patch.w"] + w["enc.patch.b"] + w["enc.pos"]
+    cls = broadcast_to(reshape(w["enc.cls"], (1, 1, d)), (b, 1, d))
+    reg = broadcast_to(reshape(w["enc.reg"], (1, enc_cfg.registers, d)),
+                       (b, enc_cfg.registers, d))
+    x = concat([cls, reg, tokens], axis=1)
+    for i in range(enc_cfg.depth):
+        p = f"enc.blk{i}"
+        y = norm(x, f"{p}.ln1")
+        q = heads(y @ w[f"{p}.attn.wq"] + w[f"{p}.attn.bq"])
+        k = heads(y @ w[f"{p}.attn.wk"])
+        v = heads(y @ w[f"{p}.attn.wv"] + w[f"{p}.attn.bv"])
+        ctx = attention(q, k, v, 1.0 / math.sqrt(dh))
+        ctx = reshape(transpose(ctx, (0, 2, 1, 3)), (b, -1, d))
+        x = x + (ctx @ w[f"{p}.attn.wo"] + w[f"{p}.attn.bo"])
+        y = norm(x, f"{p}.ln2")
+        x = x + (silu(y @ w[f"{p}.mlp.w1"] + w[f"{p}.mlp.b1"])
+                 @ w[f"{p}.mlp.w2"] + w[f"{p}.mlp.b2"])
+    seq = norm(x, "enc.final")
+    cls, patches = split_tokens(seq, enc_cfg)
+    feats = concat([tensor_mean(patches, axis=1), reshape(cls, (b, d))],
+                   axis=1)
+    hidden = silu(feats @ w["head.w1"] + w["head.b1"])
+    return hidden @ w["head.w2"] + w["head.b2"]
+
+
+def affine_names(enc_cfg):
+    """The names of the folded-away weights, each of shape (dim,)."""
+    block = ("ln1.g", "ln1.b", "attn.bv", "ln2.g", "ln2.b")
+    return (["enc.patch.b", "enc.final.g", "enc.final.b"]
+            + [f"enc.blk{i}.{n}" for i in range(enc_cfg.depth) for n in block])
+
+
+def fold(ref, enc_cfg):
+    """The model's weights that compute what ``ref``'s affine weights do:
+    a norm's gain scales the rows of the weight after it and its bias
+    passes through that weight into the next bias; ``bv`` reaches ``bo``
+    through ``wo``; ``patch.b`` joins every row of ``pos``. The ln1 bias's
+    key term adds one constant per score row, which softmax cancels."""
+    w = {n: a.copy() for n, a in ref.items() if n not in affine_names(enc_cfg)}
+    w["enc.pos"] += ref["enc.patch.b"]
+    for i in range(enc_cfg.depth):
+        p = f"enc.blk{i}"
+        g, bias = ref[f"{p}.ln1.g"], ref[f"{p}.ln1.b"]
+        for m in ("wq", "wk", "wv"):
+            w[f"{p}.attn.{m}"] = g[:, None] * ref[f"{p}.attn.{m}"]
+        w[f"{p}.attn.bq"] += bias @ ref[f"{p}.attn.wq"]
+        w[f"{p}.attn.bo"] += ((bias @ ref[f"{p}.attn.wv"] + ref[f"{p}.attn.bv"])
+                              @ ref[f"{p}.attn.wo"])
+        g, bias = ref[f"{p}.ln2.g"], ref[f"{p}.ln2.b"]
+        w[f"{p}.mlp.w1"] = g[:, None] * ref[f"{p}.mlp.w1"]
+        w[f"{p}.mlp.b1"] += bias @ ref[f"{p}.mlp.w1"]
+    # both halves of the head's feature, patch mean and class token, get
+    # the final norm's affine
+    g = np.concatenate([ref["enc.final.g"]] * 2)
+    bias = np.concatenate([ref["enc.final.b"]] * 2)
+    w["head.w1"] = g[:, None] * ref["head.w1"]
+    w["head.b1"] += bias @ ref["head.w1"]
+    return w
+
+
+def test_unit_affine_reference_is_the_model_bit_for_bit(images):
+    model = PatchClassifier(TINY, HeadConfig(bottleneck=4), seed=5)
+    ref = {n: p.data for n, p in model.parameters().items()}
+    for name in affine_names(TINY):
+        fill = np.ones if name.endswith(".g") else np.zeros
+        ref[name] = fill(TINY.dim, np.float32)
+    want = affine_reference(images, {n: Tensor(a) for n, a in ref.items()},
+                            TINY)
+    assert np.array_equal(model.logits(images).data, want.data)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_random_affine_folds_into_the_model(seed):
+    rng = np.random.default_rng(seed)
+    images = rng.normal(size=(5, 3, 28, 28))
+    model = PatchClassifier(TINY, HeadConfig(bottleneck=4), seed=seed)
+    ref = {n: rng.normal(0, 0.5, p.shape) for n, p in model.parameters().items()}
+    for name in affine_names(TINY):
+        centre = 1.0 if name.endswith(".g") else 0.0
+        ref[name] = rng.normal(centre, 0.5, TINY.dim)
+    want = affine_reference(images, {n: Tensor(a) for n, a in ref.items()},
+                            TINY).data
+    folded = PatchClassifier.from_arrays(TINY, model.head_cfg, fold(ref, TINY))
+    got = folded.logits(images).data
+    assert got.dtype == np.float64
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    assert np.abs(want).max() > 1e-2
