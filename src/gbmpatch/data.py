@@ -57,7 +57,7 @@ CHANNELS = len(IMAGENET_MEAN)
 _WHITESPACE = b" \t\r\n\v\f"
 
 
-def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
+def _next_token(data: bytearray, pos: int) -> tuple[bytes, int]:
     while pos < len(data):
         if data[pos:pos + 1] in (b"#",):
             while pos < len(data) and data[pos:pos + 1] != b"\n":
@@ -71,12 +71,19 @@ def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
         pos += 1
     if start == pos:
         raise PpmParseError(f"expected header token at byte {start}, found end of file")
-    return data[start:pos], pos
+    return bytes(data[start:pos]), pos
 
 
 def load_ppm(path) -> np.ndarray:
-    """Parse a binary P6 PPM with maxval 255 into an (H, W, 3) uint8 array."""
-    data = Path(path).read_bytes()
+    """Parse a binary P6 PPM with maxval 255 into an (H, W, 3) uint8 array.
+
+    The array is a writable view of a buffer of its own, so the raster is
+    copied once, from the file.
+    """
+    with open(path, "rb") as f:
+        data = bytearray(os.fstat(f.fileno()).st_size)
+        del data[f.readinto(data):]
+        data += f.read()   # a pipe has no size; a file may have grown
     magic, pos = _next_token(data, 0)
     if magic != b"P6":
         raise PpmParseError(f"bad magic {magic!r} at byte 0, expected P6")
@@ -96,19 +103,25 @@ def load_ppm(path) -> np.ndarray:
             "only 255 is handled")
     pos += 1  # single whitespace byte separates header from raster
     expected = width * height * 3
-    raster = data[pos:pos + expected]
-    if len(raster) != expected:
+    present = max(len(data) - pos, 0)
+    if present < expected:
         raise PpmParseError(
-            f"raster truncated at byte {pos + len(raster)}, "
+            f"raster truncated at byte {pos + present}, "
             f"expected {expected} bytes from byte {pos}")
-    return np.frombuffer(raster, dtype=np.uint8).reshape(height, width, 3).copy()
+    return np.frombuffer(data, np.uint8, expected, pos).reshape(height, width, 3)
+
+
+def _check_pixels(pixels: np.ndarray):
+    """Raise ``DimensionError`` unless ``pixels`` is an (H, W, 3) uint8 image."""
+    if (pixels.dtype != np.uint8 or pixels.ndim != 3 or pixels.shape[2] != 3
+            or 0 in pixels.shape):
+        raise DimensionError(
+            f"expected an (H, W, 3) uint8 array, got {pixels.dtype} {pixels.shape}")
 
 
 def save_ppm(pixels: np.ndarray, path):
     """Write an (H, W, 3) uint8 array as a binary P6 PPM."""
-    if pixels.dtype != np.uint8 or pixels.ndim != 3 or pixels.shape[2] != 3:
-        raise DimensionError(
-            f"expected an (H, W, 3) uint8 array, got {pixels.dtype} {pixels.shape}")
+    _check_pixels(pixels)
     height, width, _ = pixels.shape
     header = f"P6\n{width} {height}\n255\n".encode("ascii")
     write_atomic(path, header + pixels.tobytes())
@@ -118,19 +131,14 @@ def save_ppm(pixels: np.ndarray, path):
 # preprocessing chain
 
 
-def resize_bilinear(pixels: np.ndarray, width: int = 224,
-                    height: int = 224) -> np.ndarray:
-    """Bilinear resample with half-pixel-centered sampling.
+@functools.lru_cache(maxsize=16)
+def _resize_plan(src_h: int, src_w: int, height: int, width: int) -> tuple:
+    """Source rows, byte columns and weights of one resample geometry.
 
-    A same-size call returns an identical copy, so the resize is a no-op
-    on already-conforming inputs.
+    Columns index the (src_h, src_w * 3) row view of the pixels, where
+    pixel x, channel c is byte 3x + c. Every call of a geometry shares the
+    arrays, so they are read-only.
     """
-    src_h, src_w = pixels.shape[:2]
-    if src_w < 1 or src_h < 1:
-        raise DimensionError("source image must be at least 1x1")
-    if (src_w, src_h) == (width, height):
-        return pixels.copy()
-
     xs = np.clip((np.arange(width) + 0.5) * (src_w / width) - 0.5,
                  0.0, src_w - 1.0)
     ys = np.clip((np.arange(height) + 0.5) * (src_h / height) - 0.5,
@@ -139,18 +147,54 @@ def resize_bilinear(pixels: np.ndarray, width: int = 224,
     y0 = np.floor(ys).astype(np.int64)
     x1 = np.minimum(x0 + 1, src_w - 1)
     y1 = np.minimum(y0 + 1, src_h - 1)
-    fx = (xs - x0)[None, :, None]
-    fy = (ys - y0)[:, None, None]
+    fx = xs - x0
+    fy = ys - y0
+    channel = np.arange(CHANNELS)
+    plan = (y0, y1,
+            (x0[:, None] * CHANNELS + channel).ravel(),
+            (x1[:, None] * CHANNELS + channel).ravel(),
+            (1 - fy)[:, None], fy[:, None],
+            np.repeat(1 - fx, CHANNELS)[None, :], np.repeat(fx, CHANNELS)[None, :])
+    for array in plan:
+        array.setflags(write=False)
+    return plan
 
-    # gather in uint8, then cast only the four corner blocks (exactly)
-    top, bottom = pixels[y0], pixels[y1]
-    out = (top[:, x0].astype(np.float64) * (1 - fy) * (1 - fx)
-           + top[:, x1].astype(np.float64) * (1 - fy) * fx
-           + bottom[:, x0].astype(np.float64) * fy * (1 - fx)
-           + bottom[:, x1].astype(np.float64) * fy * fx)
+
+def resize_bilinear(pixels: np.ndarray, width: int = 224,
+                    height: int = 224) -> np.ndarray:
+    """Bilinear resample of an (H, W, 3) uint8 image, half-pixel centered.
+
+    A same-size call returns an identical copy, so the resize is a no-op
+    on already-conforming inputs.
+    """
+    _check_pixels(pixels)
+    if width < 1 or height < 1:
+        raise ParameterError(
+            f"resize target must be at least 1x1, got {width}x{height}")
+    src_h, src_w, _ = pixels.shape
+    if (src_w, src_h) == (width, height):
+        return pixels.copy()
+
+    y0, y1, cols0, cols1, wy0, wy1, wx0, wx1 = _resize_plan(
+        src_h, src_w, height, width)
+    rows = pixels.reshape(src_h, src_w * CHANNELS)
+    top, bottom = rows.take(y0, axis=0), rows.take(y1, axis=0)
+
+    def term(block, cols, wy, wx):
+        # (corner · y weight) · x weight in float64; the uint8 corner
+        # converts exactly
+        t = np.multiply(block.take(cols, axis=1), wy)
+        t *= wx
+        return t
+
+    # the four terms add left to right, as in the plain formula
+    out = term(top, cols0, wy0, wx0)
+    out += term(top, cols1, wy0, wx1)
+    out += term(bottom, cols0, wy1, wx0)
+    out += term(bottom, cols1, wy1, wx1)
     np.rint(out, out=out)
     np.clip(out, 0, 255, out=out)
-    return out.astype(np.uint8)
+    return out.astype(np.uint8).reshape(height, width, CHANNELS)
 
 
 def to_tensor(pixels: np.ndarray, size: int = 224) -> np.ndarray:
@@ -170,9 +214,29 @@ def normalize(t: np.ndarray) -> np.ndarray:
     return (t - mean) / std
 
 
+# normalize(to_tensor(pixels))[c, y, x] is a function of the channel c and
+# the byte pixels[y, x, c] alone, so the chain is run once, on a 16x16
+# image holding every byte value in every channel: row c, column v is the
+# float32 value of byte v in channel c
+_BYTE_TABLE = normalize(to_tensor(np.repeat(
+    np.arange(256, dtype=np.uint8).reshape(16, 16, 1), CHANNELS, axis=2),
+    16)).reshape(CHANNELS, 256)
+_BYTE_TABLE.setflags(write=False)
+
+
+def _scale_normalize(pixels: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``normalize(to_tensor(pixels))`` bit for bit, written into ``out``."""
+    for c in range(CHANNELS):
+        # a byte is always a valid index, so "clip" never acts; unlike the
+        # default mode it lets take write into out without a buffer
+        np.take(_BYTE_TABLE[c], pixels[..., c], out=out[c], mode="clip")
+    return out
+
+
 def preprocess(pixels: np.ndarray, size: int = 224) -> np.ndarray:
-    """resize -> to_tensor -> normalize, in that order."""
-    return normalize(to_tensor(resize_bilinear(pixels, size, size), size))
+    """resize -> to_tensor -> normalize, in that order, bit for bit."""
+    pixels = resize_bilinear(pixels, size, size)
+    return _scale_normalize(pixels, np.empty((CHANNELS, size, size), np.float32))
 
 
 # ----------------------------------------------------------------------
@@ -274,11 +338,18 @@ class DatasetManifest:
 
 def load_preprocessed(manifest: DatasetManifest, size: int = 224):
     """Load every manifest entry into (N, 3, size, size) float32 + labels."""
+    if size < 1:
+        raise ParameterError(f"image size must be at least 1, got {size}")
     if not manifest.entries:
         raise DataError(f"dataset {manifest.root} holds no patches")
-    images = np.empty((len(manifest.entries), 3, size, size), dtype=np.float32)
+    images = np.empty((len(manifest.entries), CHANNELS, size, size),
+                      dtype=np.float32)
+    root = Path(manifest.root)
     for i, (rel, _) in enumerate(manifest.entries):
-        images[i] = preprocess(load_ppm(Path(manifest.root) / rel), size)
+        # preprocess, written in place; load_ppm and resize_bilinear are
+        # looked up in the module on every call, so a patched one sees each
+        _scale_normalize(resize_bilinear(load_ppm(root / rel), size, size),
+                         images[i])
     return images, manifest.labels
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import shutil
 
 import numpy as np
@@ -41,6 +42,40 @@ def bilinear_oracle(pixels, width, height):
                          + src[y1, x0] * fy * (1 - fx)
                          + src[y1, x1] * fy * fx)
     return out
+
+
+def resize_four_term(pixels, width, height):
+    """The plain float64 resize: four corner terms over the (H, W, 3) image.
+
+    ``resize_bilinear`` must match it byte for byte.
+    """
+    src_h, src_w = pixels.shape[:2]
+    if (src_w, src_h) == (width, height):
+        return pixels.copy()
+    xs = np.clip((np.arange(width) + 0.5) * (src_w / width) - 0.5,
+                 0.0, src_w - 1.0)
+    ys = np.clip((np.arange(height) + 0.5) * (src_h / height) - 0.5,
+                 0.0, src_h - 1.0)
+    x0 = np.floor(xs).astype(np.int64)
+    y0 = np.floor(ys).astype(np.int64)
+    x1 = np.minimum(x0 + 1, src_w - 1)
+    y1 = np.minimum(y0 + 1, src_h - 1)
+    fx = (xs - x0)[None, :, None]
+    fy = (ys - y0)[:, None, None]
+    top, bottom = pixels[y0], pixels[y1]
+    out = (top[:, x0].astype(np.float64) * (1 - fy) * (1 - fx)
+           + top[:, x1].astype(np.float64) * (1 - fy) * fx
+           + bottom[:, x0].astype(np.float64) * fy * (1 - fx)
+           + bottom[:, x1].astype(np.float64) * fy * fx)
+    return np.clip(np.rint(out), 0, 255).astype(np.uint8)
+
+
+def every_byte_image(side):
+    """A (side, side, 3) image; each channel holds every byte value."""
+    rng = np.random.default_rng(side)
+    values = np.resize(np.arange(256, dtype=np.uint8), side * side)
+    return np.stack([rng.permutation(values).reshape(side, side)
+                     for _ in range(3)], axis=2)
 
 
 def render_patch_full_canvas(label, rng, size):
@@ -98,6 +133,44 @@ class TestPpm:
         assert img.shape == (2, 2, 3)
         assert img.tobytes() == raster
 
+    def test_loaded_array_is_its_own_writable_image(self, tmp_path):
+        rng = np.random.default_rng(11)
+        path = tmp_path / "x.ppm"
+        save_ppm(random_patch(rng, 5, 4), path)
+        before = path.read_bytes()
+        a, b = load_ppm(path), load_ppm(path)
+        for img in (a, b):
+            assert img.shape == (4, 5, 3) and img.dtype == np.uint8
+            assert img.flags.writeable and img.flags.c_contiguous
+        assert not np.shares_memory(a, b)
+        kept = b.copy()
+        a[...] = 255 - a
+        assert np.array_equal(b, kept)
+        assert path.read_bytes() == before
+
+    def test_bytes_after_raster_are_ignored(self, tmp_path):
+        raster = bytes(range(12))
+        path = tmp_path / "tail.ppm"
+        path.write_bytes(b"P6\n2 2\n255\n" + raster + b"trailing junk")
+        assert load_ppm(path).tobytes() == raster
+
+    def test_header_at_end_of_file_is_truncated_raster(self, tmp_path):
+        path = tmp_path / "bare.ppm"
+        path.write_bytes(b"P6\n2 2\n255")
+        with pytest.raises(PpmParseError, match=re.escape(
+                "raster truncated at byte 11, expected 12 bytes from byte 11")):
+            load_ppm(path)
+
+    def test_reads_a_stream_without_a_size(self):
+        raster = bytes(range(12))
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, b"P6\n2 2\n255\n" + raster)
+            os.close(write_end)
+            assert load_ppm(f"/dev/fd/{read_end}").tobytes() == raster
+        finally:
+            os.close(read_end)
+
     def test_bad_magic_reports_offset(self, tmp_path):
         path = tmp_path / "bad.ppm"
         path.write_bytes(b"P5\n2 2\n255\n" + bytes(12))
@@ -113,7 +186,8 @@ class TestPpm:
     def test_truncated_raster_reports_offset(self, tmp_path):
         path = tmp_path / "short.ppm"
         path.write_bytes(b"P6\n2 2\n255\n" + bytes(7))
-        with pytest.raises(PpmParseError, match="byte 18"):
+        with pytest.raises(PpmParseError, match=re.escape(
+                "raster truncated at byte 18, expected 12 bytes from byte 11")):
             load_ppm(path)
 
     def test_non_numeric_header(self, tmp_path):
@@ -126,7 +200,8 @@ class TestPpm:
         np.zeros((4, 4, 3), np.float32),       # not bytes
         np.zeros((4, 4), np.uint8),            # no channel axis
         np.zeros((4, 4, 4), np.uint8),         # four channels
-    ], ids=["float", "2d", "rgba"])
+        np.zeros((0, 4, 3), np.uint8),         # no rows
+    ], ids=["float", "2d", "rgba", "empty"])
     def test_save_rejects_non_rgb_bytes(self, tmp_path, pixels):
         path = tmp_path / "x.ppm"
         with pytest.raises(DimensionError):
@@ -199,6 +274,50 @@ class TestResize:
         assert out.shape == (height, width, 3)
         assert sha256(out.tobytes()) == digest
 
+    @pytest.mark.parametrize("src_w, src_h, width, height", [
+        (224, 224, 56, 56), (56, 56, 224, 224), (30, 17, 11, 29),
+        (1, 1, 7, 5), (9, 1, 4, 3), (1, 6, 5, 2), (8, 5, 1, 1),
+        (13, 7, 1, 4), (5, 11, 3, 1), (2, 2, 3, 3),
+    ])
+    def test_matches_four_term_reference(self, src_w, src_h, width, height):
+        rng = np.random.default_rng(src_w * 31 + src_h)
+        img = random_patch(rng, src_w, src_h)
+        assert np.array_equal(resize_bilinear(img, width, height),
+                              resize_four_term(img, width, height))
+
+    def test_matches_four_term_reference_on_random_geometries(self):
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            src_h, src_w, height, width = rng.integers(1, 70, size=4)
+            img = random_patch(rng, src_w, src_h)
+            want = resize_four_term(img, width, height)
+            # the first call makes the plan, the second reuses it
+            for _ in range(2):
+                assert np.array_equal(resize_bilinear(img, width, height), want)
+
+    def test_reads_a_strided_view(self):
+        rng = np.random.default_rng(13)
+        img = random_patch(rng, 40, 30)
+        view = img[::2, ::-3]
+        assert np.array_equal(resize_bilinear(view, 9, 8),
+                              resize_four_term(view.copy(), 9, 8))
+
+    @pytest.mark.parametrize("pixels", [
+        np.zeros((10, 10), np.uint8),             # no channel axis
+        np.full((4, 4, 3), 300.7),                # not bytes
+        np.zeros((4, 4, 4), np.uint8),            # four channels
+        np.zeros((0, 4, 3), np.uint8),            # no rows
+    ], ids=["2d", "float", "rgba", "empty"])
+    def test_rejects_non_rgb_bytes(self, pixels):
+        with pytest.raises(DimensionError, match="uint8"):
+            resize_bilinear(pixels, 5, 5)
+
+    @pytest.mark.parametrize("width, height", [(0, 5), (-3, 5), (5, 0)])
+    def test_rejects_empty_target(self, width, height):
+        img = random_patch(np.random.default_rng(14), 10, 10)
+        with pytest.raises(ParameterError, match="at least 1x1"):
+            resize_bilinear(img, width, height)
+
 
 class TestToTensor:
     def test_layout_and_range(self):
@@ -257,6 +376,26 @@ class TestPreprocess:
         rng = np.random.default_rng(10)
         out = preprocess(random_patch(rng, 64, 64), size=56)
         assert out.shape == (3, 56, 56)
+
+    @pytest.mark.parametrize("side, size", [(16, 16), (32, 16), (16, 40)])
+    def test_every_byte_value_matches_the_chain(self, side, size):
+        img = every_byte_image(side)
+        want = normalize(to_tensor(resize_bilinear(img, size, size), size))
+        got = preprocess(img, size)
+        assert got.dtype == want.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("pixels", [
+        np.zeros((8, 8), np.uint8),
+        np.full((8, 8, 3), 300.7),
+    ], ids=["2d", "float"])
+    def test_same_size_rejects_non_rgb_bytes(self, pixels):
+        with pytest.raises(DimensionError, match="uint8"):
+            preprocess(pixels, size=8)
+
+    def test_rejects_empty_size(self):
+        with pytest.raises(ParameterError):
+            preprocess(random_patch(np.random.default_rng(15), 8, 8), size=0)
 
 
 class TestGenerator:
@@ -467,6 +606,33 @@ class TestLoadPreprocessed:
         manifest.save()
         with pytest.raises(DataError, match="no patches"):
             load_preprocessed(DatasetManifest.load(tmp_path), size=16)
+
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_empty_size_is_parameter_error(self, tmp_path, size):
+        manifest = generate_synthetic(tmp_path, [1] * 9, seed=0, size=8)
+        with pytest.raises(ParameterError, match="at least 1"):
+            load_preprocessed(manifest, size=size)
+
+    def test_calls_load_and_resize_once_per_entry(self, tmp_path, monkeypatch):
+        # a tracer times these two by patching them in the module
+        manifest = generate_synthetic(tmp_path, [2, 1, 1, 0, 0, 0, 0, 0, 1],
+                                      seed=4, size=12)
+        calls = {"load_ppm": 0, "resize_bilinear": 0}
+
+        def counting(name):
+            inner = getattr(data, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(data, name, counting(name))
+        for size in (12, 8):
+            load_preprocessed(manifest, size=size)
+        n = len(manifest.entries)
+        assert calls == {"load_ppm": 2 * n, "resize_bilinear": 2 * n}
 
 
 class TestParseJsonObject:
