@@ -50,13 +50,15 @@ err = finite_diff_check(lambda t: (layer_norm(t) @ mix).sum(),
                         Tensor(rng.normal(size=(6, 8))))
 print(f"layer_norm chain error:   {err:.2e}")
 
-# attention is softmax(q @ k^T * scale) @ v as one op: its graph keeps a
-# row log-sum-exp instead of the probabilities, and backward recomputes them
-k = Tensor(rng.normal(size=(2, 5, 4)))   # (heads, keys, width)
-v = Tensor(rng.normal(size=(2, 5, 3)))
-probe = Tensor(rng.normal(size=(2, 6, 3)))
-err = finite_diff_check(lambda t: (attention(t, k, v, 0.5) * probe).sum(),
-                        Tensor(rng.normal(size=(2, 6, 4))))
+# attention is multi-head softmax(q @ k^T * scale) @ v as one op on
+# (batch, tokens, heads*width) arrays: it splits the heads itself, and its
+# graph keeps a row log-sum-exp instead of the probabilities, which
+# backward recomputes
+k = Tensor(rng.normal(size=(1, 5, 8)))   # (batch, keys, 2 heads of 4)
+v = Tensor(rng.normal(size=(1, 5, 6)))
+probe = Tensor(rng.normal(size=(1, 6, 6)))
+err = finite_diff_check(lambda t: (attention(t, k, v, 2, 0.5) * probe).sum(),
+                        Tensor(rng.normal(size=(1, 6, 8))))
 print(f"attention (wrt q) error:  {err:.2e}")
 
 # cross entropy folds log-softmax and NLL into one op; its backward is the

@@ -19,6 +19,7 @@ import contextlib
 import functools
 import json
 import math
+import operator
 import os
 import re
 from dataclasses import dataclass, field
@@ -160,6 +161,15 @@ def _resize_plan(src_h: int, src_w: int, height: int, width: int) -> tuple:
     return plan
 
 
+def _as_size(value, what: str) -> int:
+    """``value`` as an int when it is an integer (Python or numpy), else
+    ParameterError: a float or a string is no pixel count."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{what} must be an integer, got {value!r}") from None
+
+
 def resize_bilinear(pixels: np.ndarray, width: int = 224,
                     height: int = 224) -> np.ndarray:
     """Bilinear resample of an (H, W, 3) uint8 image, half-pixel centered.
@@ -168,6 +178,8 @@ def resize_bilinear(pixels: np.ndarray, width: int = 224,
     on already-conforming inputs.
     """
     _check_pixels(pixels)
+    width = _as_size(width, "resize width")
+    height = _as_size(height, "resize height")
     if width < 1 or height < 1:
         raise ParameterError(
             f"resize target must be at least 1x1, got {width}x{height}")
@@ -338,6 +350,7 @@ class DatasetManifest:
 
 def load_preprocessed(manifest: DatasetManifest, size: int = 224):
     """Load every manifest entry into (N, 3, size, size) float32 + labels."""
+    size = _as_size(size, "image size")
     if size < 1:
         raise ParameterError(f"image size must be at least 1, got {size}")
     if not manifest.entries:

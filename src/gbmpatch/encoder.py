@@ -14,6 +14,11 @@ them into its weight rows and bias. Tiles have no bias, since ``pos`` is
 added to the same slots. Attention has no key bias, which softmax cancels,
 nor a value bias, which ``bo`` takes because attention rows sum to 1.
 
+Every projection is one ``linear`` node on (B, tokens, dim) rows, and
+``attention`` takes the (B, tokens, dim) q, k and v and splits the heads
+itself, so a block records 12 nodes: two norms, six linears, attention,
+silu and two residual adds.
+
 Defaults are desk scale (dim 32, depth 2) so the whole pipeline trains in
 seconds on a CPU; the geometry (224 input, 14 tile) matches the full-scale
 configuration, which only changes dim/depth/heads.
@@ -30,7 +35,7 @@ import numpy as np
 from .data import CHANNELS
 from .errors import DimensionError, ParameterError
 from .tensor import (Tensor, attention, broadcast_to, concat, layer_norm,
-                     narrow, reshape, silu, transpose)
+                     linear, narrow, silu)
 
 EncoderWeights = Dict[str, Tensor]
 
@@ -145,30 +150,23 @@ def embed(tiles: np.ndarray, w: EncoderWeights, cfg: EncoderConfig) -> Tensor:
         raise DimensionError(
             f"tiles {tiles.shape[1:]} do not match config "
             f"({cfg.n_patches}, {cfg.patch_dim})")
-    tokens = Tensor(tiles) @ w["patch.w"] + w["pos"]
-    cls = broadcast_to(reshape(w["cls"], (1, 1, cfg.dim)), (b, 1, cfg.dim))
-    reg = broadcast_to(reshape(w["reg"], (1, cfg.registers, cfg.dim)),
-                       (b, cfg.registers, cfg.dim))
+    tokens = linear(Tensor(tiles), w["patch.w"], w["pos"])
+    cls = broadcast_to(w["cls"], (b, 1, cfg.dim))
+    reg = broadcast_to(w["reg"], (b, cfg.registers, cfg.dim))
     return concat([cls, reg, tokens], axis=1)
 
 
 def _attention(x: Tensor, w: EncoderWeights, p: str, cfg: EncoderConfig) -> Tensor:
-    b, n, d = x.shape
-    h, dh = cfg.heads, cfg.head_dim
-
-    def heads(t):
-        return transpose(reshape(t, (b, n, h, dh)), (0, 2, 1, 3))
-
-    q = heads(x @ w[f"{p}.wq"] + w[f"{p}.bq"])
-    k = heads(x @ w[f"{p}.wk"])
-    v = heads(x @ w[f"{p}.wv"])
-    ctx = attention(q, k, v, 1.0 / math.sqrt(dh))
-    ctx = reshape(transpose(ctx, (0, 2, 1, 3)), (b, n, d))
-    return ctx @ w[f"{p}.wo"] + w[f"{p}.bo"]
+    q = linear(x, w[f"{p}.wq"], w[f"{p}.bq"])
+    k = linear(x, w[f"{p}.wk"])
+    v = linear(x, w[f"{p}.wv"])
+    ctx = attention(q, k, v, cfg.heads, 1.0 / math.sqrt(cfg.head_dim))
+    return linear(ctx, w[f"{p}.wo"], w[f"{p}.bo"])
 
 
 def _mlp(x: Tensor, w: EncoderWeights, p: str) -> Tensor:
-    return silu(x @ w[f"{p}.w1"] + w[f"{p}.b1"]) @ w[f"{p}.w2"] + w[f"{p}.b2"]
+    return linear(silu(linear(x, w[f"{p}.w1"], w[f"{p}.b1"])),
+                  w[f"{p}.w2"], w[f"{p}.b2"])
 
 
 def encode_batch(images: np.ndarray, w: EncoderWeights,

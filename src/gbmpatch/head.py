@@ -15,7 +15,8 @@ import numpy as np
 from .data import N_CLASSES
 from .encoder import EncoderConfig, init_params, split_tokens
 from .errors import DimensionError, ParameterError
-from .tensor import Tensor, concat, dropout, reshape, silu, tensor_mean
+from .tensor import (Tensor, concat, dropout, linear, reshape, silu,
+                     tensor_mean)
 
 HeadWeights = Dict[str, Tensor]
 
@@ -63,9 +64,9 @@ def head_forward(features: Tensor, w: HeadWeights, cfg: HeadConfig,
     if features.ndim != 2 or features.shape[1] != w["w1"].shape[0]:
         raise DimensionError(
             f"features {features.shape} do not match w1 {w['w1'].shape}")
-    h = silu(features @ w["w1"] + w["b1"])
+    h = silu(linear(features, w["w1"], w["b1"]))
     h = dropout(h, cfg.dropout, seed=dropout_seed, training=train)
-    return h @ w["w2"] + w["b2"]
+    return linear(h, w["w2"], w["b2"])
 
 
 def predict(logits: Tensor) -> np.ndarray:

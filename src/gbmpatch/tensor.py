@@ -237,8 +237,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product with numpy stacking semantics on leading axes.
 
     Gradients: dA = dC @ B^T, dB = A^T @ dC (transposes on the last two
-    axes). The one op that skips an operand without ``requires_grad``:
-    embed's input tiles and a frozen encoder's features are large.
+    axes). Like ``linear``, it skips an operand without ``requires_grad``.
     """
     if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise DimensionError(
@@ -249,6 +248,33 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                 np.swapaxes(a.data, -1, -2) @ g if b.requires_grad else None)
 
     return _make(a.data @ b.data, (a, b), backward, "matmul")
+
+
+def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
+    """x @ w + b over the last axis of x, as one node. ``b`` broadcasts
+    against the output: a (k,) bias or, for embed, one row per token.
+
+    Gradients: dX = G @ Wᵀ (skipped, as in ``matmul``, when x needs none)
+    and dW = Xᵀ @ G, each one 2-D GEMM over all of x's rows, and dB = G,
+    which the engine sums down to b's shape.
+    """
+    shape = x.shape[:-1] + w.shape[1:]
+    if (x.ndim < 1 or w.ndim != 2 or x.shape[-1] != w.shape[0] or b is not None
+            and (b.ndim > len(shape) or shape[len(shape) - b.ndim:] != b.shape)):
+        raise DimensionError(f"linear shapes incompatible: {x.shape} x {w.shape}"
+                             + ("" if b is None else f" + {b.shape}"))
+    out = x.data @ w.data
+    if b is not None and np.result_type(out, b.data) == out.dtype:
+        out += b.data   # in place: a second fresh array pays its page faults again
+    elif b is not None:
+        out = out + b.data
+
+    def backward(g):
+        rows, g2 = x.data.reshape(-1, w.shape[0]), g.reshape(-1, w.shape[1])
+        dx = (g2 @ w.data.T).reshape(x.shape) if x.requires_grad else None
+        return dx, rows.T @ g2 if w.requires_grad else None, g
+
+    return _make(out, (x, w) if b is None else (x, w, b), backward, "linear")
 
 
 # ----------------------------------------------------------------------
@@ -342,63 +368,106 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
         out_data * (g - (g * out_data).sum(axis=axis, keepdims=True)),), "softmax")
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
-    """softmax(q @ k^T * scale) @ v over the last two axes.
+def _split_heads(x: np.ndarray, heads: int, dtype, last=None,
+                 transpose: bool = False) -> np.ndarray:
+    """(B, n, heads·w) -> (B·heads, n, w) slices, one per head. ``last``
+    adds column w, as in ``[k | 1]``; ``transpose`` stores each slice
+    transposed, so that a matmul reads it as a contiguous right operand."""
+    b, n, width = x.shape
+    w = width // heads
+    parts = x.reshape(b, n, heads, w).transpose(0, 2, 1, 3)
+    cols = w if last is None else w + 1
+    shape = (b, heads, cols, n) if transpose else (b, heads, n, cols)
+    out = np.empty(shape, dtype)
+    view = out.swapaxes(-1, -2) if transpose else out
+    view[..., :w] = parts
+    if last is not None:
+        view[..., w] = last
+    return out.reshape(b * heads, *shape[2:])
 
-    The graph keeps q, k, v, the output and each query row's log-sum-exp;
-    the probability block lives only while each pass runs. Backward
-    recomputes it as exp(q @ k^T * scale - lse) and takes the softmax
-    row term rowsum(dP * P) as rowsum(dO * O), which is equal. Both passes
-    walk the leading axes in chunks whose score block fits in _SCORE_BYTES,
-    with the scale on q and the row-sum division after ``@ v`` (Rabe &
-    Staats, arXiv 2112.05682; FlashAttention, arXiv 2205.14135).
+
+def _merge_heads(x: np.ndarray, b: int) -> np.ndarray:
+    """(B·heads, n, w) -> (B, n, heads·w), the inverse of ``_split_heads``."""
+    s, n, w = x.shape
+    return x.reshape(b, s // b, n, w).transpose(0, 2, 1, 3).reshape(b, n, -1)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float) -> Tensor:
+    """Multi-head softmax(q @ kᵀ * scale) @ v over (B, N, heads·w) tokens.
+
+    Head h reads columns [h·w, (h+1)·w) of q, k and v and writes the same
+    columns of the output. The op splits the heads into slices with an
+    extra column that folds a pass over the score block into a matmul
+    (Rabe & Staats, arXiv 2112.05682; FlashAttention-2, arXiv 2307.08691):
+
+    - forward reads each row's sum from ``P @ [v | 1]``;
+    - the graph keeps ``[q·scale | −lse]`` and ``[k | 1]ᵀ``, not the
+      (B, heads, N, N) probabilities, and backward recomputes them as
+      ``exp([q·scale | −lse] @ [k | 1]ᵀ)``;
+    - the softmax row term D = rowsum(dP * P) equals rowsum(dO * O), and
+      ``[dO | −D] @ [v | 1]ᵀ`` gives dP − D.
+
+    Every right operand is stored contiguous, as BLAS reads a transposed
+    one about 1.7x slower here. Both passes walk the slices in chunks
+    whose score block fits in _SCORE_BYTES, reusing one block; the chunk
+    size moves no bits.
     """
-    if (q.ndim < 2 or k.ndim != q.ndim or k.shape[:-2] != q.shape[:-2]
-            or k.shape[-1] != q.shape[-1] or v.shape[:-1] != k.shape[:-1]):
+    if heads < 1:
+        raise ParameterError(f"attention heads must be positive, got {heads}")
+    if (q.ndim != 3 or k.ndim != 3 or v.ndim != 3 or k.shape[0] != q.shape[0]
+            or k.shape[-1] != q.shape[-1] or v.shape[:-1] != k.shape[:-1]
+            or q.shape[-1] % heads or v.shape[-1] % heads):
         raise DimensionError(
-            f"attention shapes incompatible: q {q.shape}, k {k.shape}, v {v.shape}")
-    slices = int(np.prod(q.shape[:-2]))
+            f"attention shapes incompatible: q {q.shape}, k {k.shape}, "
+            f"v {v.shape}, {heads} heads")
+    b, n, m = q.shape[0], q.shape[1], k.shape[1]
+    qw, vw = q.shape[-1] // heads, v.shape[-1] // heads
+    dtype = np.result_type(q.data, k.data, v.data)
+    qa = _split_heads(q.data * scale, heads, dtype, 0.0)   # [q·s | −lse]
+    kt = _split_heads(k.data, heads, dtype, 1.0, transpose=True)
+    va = _split_heads(v.data, heads, dtype, 1.0)
+    slices = b * heads
+    step = max(1, _SCORE_BYTES // max(1, n * m * np.dtype(dtype).itemsize))
+    chunks = [slice(i, min(i + step, slices)) for i in range(0, slices, step)]
+    block = (min(step, slices), n, m)
 
-    def flat():
-        return (t.data.reshape((slices,) + t.shape[-2:]) for t in (q, k, v))
-
-    def scores(q3, k3, c):
-        qs = q3[c] * scale
-        return qs, qs @ np.swapaxes(k3[c], -1, -2)
-
-    q3, k3, v3 = flat()
-    out = np.empty(q3.shape[:-1] + v3.shape[-1:], np.result_type(q3, k3, v3))
-    lse = np.empty(q3.shape[:-1] + (1,), out.dtype)
-    step = max(1, _SCORE_BYTES // max(1, q3.shape[1] * k3.shape[1] * out.itemsize))
-    chunks = [slice(i, i + step) for i in range(0, slices, step)]
+    scores = np.empty(block, dtype)
+    summed = np.empty((slices, n, vw + 1), dtype)   # [P @ v | rowsum(P)]
     for c in chunks:
-        _, p = scores(q3, k3, c)
+        p = np.matmul(qa[c, :, :qw], kt[c, :qw], out=scores[:c.stop - c.start])
         row_max = p.max(axis=-1, keepdims=True)
         p -= row_max
         np.exp(p, out=p)
-        total = p.sum(axis=-1, keepdims=True)
-        out[c] = p @ v3[c] / total
-        lse[c] = row_max + np.log(total)
+        np.matmul(p, va[c], out=summed[c])
+        qa[c, :, qw:] = row_max   # until the row sums give lse
+    total = summed[..., vw:]
+    qa[..., qw:] = -(qa[..., qw:] + np.log(total))
+    out = np.empty((b, n, heads, vw), dtype)
+    np.divide(summed[..., :vw].reshape(b, heads, n, vw),
+              total.reshape(b, heads, n, 1), out=out.transpose(0, 2, 1, 3))
+    out = out.reshape(b, n, heads * vw)
 
     def backward(g):
-        q3, k3, v3 = flat()
-        g = g.reshape(out.shape)
-        dq, dk, dv = (np.empty(t.shape, out.dtype) for t in (q3, k3, v3))
+        d = (g * out).reshape(b, n, heads, vw).sum(axis=-1)
+        ga = _split_heads(g, heads, dtype, -d.transpose(0, 2, 1))   # [g | −D]
+        vt = _split_heads(v.data, heads, dtype, 1.0, transpose=True)
+        ks = _split_heads(k.data, heads, dtype)
+        dq, dk = np.empty((slices, n, qw), dtype), np.empty((slices, m, qw), dtype)
+        dv = np.empty((slices, m, vw), dtype)
+        scores, ds = np.empty(block, dtype), np.empty(block, dtype)
         for c in chunks:
-            qs, p = scores(q3, k3, c)
-            p -= lse[c]
+            rows = c.stop - c.start
+            p = np.matmul(qa[c], kt[c], out=scores[:rows])
             np.exp(p, out=p)
-            dv[c] = np.swapaxes(p, -1, -2) @ g[c]
-            ds = g[c] @ np.swapaxes(v3[c], -1, -2)
-            ds -= (g[c] * out[c]).sum(axis=-1, keepdims=True)
-            ds *= p
-            dq[c] = ds @ k3[c]
-            dk[c] = np.swapaxes(ds, -1, -2) @ qs
+            np.matmul(np.swapaxes(p, -1, -2), ga[c, :, :vw], out=dv[c])
+            dp = np.matmul(ga[c], vt[c], out=ds[:rows])   # dP − D
+            dp *= p
+            np.matmul(dp, ks[c], out=dq[c])
+            np.matmul(np.swapaxes(dp, -1, -2), qa[c, :, :qw], out=dk[c])
         dq *= scale
-        return dq.reshape(q.shape), dk.reshape(k.shape), dv.reshape(v.shape)
+        return _merge_heads(dq, b), _merge_heads(dk, b), _merge_heads(dv, b)
 
-    return _make(out.reshape(q.shape[:-1] + v.shape[-1:]), (q, k, v), backward,
-                 "attention")
+    return _make(out, (q, k, v), backward, "attention")
 
 
 def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:

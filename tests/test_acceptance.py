@@ -26,8 +26,8 @@ from gbmpatch.metrics import (BinaryCounts, ConfusionMatrix, basic_metrics,
                               mcc_multiclass, micro_average, one_vs_rest)
 from gbmpatch.model import PatchClassifier
 from gbmpatch.tensor import (Tensor, attention, concat, cross_entropy,
-                             dropout, finite_diff_check, layer_norm, narrow,
-                             softmax, silu, transpose)
+                             dropout, finite_diff_check, layer_norm, linear,
+                             narrow, softmax, silu, transpose)
 
 
 def _line(name: str, passed: bool, detail: str):
@@ -41,9 +41,9 @@ def _line(name: str, passed: bool, detail: str):
 
 def _op_cases(rng, att_rng):
     """name -> (probe, f), f mapping a tensor shaped like the probe to a
-    scalar. attention's operands and probes come from ``att_rng``, so its
-    cases leave the draws from ``rng`` that every other case and the
-    composite check see where they were."""
+    scalar. attention's and linear's operands and probes come from
+    ``att_rng``, so their cases leave the draws from ``rng`` that every
+    other case and the composite check see where they were."""
     c34 = Tensor(rng.normal(size=(3, 4)))
     c4 = Tensor(rng.normal(size=(4,)))
     c45 = Tensor(rng.normal(size=(4, 5)))
@@ -80,18 +80,26 @@ def _op_cases(rng, att_rng):
     cases = {name: (rng.normal(size=shape), f)
              for name, (shape, f) in cases.items()}
 
-    # (batch, heads, rows, width) q, k, v and output weights
-    att = [Tensor(att_rng.normal(size=(2, 2, 3, 4))) for _ in range(4)]
+    # (batch, rows, heads·width) q, k, v and output weights, two heads
+    att = [Tensor(att_rng.normal(size=(2, 3, 8))) for _ in range(4)]
 
     def attention_case(slot):
         def f(t):
             qkv = att[:3]
             qkv[slot] = t
-            return (attention(*qkv, 0.5) * att[3]).sum()
-        return att_rng.normal(size=(2, 2, 3, 4)), f
+            return (attention(*qkv, 2, 0.5) * att[3]).sum()
+        return att_rng.normal(size=(2, 3, 8)), f
 
     for slot, name in enumerate("qkv"):
         cases[f"attention_{name}"] = attention_case(slot)
+    # linear on a 3-D x, its weight, and position rows as embed adds them
+    lin_x, lin_w = att[0], Tensor(att_rng.normal(size=(8, 2)))
+    cases["linear_x"] = (att_rng.normal(size=(2, 3, 8)),
+                         lambda t: (silu(linear(t, lin_w)) * 1.0).sum())
+    cases["linear_w"] = (att_rng.normal(size=(8, 2)),
+                         lambda t: (silu(linear(lin_x, t)) * 1.0).sum())
+    cases["linear_b"] = (att_rng.normal(size=(3, 2)),
+                         lambda t: (silu(linear(lin_x, lin_w, t)) * 1.0).sum())
     return cases
 
 

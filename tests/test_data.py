@@ -318,6 +318,17 @@ class TestResize:
         with pytest.raises(ParameterError, match="at least 1x1"):
             resize_bilinear(img, width, height)
 
+    @pytest.mark.parametrize("width, height", [(5.5, 5), (5, "5")])
+    def test_rejects_non_integer_target(self, width, height):
+        img = random_patch(np.random.default_rng(14), 10, 10)
+        with pytest.raises(ParameterError, match="must be an integer"):
+            resize_bilinear(img, width, height)
+
+    def test_numpy_integer_target_is_a_size(self):
+        img = random_patch(np.random.default_rng(14), 10, 10)
+        assert np.array_equal(resize_bilinear(img, np.int64(5), np.int32(4)),
+                              resize_bilinear(img, 5, 4))
+
 
 class TestToTensor:
     def test_layout_and_range(self):
@@ -396,6 +407,16 @@ class TestPreprocess:
     def test_rejects_empty_size(self):
         with pytest.raises(ParameterError):
             preprocess(random_patch(np.random.default_rng(15), 8, 8), size=0)
+
+    @pytest.mark.parametrize("size", [5.5, "5"])
+    def test_rejects_non_integer_size(self, size):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            preprocess(random_patch(np.random.default_rng(15), 8, 8), size=size)
+
+    def test_numpy_integer_size_is_a_size(self):
+        img = random_patch(np.random.default_rng(15), 8, 8)
+        want = preprocess(img, size=5)
+        assert preprocess(img, size=np.int64(5)).tobytes() == want.tobytes()
 
 
 class TestGenerator:
@@ -612,6 +633,18 @@ class TestLoadPreprocessed:
         manifest = generate_synthetic(tmp_path, [1] * 9, seed=0, size=8)
         with pytest.raises(ParameterError, match="at least 1"):
             load_preprocessed(manifest, size=size)
+
+    @pytest.mark.parametrize("size", [5.5, "5"])
+    def test_non_integer_size_is_parameter_error(self, tmp_path, size):
+        manifest = generate_synthetic(tmp_path, [1] * 9, seed=0, size=8)
+        with pytest.raises(ParameterError, match="must be an integer"):
+            load_preprocessed(manifest, size=size)
+
+    def test_numpy_integer_size_is_a_size(self, tmp_path):
+        manifest = generate_synthetic(tmp_path, [1] * 9, seed=0, size=8)
+        got, labels = load_preprocessed(manifest, size=np.int64(5))
+        want, _ = load_preprocessed(manifest, size=5)
+        assert got.shape == (9, 3, 5, 5) and got.tobytes() == want.tobytes()
 
     def test_calls_load_and_resize_once_per_entry(self, tmp_path, monkeypatch):
         # a tracer times these two by patching them in the module

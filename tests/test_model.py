@@ -12,8 +12,9 @@ from gbmpatch.encoder import EncoderConfig, split_tokens, tile_image
 from gbmpatch.errors import DimensionError
 from gbmpatch.head import HeadConfig
 from gbmpatch.model import PatchClassifier
-from gbmpatch.tensor import (Tensor, attention, broadcast_to, concat,
-                             layer_norm, reshape, silu, tensor_mean, transpose)
+from gbmpatch.tensor import (ComputationRecord, Tensor, attention,
+                             broadcast_to, concat, layer_norm, linear,
+                             reshape, silu, tensor_mean)
 
 TINY = EncoderConfig(image_size=28, tile_size=14, dim=8, depth=1, heads=2,
                      registers=2, mlp_ratio=2)
@@ -72,6 +73,27 @@ def test_builds_no_graph(model, images, monkeypatch):
     assert all(p.grad is None for p in model.parameters().values())
 
 
+def test_desk_loss_graph_is_small():
+    """A 56/14 train loss records one node per op the model states: each
+    block is two norms, six ``linear``s, ``attention``, ``silu`` and two
+    residual adds, with no head split or merge of its own."""
+    cfg = EncoderConfig(image_size=56)
+    model = PatchClassifier(cfg, HeadConfig(), seed=0)
+    images = np.random.default_rng(0).normal(size=(2, 3, 56, 56))
+    loss = model.loss(images.astype(np.float32), [0, 1], dropout_seed=1)
+    ops = [n._op for n in ComputationRecord.trace(loss).nodes if n._parents]
+    assert len(ops) <= 42
+    per_block = {"layer_norm": 2, "linear": 6, "attention": 1, "silu": 1,
+                 "add": 2}
+    outside = {"linear": 3, "broadcast": 2, "concat": 2, "layer_norm": 1,
+               "narrow": 2, "mean": 1, "reshape": 1, "silu": 1, "dropout": 1,
+               "cross_entropy": 1}
+    want = {op: cfg.depth * per_block.get(op, 0) + outside.get(op, 0)
+            for op in {*per_block, *outside}}
+    assert {op: ops.count(op) for op in set(ops)} == want
+    assert "transpose" not in ops
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_no_parameter_is_inert(images, seed):
     # a weight the math cancels (a key bias under softmax) gets a gradient
@@ -97,39 +119,33 @@ def affine_reference(images, w, enc_cfg):
     bias ``patch.b`` and a value bias ``bv`` per block. Built from public
     ops in the forward's own order, so unit gains and zero biases give
     the model's bits."""
-    b, d, h = images.shape[0], enc_cfg.dim, enc_cfg.heads
-    dh = enc_cfg.head_dim
+    b, d = images.shape[0], enc_cfg.dim
 
     def norm(x, p):
         return layer_norm(x) * w[f"{p}.g"] + w[f"{p}.b"]
 
-    def heads(t):
-        return transpose(reshape(t, (b, -1, h, dh)), (0, 2, 1, 3))
-
     tiles = Tensor(tile_image(images, enc_cfg.tile_size))
-    tokens = tiles @ w["enc.patch.w"] + w["enc.patch.b"] + w["enc.pos"]
-    cls = broadcast_to(reshape(w["enc.cls"], (1, 1, d)), (b, 1, d))
-    reg = broadcast_to(reshape(w["enc.reg"], (1, enc_cfg.registers, d)),
-                       (b, enc_cfg.registers, d))
+    tokens = linear(tiles, w["enc.patch.w"], w["enc.pos"]) + w["enc.patch.b"]
+    cls = broadcast_to(w["enc.cls"], (b, 1, d))
+    reg = broadcast_to(w["enc.reg"], (b, enc_cfg.registers, d))
     x = concat([cls, reg, tokens], axis=1)
     for i in range(enc_cfg.depth):
         p = f"enc.blk{i}"
         y = norm(x, f"{p}.ln1")
-        q = heads(y @ w[f"{p}.attn.wq"] + w[f"{p}.attn.bq"])
-        k = heads(y @ w[f"{p}.attn.wk"])
-        v = heads(y @ w[f"{p}.attn.wv"] + w[f"{p}.attn.bv"])
-        ctx = attention(q, k, v, 1.0 / math.sqrt(dh))
-        ctx = reshape(transpose(ctx, (0, 2, 1, 3)), (b, -1, d))
-        x = x + (ctx @ w[f"{p}.attn.wo"] + w[f"{p}.attn.bo"])
+        q = linear(y, w[f"{p}.attn.wq"], w[f"{p}.attn.bq"])
+        k = linear(y, w[f"{p}.attn.wk"])
+        v = linear(y, w[f"{p}.attn.wv"], w[f"{p}.attn.bv"])
+        ctx = attention(q, k, v, enc_cfg.heads, 1.0 / math.sqrt(enc_cfg.head_dim))
+        x = x + linear(ctx, w[f"{p}.attn.wo"], w[f"{p}.attn.bo"])
         y = norm(x, f"{p}.ln2")
-        x = x + (silu(y @ w[f"{p}.mlp.w1"] + w[f"{p}.mlp.b1"])
-                 @ w[f"{p}.mlp.w2"] + w[f"{p}.mlp.b2"])
+        x = x + linear(silu(linear(y, w[f"{p}.mlp.w1"], w[f"{p}.mlp.b1"])),
+                       w[f"{p}.mlp.w2"], w[f"{p}.mlp.b2"])
     seq = norm(x, "enc.final")
     cls, patches = split_tokens(seq, enc_cfg)
     feats = concat([tensor_mean(patches, axis=1), reshape(cls, (b, d))],
                    axis=1)
-    hidden = silu(feats @ w["head.w1"] + w["head.b1"])
-    return hidden @ w["head.w2"] + w["head.b2"]
+    hidden = silu(linear(feats, w["head.w1"], w["head.b1"]))
+    return linear(hidden, w["head.w2"], w["head.b2"])
 
 
 def affine_names(enc_cfg):

@@ -82,28 +82,44 @@ class TestSoftmax:
             np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-6)
 
 
-def composite_attention(q, k, v, scale):
-    """``softmax(q @ kᵀ * scale) @ v`` from separate ops: the reference
-    ``attention`` must match."""
-    return T.softmax((q @ T.transpose(k, (0, 1, 3, 2))) * scale, axis=-1) @ v
+def heads_last(a):
+    """(batch, heads, rows, width) -> the (batch, rows, heads·width) layout
+    ``attention`` takes."""
+    b, h, n, w = a.shape
+    return np.ascontiguousarray(a.transpose(0, 2, 1, 3)).reshape(b, n, h * w)
+
+
+def composite_attention(q, k, v, heads, scale):
+    """``softmax(q @ kᵀ * scale) @ v`` per head from separate ops: the
+    reference ``attention`` must match."""
+    b, n, d = q.shape
+
+    def split(t):
+        return T.transpose(T.reshape(t, (b, -1, heads, t.shape[-1] // heads)),
+                           (0, 2, 1, 3))
+
+    scores = (split(q) @ T.transpose(split(k), (0, 1, 3, 2))) * scale
+    ctx = T.softmax(scores, axis=-1) @ split(v)
+    return T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, n, -1))
 
 
 class TestAttention:
     @staticmethod
     def operands(spread):
-        """float32 (batch, heads, rows, width) q, k, v and output weights,
-        with a scale that puts the largest score at +-``spread``."""
+        """float32 (batch, rows, heads·width) q, k, v and output weights
+        from (batch, heads, rows, width) draws, with a scale that puts the
+        largest score at +-``spread``."""
         rng = np.random.default_rng(3)
         q, k, v, w = (rng.normal(size=(2, 4, 7, 8)).astype(np.float32)
                       for _ in range(4))
         scale = spread / float(np.abs(q @ np.swapaxes(k, -1, -2)).max())
-        return q, k, v, w, scale
+        return (*(heads_last(a) for a in (q, k, v, w)), scale)
 
     @pytest.mark.parametrize("spread", [1.0, 1000.0])
     def test_forward_matches_composite(self, spread):
         q, k, v, _, scale = self.operands(spread)
-        fused = T.attention(Tensor(q), Tensor(k), Tensor(v), scale).data
-        unfused = composite_attention(Tensor(q), Tensor(k), Tensor(v), scale).data
+        fused = T.attention(Tensor(q), Tensor(k), Tensor(v), 4, scale).data
+        unfused = composite_attention(Tensor(q), Tensor(k), Tensor(v), 4, scale).data
         assert fused.dtype == np.float32 and np.all(np.isfinite(fused))
         np.testing.assert_allclose(fused, unfused, rtol=1e-5, atol=1e-6)
 
@@ -113,7 +129,7 @@ class TestAttention:
         grads = []
         for op in (T.attention, composite_attention):
             leaves = [Tensor(a, requires_grad=True) for a in (q, k, v)]
-            (op(*leaves, scale) * Tensor(w)).sum().backward()
+            (op(*leaves, 4, scale) * Tensor(w)).sum().backward()
             grads.append([t.grad for t in leaves])
         # on saturated rows D = rowsum(dO * O) cancels two near-equal terms,
         # so an entry is good to float32 rounding of the largest gradient
@@ -124,17 +140,17 @@ class TestAttention:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_chunk_size_moves_no_bits(self, monkeypatch, dtype):
-        # 15 (batch, head) slices: chunks of 1, of 4 (which leave a
-        # remainder of 3) and one chunk over all of them
+        # 3 batches of 5 heads, 15 slices: chunks of 1, of 4 (which leave
+        # a remainder of 3) and one chunk over all of them
         rng = np.random.default_rng(5)
-        q, k, v, w = (rng.normal(size=(3, 5, 37, 8)).astype(dtype)
+        q, k, v, w = (heads_last(rng.normal(size=(3, 5, 37, 8)).astype(dtype))
                       for _ in range(4))
         block = 37 * 37 * np.dtype(dtype).itemsize
         runs = []
         for score_bytes in (1, 4 * block, 1 << 40):
             monkeypatch.setattr(T, "_SCORE_BYTES", score_bytes)
             leaves = [Tensor(a, requires_grad=True) for a in (q, k, v)]
-            out = T.attention(*leaves, 0.3)
+            out = T.attention(*leaves, 5, 0.3)
             (out * Tensor(w)).sum().backward()
             runs.append([out.data] + [t.grad for t in leaves])
         for run in runs[1:]:
@@ -142,15 +158,96 @@ class TestAttention:
                 assert got.dtype == dtype
                 np.testing.assert_array_equal(got, want)
 
+    def test_second_backward_repeats_the_first_bit_for_bit(self, monkeypatch):
+        # chunks of 4 slices over 15 reuse one score and one ds block
+        # within a call; a second call must not read the first one's
+        monkeypatch.setattr(T, "_SCORE_BYTES", 4 * 37 * 37 * 4)
+        rng = np.random.default_rng(6)
+        q, k, v, w = (heads_last(rng.normal(size=(3, 5, 37, 8)).astype(np.float32))
+                      for _ in range(4))
+        leaves = [Tensor(a, requires_grad=True) for a in (q, k, v)]
+        loss = (T.attention(*leaves, 5, 0.3) * Tensor(w)).sum()
+        grads = []
+        for _ in range(2):
+            for t in leaves:
+                t.zero_grad()
+            loss.backward()
+            grads.append([t.grad.copy() for t in leaves])
+        for first, second in zip(*grads):
+            np.testing.assert_array_equal(first, second)
+
+    def test_heads_split_the_columns(self):
+        # with one head per column block, attention is per-block attention
+        rng = np.random.default_rng(7)
+        q, k, v = (rng.normal(size=(2, 5, 6)) for _ in range(3))
+        whole = T.attention(Tensor(q), Tensor(k), Tensor(v), 3, 0.4).data
+        for h in range(3):
+            cols = slice(2 * h, 2 * h + 2)
+            one = T.attention(*(Tensor(a[..., cols]) for a in (q, k, v)), 1, 0.4)
+            np.testing.assert_array_equal(one.data, whole[..., cols])
+
     @pytest.mark.parametrize("k_shape,v_shape", [
-        ((2, 5, 4), (2, 5, 3)),      # k lacks the head axis
-        ((2, 3, 5, 6), (2, 3, 5, 3)),  # key width differs from query width
-        ((2, 3, 5, 4), (2, 3, 6, 3)),  # fewer keys than values
+        ((5, 12), (5, 12)),          # k lacks the batch axis
+        ((2, 5, 9), (2, 5, 12)),     # key width differs from query width
+        ((2, 5, 12), (2, 6, 12)),    # fewer keys than values
+        ((2, 5, 12), (2, 5, 10)),    # 3 heads do not divide 10 value columns
     ])
     def test_shape_mismatch_rejected(self, k_shape, v_shape):
-        q = Tensor(np.zeros((2, 3, 7, 4)))
+        q = Tensor(np.zeros((2, 7, 12)))
         with pytest.raises(DimensionError):
-            T.attention(q, Tensor(np.zeros(k_shape)), Tensor(np.zeros(v_shape)), 1.0)
+            T.attention(q, Tensor(np.zeros(k_shape)), Tensor(np.zeros(v_shape)),
+                        3, 1.0)
+
+    def test_heads_must_divide_the_query_width(self):
+        t = Tensor(np.zeros((2, 7, 12)))
+        with pytest.raises(DimensionError, match="5 heads"):
+            T.attention(t, t, t, 5, 1.0)
+
+    def test_nonpositive_heads_rejected(self):
+        t = Tensor(np.zeros((2, 7, 12)))
+        with pytest.raises(ParameterError):
+            T.attention(t, t, t, 0, 1.0)
+
+
+class TestLinear:
+    @pytest.mark.parametrize("x_shape", [(5, 4), (2, 5, 4)])
+    @pytest.mark.parametrize("with_bias", [False, True])
+    def test_equals_matmul_plus_bias(self, x_shape, with_bias):
+        rng = np.random.default_rng(8)
+        x, w, b = (rng.normal(size=s).astype(np.float32)
+                   for s in (x_shape, (4, 3), (3,)))
+        got = T.linear(Tensor(x), Tensor(w), Tensor(b) if with_bias else None).data
+        want = x @ w + b if with_bias else x @ w
+        assert got.shape == x_shape[:-1] + (3,) and got.dtype == np.float32
+        np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-6)
+
+    def test_position_rows_broadcast_over_the_batch(self):
+        rng = np.random.default_rng(9)
+        x, w, pos = (rng.normal(size=s) for s in ((2, 5, 4), (4, 3), (5, 3)))
+        got = T.linear(Tensor(x), Tensor(w), Tensor(pos)).data
+        np.testing.assert_allclose(got, x @ w + pos, rtol=1e-12, atol=1e-12)
+
+    def test_constant_input_gets_no_gradient(self):
+        rng = np.random.default_rng(10)
+        x = Tensor(rng.normal(size=(2, 5, 4)))
+        w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        node = T.linear(x, w)
+        dx, dw, _ = node._backward_fn(np.ones(node.shape))
+        assert dx is None and dw.shape == (4, 3)
+        T.silu(node).sum().backward()
+        assert x.grad is None and w.grad is not None
+
+    @pytest.mark.parametrize("w_shape,b_shape", [
+        ((3, 2), None),      # rows of w do not match x's last axis
+        ((4,), None),        # w is not a matrix
+        ((4, 2), (3,)),      # bias width differs from the output's
+        ((4, 2), (6, 2)),    # more position rows than tokens
+    ])
+    def test_shape_mismatch_rejected(self, w_shape, b_shape):
+        x = Tensor(np.zeros((2, 5, 4)))
+        b = None if b_shape is None else Tensor(np.zeros(b_shape))
+        with pytest.raises(DimensionError):
+            T.linear(x, Tensor(np.zeros(w_shape)), b)
 
 
 class TestSilu:
@@ -358,17 +455,28 @@ class TestFiniteDiffCheck:
         assert T.finite_diff_check(f, x) < 1e-3
 
 
-# fixed (batch, heads, rows, width) operands for the attention cases; the
-# probe replaces one of q, k, v
-_ATT = [Tensor(a) for a in np.random.default_rng(5).normal(size=(4, 1, 2, 3, 2))]
+# fixed (batch, rows, heads·width) operands for the attention cases, two
+# heads of width 2; the probe replaces one of q, k, v
+_ATT = [Tensor(heads_last(a))
+        for a in np.random.default_rng(5).normal(size=(4, 1, 2, 3, 2))]
 
 
 def _attention_case(slot):
     def f(t):
         qkv = _ATT[:3]
         qkv[slot] = t.reshape(_ATT[slot].shape)
-        return T.mul(T.attention(*qkv, 0.7), _ATT[3]).sum()
+        return T.mul(T.attention(*qkv, 2, 0.7), _ATT[3]).sum()
     return f
+
+
+# fixed operands for the linear cases, whose (3, 4) probe is a 3-D x,
+# the weight (with a bias), or position rows added to each batch entry
+_LIN = {name: Tensor(a) for name, a in {
+    "w_for_x": np.linspace(-1, 1, 8).reshape(4, 2),
+    "x_for_w": np.random.default_rng(6).normal(size=(2, 5, 3)),
+    "b_for_w": np.linspace(-0.5, 0.5, 4),
+    "x_for_b": np.random.default_rng(7).normal(size=(2, 3, 5)),
+    "w_for_b": np.linspace(-1, 1, 20).reshape(5, 4)}.items()}
 
 
 GRAD_CASES = {
@@ -392,6 +500,12 @@ GRAD_CASES = {
     "attention_q": _attention_case(0),
     "attention_k": _attention_case(1),
     "attention_v": _attention_case(2),
+    "linear_x": lambda t: T.silu(
+        T.linear(t.reshape((3, 1, 4)), _LIN["w_for_x"])).sum(),
+    "linear_w": lambda t: T.silu(
+        T.linear(_LIN["x_for_w"], t, _LIN["b_for_w"])).sum(),
+    "linear_b": lambda t: T.silu(
+        T.linear(_LIN["x_for_b"], _LIN["w_for_b"], t)).sum(),
 }
 
 
