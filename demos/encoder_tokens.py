@@ -5,14 +5,16 @@ A 224x224 RGB patch is cut into 14x14 tiles (256 of them), each flattened
 channel-major, projected to the model width and given its tile's position
 embedding. One class token and four register tokens are then prepended, so
 the sequence the blocks see has 1 + 4 + 256 = 261 slots. The classification
-head never looks at the registers: it concatenates the mean of the 256 patch
-tokens with the class token, giving a 2*dim feature.
+head never looks at the registers: one fixed (2, 261) readout matrix, with
+1/256 on the patch slots of its first row, 1 on the class slot of its second
+and 0 on the registers, reads the mean of the patch tokens and the class
+token off the sequence, giving a 2*dim feature.
 """
 
 import numpy as np
 
 from gbmpatch import (EncoderConfig, aggregate_features, encode_batch,
-                      init_encoder, split_tokens, tile_image)
+                      init_encoder, readout, tile_image)
 
 ## full-size geometry, small width so it runs fast
 
@@ -32,11 +34,13 @@ weights = init_encoder(cfg, seed=0)
 seq = encode_batch(images, weights, cfg)
 print("encoded        :", seq.data.shape)  # (2, 261, 32)
 
-cls, patches = split_tokens(seq, cfg)
-print("class token    :", cls.data.shape)
+print("class token    :", seq.data[:, :1].shape)
 print("registers      :", seq.data[:, 1:1 + cfg.registers].shape)
-print("patch tokens   :", patches.data.shape)
+print("patch tokens   :", seq.data[:, 1 + cfg.registers:].shape)
 
+rows = readout(cfg)
+print("readout        :", rows.shape, "patch weight", rows[0, -1],
+      "register weights", rows[:, 1:1 + cfg.registers].sum())
 feats = aggregate_features(seq, cfg)
 print("aggregate      :", feats.data.shape, "(= 2*dim)")
 
@@ -60,7 +64,7 @@ img = rng.normal(size=(1, 3, 28, 28)).astype(np.float32)
 rolled = np.roll(img, cfg_tiny.tile_size, axis=3)  # swap the two tile columns
 out = encode_batch(img, w, cfg_tiny)
 out2 = encode_batch(rolled, w, cfg_tiny)
-_, p1 = split_tokens(out, cfg_tiny)
-_, p2 = split_tokens(out2, cfg_tiny)
+p1 = out.data[:, 1 + cfg_tiny.registers:]
+p2 = out2.data[:, 1 + cfg_tiny.registers:]
 print("\nwithout pos, swapping tile columns permutes patch tokens:",
-      np.allclose(p1.data[0, 1], p2.data[0, 0], atol=1e-5))
+      np.allclose(p1[0, 1], p2[0, 0], atol=1e-5))

@@ -16,7 +16,7 @@ from .data import (CLASS_CODES, DEFAULT_PROFILE, DatasetManifest,
                    generate_synthetic, load_ppm, load_preprocessed, normalize,
                    preprocess, resize_bilinear, save_ppm, to_tensor)
 from .encoder import (EncoderConfig, embed, encode_batch, init_encoder,
-                      split_tokens, tile_image)
+                      readout, tile_image)
 from .errors import (ContractError, DataError, DimensionError, GbmPatchError,
                      NumericError, ParameterError, PpmParseError,
                      StratificationError)

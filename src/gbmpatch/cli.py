@@ -239,6 +239,9 @@ def cmd_report(args) -> int:
     if not path.is_file():
         raise DataError(f"{run_dir} has no {RUN_MANIFEST}; not a finished run")
     payload = parse_json_object(path.read_bytes(), str(path))
+    per_class = payload.get("per_class")
+    if isinstance(per_class, list) and len(per_class) != N_CLASSES:
+        raise DataError(f"{path} has {len(per_class)} per_class rows, not {N_CLASSES}")
     # the whole text is built before any of it prints, so a malformed
     # field fails the command without a partial table on stdout
     try:

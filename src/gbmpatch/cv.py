@@ -169,8 +169,7 @@ def adam_step(params: Dict[str, "object"], state: AdamState, lr: float,
         g = p.grad
         if g is None:
             continue
-        if cfg.weight_decay:
-            p.data *= 1.0 - lr * cfg.weight_decay
+        p.data *= 1.0 - lr * cfg.weight_decay
         m = state.m[name]
         v = state.v[name]
         m *= ADAM_BETA1

@@ -5,8 +5,7 @@ Learned position embeddings go on the patch slots only, and the class and
 register tokens are inserted after them (Darcet et al., arXiv 2309.16588).
 Blocks are pre-norm: x + attention(norm(x)) followed by x + mlp(norm(x)),
 and a final norm is applied to the whole sequence. Register tokens take
-part in attention but carry no classification signal downstream; callers
-slice them off.
+part in attention only: ``readout`` gives them weight 0 in the head's input.
 
 No weight is one the others can absorb. Norms have no gain or bias: the
 linear map after each (for the final norm, the head's first layer) takes
@@ -35,7 +34,7 @@ import numpy as np
 from .data import CHANNELS
 from .errors import DimensionError, ParameterError
 from .tensor import (Tensor, attention, broadcast_to, concat, layer_norm,
-                     linear, narrow, silu)
+                     linear, silu)
 
 EncoderWeights = Dict[str, Tensor]
 
@@ -187,9 +186,9 @@ def encode_batch(images: np.ndarray, w: EncoderWeights,
     return layer_norm(x)
 
 
-def split_tokens(seq: Tensor, cfg: EncoderConfig):
-    """(class_token, patch_tokens) views of a (B, seq_len, dim) sequence;
-    the class token keeps a length-1 sequence axis so shapes stay uniform.
-    """
-    return (narrow(seq, 1, 0, 1),
-            narrow(seq, 1, 1 + cfg.registers, cfg.n_patches))
+def readout(cfg: EncoderConfig, dtype=np.float32) -> np.ndarray:
+    """(2, seq_len) slot weights: patch-token mean, class token; registers 0."""
+    weights = np.zeros((2, cfg.seq_len), dtype)
+    weights[0, 1 + cfg.registers:] = 1.0 / cfg.n_patches
+    weights[1, 0] = 1.0
+    return weights

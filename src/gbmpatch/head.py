@@ -1,8 +1,8 @@
 """Classification head over a dual image representation.
 
-The encoder sequence is collapsed to [mean of patch tokens ; class token],
-a 2*dim vector per image. A bottleneck layer with SiLU and dropout feeds
-the 9-way linear output. Register tokens never reach the head.
+``encoder.readout`` collapses the sequence to [mean of patch tokens ; class
+token], a 2*dim vector per image, in one product that weights registers 0.
+A bottleneck layer with SiLU and dropout feeds the 9-way linear output.
 """
 
 from __future__ import annotations
@@ -13,10 +13,9 @@ from typing import Dict
 import numpy as np
 
 from .data import N_CLASSES
-from .encoder import EncoderConfig, init_params, split_tokens
+from .encoder import EncoderConfig, init_params, readout
 from .errors import DimensionError, ParameterError
-from .tensor import (Tensor, concat, dropout, linear, reshape, silu,
-                     tensor_mean)
+from .tensor import Tensor, dropout, linear, matmul, reshape, silu
 
 HeadWeights = Dict[str, Tensor]
 
@@ -49,13 +48,11 @@ def init_head(cfg: HeadConfig, dim: int, seed: int = 0,
 
 def aggregate_features(seq: Tensor, enc_cfg: EncoderConfig) -> Tensor:
     """(B, seq_len, dim) -> (B, 2*dim): [patch-token mean ; class token]."""
-    if seq.ndim != 3 or seq.shape[-2] != enc_cfg.seq_len:
-        raise DimensionError(
-            f"expected (B, {enc_cfg.seq_len}, dim) sequence, got {seq.shape}")
-    b = seq.shape[0]
-    cls, patches = split_tokens(seq, enc_cfg)
-    pooled = tensor_mean(patches, axis=1)
-    return concat([pooled, reshape(cls, (b, enc_cfg.dim))], axis=1)
+    if seq.ndim != 3 or seq.shape[1:] != (enc_cfg.seq_len, enc_cfg.dim):
+        raise DimensionError(f"expected (B, {enc_cfg.seq_len}, {enc_cfg.dim})"
+                             f" sequence, got {seq.shape}")
+    rows = matmul(Tensor(readout(enc_cfg, seq.dtype)), seq)
+    return reshape(rows, (seq.shape[0], 2 * enc_cfg.dim))
 
 
 def head_forward(features: Tensor, w: HeadWeights, cfg: HeadConfig,

@@ -18,7 +18,7 @@ from gbmpatch.cv import TrainConfig, lr_at, stratified_kfold, train_fold
 from gbmpatch.data import (CLASS_CODES, DEFAULT_PROFILE, generate_synthetic,
                            load_ppm, load_preprocessed, save_ppm)
 from gbmpatch.encoder import (EncoderConfig, encode_batch, init_encoder,
-                              split_tokens)
+                              readout)
 from gbmpatch.head import (HeadConfig, aggregate_features, head_forward,
                            init_head)
 from gbmpatch.checkpoint import load_model, save_model
@@ -243,9 +243,7 @@ def test_shape_contract():
         img = rng.normal(size=(1, 3, 224, 224)).astype(np.float32)
         seq = encode_batch(img, w, cfg)
         assert seq.shape == (1, 261, dim)
-        cls, patches = split_tokens(seq, cfg)
-        assert cls.shape == (1, 1, dim)
-        assert patches.shape == (1, 256, dim)
+        assert readout(cfg).shape == (2, 261)
         feats = aggregate_features(seq, cfg)
         assert feats.shape == (1, 2 * dim)
         details.append(f"D={dim} ok")

@@ -444,6 +444,19 @@ class TestReport:
         assert out == ""
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("n", [3, 12])
+    def test_per_class_count_other_than_nine_is_data_error(
+            self, finished_run, tmp_path, capsys, n):
+        _, run = finished_run
+        payload = json.loads((run / "run.json").read_text())
+        payload["per_class"] = (payload["per_class"] * 2)[:n]
+        (tmp_path / "run.json").write_text(json.dumps(payload))
+        code = main(["report", "--run", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and f"has {n} per_class rows" in err
+
 
 @pytest.mark.parametrize("argv", [
     lambda tmp, data, ckpt: ["gen-data", "--out", f"{tmp}/file", "--counts",

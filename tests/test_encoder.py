@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gbmpatch.encoder import (EncoderConfig, embed, encode_batch,
-                              init_encoder, split_tokens, tile_image)
+                              init_encoder, readout, tile_image)
 from gbmpatch.errors import DimensionError, ParameterError
 from gbmpatch.tensor import Tensor, finite_diff_check
 
@@ -150,13 +150,10 @@ class TestEncode:
 
         base = encode_batch(img, w, TINY)
         moved = encode_batch(img_perm, w, TINY)
-        _, patches_base = split_tokens(base, TINY)
-        _, patches_moved = split_tokens(moved, TINY)
-        assert np.allclose(patches_moved.data, patches_base.data[:, perm],
-                           atol=1e-4)
-        cls_base, _ = split_tokens(base, TINY)
-        cls_moved, _ = split_tokens(moved, TINY)
-        assert np.allclose(cls_moved.data, cls_base.data, atol=1e-4)
+        first = 1 + TINY.registers
+        assert np.allclose(moved.data[:, first:],
+                           base.data[:, first:][:, perm], atol=1e-4)
+        assert np.allclose(moved.data[:, 0], base.data[:, 0], atol=1e-4)
 
     def test_position_embeddings_break_the_symmetry(self):
         rng = np.random.default_rng(8)
@@ -164,20 +161,25 @@ class TestEncode:
         img = rand_image(rng, TINY, batch=1)
         perm = np.array([1, 0, 2, 3])
         img_perm = untile_image(tile_image(img, 14)[:, perm], TINY)
-        _, p_base = split_tokens(encode_batch(img, w, TINY), TINY)
-        _, p_moved = split_tokens(encode_batch(img_perm, w, TINY), TINY)
-        assert not np.allclose(p_moved.data, p_base.data[:, perm], atol=1e-4)
+        first = 1 + TINY.registers
+        p_base = encode_batch(img, w, TINY).data[:, first:]
+        p_moved = encode_batch(img_perm, w, TINY).data[:, first:]
+        assert not np.allclose(p_moved, p_base[:, perm], atol=1e-4)
 
-    def test_split_tokens_partition(self):
-        rng = np.random.default_rng(9)
-        w = init_encoder(TINY, seed=7)
-        seq = encode_batch(rand_image(rng, TINY, batch=2), w, TINY)
-        cls, patches = split_tokens(seq, TINY)
-        assert cls.shape == (2, 1, TINY.dim)
-        assert patches.shape == (2, TINY.n_patches, TINY.dim)
-        regs = seq.data[:, 1:1 + TINY.registers]
-        rebuilt = np.concatenate([cls.data, regs, patches.data], axis=1)
-        assert np.array_equal(rebuilt, seq.data)
+    @pytest.mark.parametrize("registers", [0, 4])
+    def test_readout_weights_the_token_slots(self, registers):
+        # 9 patches: 1/9 is inexact, so the patch row sums to 1 only
+        # to rounding
+        cfg = EncoderConfig(image_size=42, tile_size=14, dim=8, depth=1,
+                            heads=2, registers=registers)
+        r = readout(cfg)
+        assert r.shape == (2, cfg.seq_len) and r.dtype == np.float32
+        assert np.allclose(r.sum(axis=1), 1.0, rtol=1e-6)
+        assert not r[:, 1:1 + registers].any()
+        assert r[:, 0].tolist() == [0.0, 1.0]
+        assert not r[1, 1:].any()
+        assert np.all(r[0, 1 + registers:] == np.float32(1 / 9))
+        assert readout(cfg, np.float64).dtype == np.float64
 
     def test_wrong_image_shape_rejected(self):
         w = init_encoder(TINY, seed=8)

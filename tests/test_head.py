@@ -5,7 +5,7 @@ from gbmpatch.encoder import EncoderConfig
 from gbmpatch.errors import DimensionError, ParameterError
 from gbmpatch.head import (HeadConfig, aggregate_features, head_forward,
                            init_head, predict)
-from gbmpatch.tensor import Tensor
+from gbmpatch.tensor import Tensor, concat, narrow, reshape, tensor_mean
 
 CFG = EncoderConfig(image_size=28, tile_size=14, dim=8, depth=1, heads=2,
                     registers=2)
@@ -40,6 +40,43 @@ class TestAggregate:
     def test_wrong_length_rejected(self):
         with pytest.raises(DimensionError):
             aggregate_features(Tensor(np.zeros((2, 5, CFG.dim))), CFG)
+        # a sequence of the right length but another width names both
+        with pytest.raises(DimensionError, match=rf"{CFG.dim}\).*, 6\)"):
+            aggregate_features(Tensor(np.zeros((2, CFG.seq_len, 6))), CFG)
+
+    @pytest.mark.parametrize("image_size", [28, 42, 56])
+    def test_matches_the_sliced_composite(self, image_size):
+        """Against the readout built from slices: the class token exact,
+        the patch mean (4, 9 or 16 patches) to float32 rounding, since the
+        order of its sum is the matrix kernel's; likewise the gradients."""
+        cfg = EncoderConfig(image_size=image_size, tile_size=14, dim=8,
+                            depth=1, heads=2, registers=2)
+        rng = np.random.default_rng(image_size)
+        data = rng.normal(size=(3, cfg.seq_len, cfg.dim)).astype(np.float32)
+        probe = Tensor(rng.normal(size=(3, 2 * cfg.dim)).astype(np.float32))
+
+        def composite(seq):
+            cls = reshape(narrow(seq, 1, 0, 1), (3, cfg.dim))
+            patches = narrow(seq, 1, 1 + cfg.registers, cfg.n_patches)
+            return concat([tensor_mean(patches, axis=1), cls], axis=1)
+
+        def run(f):
+            seq = Tensor(data, requires_grad=True)
+            out = f(seq)
+            (out * probe).sum().backward()
+            return out.data, seq.grad
+
+        got, got_grad = run(lambda seq: aggregate_features(seq, cfg))
+        want, want_grad = run(composite)
+        d, first = cfg.dim, 1 + cfg.registers
+        assert np.array_equal(got[:, d:], want[:, d:])
+        # a mean of zero-mean tokens can cancel to near 0, where only an
+        # error on the scale of the tokens themselves is meaningful
+        np.testing.assert_allclose(got[:, :d], want[:, :d], rtol=1e-6,
+                                   atol=1e-6 * np.abs(data).max())
+        assert np.array_equal(got_grad[:, :first], want_grad[:, :first])
+        np.testing.assert_allclose(got_grad[:, first:], want_grad[:, first:],
+                                   rtol=1e-6)
 
 
 class TestHeadForward:

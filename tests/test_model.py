@@ -8,13 +8,13 @@ import math
 import numpy as np
 import pytest
 
-from gbmpatch.encoder import EncoderConfig, split_tokens, tile_image
+from gbmpatch.encoder import EncoderConfig, readout, tile_image
 from gbmpatch.errors import DimensionError
 from gbmpatch.head import HeadConfig
 from gbmpatch.model import PatchClassifier
 from gbmpatch.tensor import (ComputationRecord, Tensor, attention,
-                             broadcast_to, concat, layer_norm, linear,
-                             reshape, silu, tensor_mean)
+                             broadcast_to, concat, layer_norm, linear, matmul,
+                             reshape, silu)
 
 TINY = EncoderConfig(image_size=28, tile_size=14, dim=8, depth=1, heads=2,
                      registers=2, mlp_ratio=2)
@@ -76,22 +76,23 @@ def test_builds_no_graph(model, images, monkeypatch):
 def test_desk_loss_graph_is_small():
     """A 56/14 train loss records one node per op the model states: each
     block is two norms, six ``linear``s, ``attention``, ``silu`` and two
-    residual adds, with no head split or merge of its own."""
+    residual adds, with no head split or merge of its own, and the head
+    reads its features with one ``matmul`` and one ``reshape``."""
     cfg = EncoderConfig(image_size=56)
     model = PatchClassifier(cfg, HeadConfig(), seed=0)
     images = np.random.default_rng(0).normal(size=(2, 3, 56, 56))
     loss = model.loss(images.astype(np.float32), [0, 1], dropout_seed=1)
     ops = [n._op for n in ComputationRecord.trace(loss).nodes if n._parents]
-    assert len(ops) <= 42
+    assert len(ops) == 36
     per_block = {"layer_norm": 2, "linear": 6, "attention": 1, "silu": 1,
                  "add": 2}
-    outside = {"linear": 3, "broadcast": 2, "concat": 2, "layer_norm": 1,
-               "narrow": 2, "mean": 1, "reshape": 1, "silu": 1, "dropout": 1,
+    outside = {"linear": 3, "broadcast": 2, "concat": 1, "layer_norm": 1,
+               "matmul": 1, "reshape": 1, "silu": 1, "dropout": 1,
                "cross_entropy": 1}
     want = {op: cfg.depth * per_block.get(op, 0) + outside.get(op, 0)
             for op in {*per_block, *outside}}
     assert {op: ops.count(op) for op in set(ops)} == want
-    assert "transpose" not in ops
+    assert not {"transpose", "narrow", "mean"} & set(ops)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -141,9 +142,8 @@ def affine_reference(images, w, enc_cfg):
         x = x + linear(silu(linear(y, w[f"{p}.mlp.w1"], w[f"{p}.mlp.b1"])),
                        w[f"{p}.mlp.w2"], w[f"{p}.mlp.b2"])
     seq = norm(x, "enc.final")
-    cls, patches = split_tokens(seq, enc_cfg)
-    feats = concat([tensor_mean(patches, axis=1), reshape(cls, (b, d))],
-                   axis=1)
+    feats = reshape(matmul(Tensor(readout(enc_cfg, seq.dtype)), seq),
+                    (b, 2 * d))
     hidden = silu(linear(feats, w["head.w1"], w["head.b1"]))
     return linear(hidden, w["head.w2"], w["head.b2"])
 
