@@ -16,6 +16,7 @@ import datetime as _dt
 import json
 import os
 import sys
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -125,13 +126,16 @@ def _make_run_dir(base: Path) -> Path:
 
 
 def _point_latest(base: Path, run: Path):
+    """Swap a fresh link over ``latest``, so that it always exists."""
     link = base / "latest"
+    tmp = base / f".latest.{os.getpid()}.tmp"
     try:
-        if link.is_symlink() or link.exists():
-            link.unlink()
-        link.symlink_to(run.name)
+        tmp.symlink_to(run.name)
+        os.replace(tmp, link)
     except OSError as exc:
         _say(f"note: could not refresh {link}: {exc}")
+        with contextlib.suppress(OSError):
+            tmp.unlink()
 
 
 def cmd_cv(args) -> int:
@@ -140,14 +144,18 @@ def cmd_cv(args) -> int:
 
     manifest = DatasetManifest.load(args.data)
     _say(f"loaded {len(manifest.entries)} patches from {args.data}")
+    start = time.perf_counter()
     images, labels = load_preprocessed(manifest, size=enc_cfg.image_size)
+    load_s = time.perf_counter() - start
 
     run_dir = _make_run_dir(Path(args.out))
     _say(f"run directory: {run_dir}")
 
     try:
-        fold_results, best, best_model = [], None, None
+        fold_results, best, best_model, wall_s = [], None, None, {}
+        start = time.perf_counter()
         for r, model in run_folds(images, labels, enc_cfg, head_cfg, train_cfg):
+            wall_s[r.fold] = time.perf_counter() - start
             if args.verbose:
                 for epoch, loss in enumerate(r.epoch_losses):
                     _say(f"  fold {r.fold} epoch {epoch}: loss {loss:.4f}")
@@ -158,6 +166,7 @@ def cmd_cv(args) -> int:
             # the first fold with the best f1 keeps the checkpoint
             if best is None or r.micro.f1 > best.micro.f1:
                 best, best_model = r, model
+            start = time.perf_counter()
         result = summarize(fold_results)
 
         artifacts = ["metrics.csv", "confusion.txt", "report.txt", "model.ckpt"]
@@ -177,12 +186,14 @@ def cmd_cv(args) -> int:
             "created": _dt.datetime.now().isoformat(timespec="seconds"),
             "data": str(args.data),
             "settings": settings,
+            "load_s": load_s,
             "per_class": [b.as_dict() for b in result.per_class],
             "micro": result.micro.as_dict(),
             "fold_average": result.fold_average,
             "confusion": result.confusion.counts.tolist(),
             "folds": [{"fold": r.fold, "epochs_run": len(r.epoch_losses),
                        "final_loss": r.epoch_losses[-1],
+                       "wall_s": wall_s[r.fold],
                        "micro": r.micro.as_dict()}
                       for r in result.fold_results],
             "best_fold": best.fold,
@@ -249,11 +260,15 @@ def cmd_report(args) -> int:
                  f"({payload.get('created', '?')})", "",
                  format_report(payload["per_class"],
                                payload["micro"]).rstrip("\n"), ""]
+        # load_s and wall_s are absent from runs written before they were
+        if payload.get("load_s") is not None:
+            lines.append(f"data loaded in {payload['load_s']:.2f} s")
         for f in payload["folds"]:
+            wall = "" if f.get("wall_s") is None else f", {f['wall_s']:.2f} s"
             lines.append(
                 f"fold {f['fold']}: micro f1 {f['micro']['f1']:.4f} "
                 f"({f['epochs_run']} epochs, final loss "
-                f"{f['final_loss']:.4f})")
+                f"{f['final_loss']:.4f}{wall})")
         avg = ", ".join(f"{k} {v:.4f}"
                         for k, v in payload["fold_average"].items())
     except (KeyError, TypeError, ValueError, AttributeError,

@@ -22,6 +22,8 @@ import math
 import operator
 import os
 import re
+import time
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -348,8 +350,25 @@ class DatasetManifest:
         return cls(root=root, entries=entries, seed=payload.get("seed"))
 
 
+# the first line of a pixel cache; bump it whenever load_ppm or
+# resize_bilinear would return other pixels for the same file
+_CACHE_FORMAT = b"gbmpatch pixel cache 1\n"
+# a file whose inode changed this recently may change again within the same
+# timestamp tick without its stat showing it (git's "racy" files)
+_SETTLE_NS = 2_000_000_000
+
+
 def load_preprocessed(manifest: DatasetManifest, size: int = 224):
-    """Load every manifest entry into (N, 3, size, size) float32 + labels."""
+    """Load every manifest entry into (N, 3, size, size) float32 + labels.
+
+    The resized pixels are kept in ``<root>/.pixels-<size>.cache``, keyed
+    by each entry's path, label and file stat, so a later load of the
+    unchanged dataset skips decoding and resizing and returns the same
+    bytes. The cache is written only when the first entry needed a resize
+    and every entry's inode changed more than ``_SETTLE_NS`` before the
+    load began, so an in-place rewrite within one timestamp tick is never
+    served stale; a cache that cannot be written is skipped silently.
+    """
     size = _as_size(size, "image size")
     if size < 1:
         raise ParameterError(f"image size must be at least 1, got {size}")
@@ -358,12 +377,82 @@ def load_preprocessed(manifest: DatasetManifest, size: int = 224):
     images = np.empty((len(manifest.entries), CHANNELS, size, size),
                       dtype=np.float32)
     root = Path(manifest.root)
-    for i, (rel, _) in enumerate(manifest.entries):
-        # preprocess, written in place; load_ppm and resize_bilinear are
-        # looked up in the module on every call, so a patched one sees each
-        _scale_normalize(resize_bilinear(load_ppm(root / rel), size, size),
-                         images[i])
+    start = time.time_ns()
+    stats = [os.stat(root / rel) for rel, _ in manifest.entries]
+    header = _CACHE_FORMAT + f"size {size}\n".encode() + "".join(
+        f"{ascii(rel)} {label} {st.st_size} {st.st_ino} {st.st_mtime_ns} "
+        f"{st.st_ctime_ns}\n"
+        for (rel, label), st in zip(manifest.entries, stats)).encode()
+    cache = root / f".pixels-{size}.cache"
+    if not _read_cache(cache, header, images):
+        settled = all(st.st_ctime_ns < start - _SETTLE_NS for st in stats)
+        _load_entries(manifest, images, cache if settled else None, header)
     return images, manifest.labels
+
+
+def _read_cache(path: Path, header: bytes, images: np.ndarray) -> bool:
+    """Fill ``images`` from a cache holding ``header``, then the uint8
+    (size, size, 3) pixels of every image and their big-endian crc32.
+
+    False on any mismatch or read error; ``images`` then holds garbage.
+    """
+    pixels = np.empty(images.shape[2:] + (CHANNELS,), np.uint8)
+    try:
+        with open(path, "rb") as f:
+            if (os.fstat(f.fileno()).st_size
+                    != len(header) + len(images) * pixels.nbytes + 4
+                    or f.read(len(header)) != header):
+                return False
+            crc = 0
+            for image in images:
+                if f.readinto(pixels) != pixels.nbytes:
+                    return False
+                crc = zlib.crc32(pixels, crc)
+                _scale_normalize(pixels, image)
+            return f.read() == crc.to_bytes(4, "big")
+    except OSError:
+        return False
+
+
+def _load_entries(manifest: DatasetManifest, images: np.ndarray,
+                  cache: Optional[Path], header: bytes):
+    """Decode, resize and normalize every entry into ``images``; stream the
+    resized pixels into ``cache`` when one is given and the first entry
+    needed a resize."""
+    size = images.shape[-1]
+    root = Path(manifest.root)
+    # a name of this process's own, so concurrent loads never share one
+    tmp = cache and cache.with_name(f"{cache.name}.{os.getpid()}.tmp")
+    out, writing, crc = None, False, 0
+    try:
+        for i, (rel, _) in enumerate(manifest.entries):
+            # load_ppm and resize_bilinear are looked up in the module on
+            # every call, so a patched one sees each
+            raw = load_ppm(root / rel)
+            pixels = resize_bilinear(raw, size, size)
+            _scale_normalize(pixels, images[i])
+            try:
+                if i == 0 and tmp and pixels.shape != raw.shape:
+                    out = open(tmp, "wb")
+                    writing = True
+                    out.write(header)
+                if writing:
+                    out.write(pixels)
+                    crc = zlib.crc32(pixels, crc)
+            except OSError:   # a read-only root or a full disk: no cache
+                writing = False
+        if writing:
+            with contextlib.suppress(OSError):
+                out.write(crc.to_bytes(4, "big"))
+                out.close()
+                os.replace(tmp, cache)
+    finally:
+        if out:
+            with contextlib.suppress(OSError):
+                out.close()
+        if tmp:
+            with contextlib.suppress(OSError):
+                tmp.unlink(missing_ok=True)
 
 
 # ----------------------------------------------------------------------

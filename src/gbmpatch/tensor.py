@@ -199,7 +199,10 @@ class ComputationRecord:
                     continue
                 g = _unbroadcast(g, parent.shape)
                 if parent.grad is None:
-                    parent.grad = g.astype(parent.data.dtype, copy=True)
+                    # a non-leaf adopts its first gradient, as no backward
+                    # writes into its g; a leaf keeps a copy of its own
+                    parent.grad = g.astype(parent.data.dtype,
+                                           copy=not parent._parents)
                 else:
                     parent.grad = parent.grad + g
 
@@ -346,16 +349,34 @@ def tensor_mean(x: Tensor, axis=None) -> Tensor:
 # nonlinearities and normalization
 
 
+# The ops below evaluate their formulas in place, in the written order (a
+# product may swap its operands): a fresh temporary the size of the input
+# costs its page faults on every call.
+
+
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1 + np.tanh(x * 0.5))
+    """0.5 * (1 + tanh(x * 0.5))."""
+    sig = np.multiply(x, 0.5, out=np.empty_like(x))   # an array at 0-d too
+    np.tanh(sig, out=sig)
+    sig += 1
+    sig *= 0.5
+    return sig
 
 
 def silu(x: Tensor) -> Tensor:
     """x * sigmoid(x), with gradient sigmoid(x) * (1 + x * (1 - sigmoid(x)))."""
     sig = _sigmoid(x.data)
 
-    return _make(x.data * sig, (x,),
-                 lambda g: (g * sig * (1.0 + x.data * (1.0 - sig)),), "silu")
+    def backward(g):
+        # g * sig * (1.0 + x * (1.0 - sig))
+        grad = g * sig
+        inner = np.subtract(1.0, sig)
+        inner *= x.data
+        inner += 1.0
+        grad *= inner
+        return (grad,)
+
+    return _make(x.data * sig, (x,), backward, "silu")
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -476,15 +497,20 @@ def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
     if eps <= 0:
         raise ParameterError(f"layer_norm eps must be positive, got {eps}")
     mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    normed = x.data - mu   # centered, until it is scaled below
+    var = (normed * normed).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    normed = centered * inv
+    normed *= inv
 
     def backward(g):
+        # inv * (g - mean(g) - normed * mean(g * normed))
         m1 = g.mean(axis=-1, keepdims=True)
-        m2 = (g * normed).mean(axis=-1, keepdims=True)
-        return (inv * (g - m1 - normed * m2),)
+        scratch = g * normed
+        m2 = scratch.mean(axis=-1, keepdims=True)
+        grad = g - m1
+        grad -= np.multiply(normed, m2, out=scratch)
+        grad *= inv
+        return (grad,)
 
     return _make(normed, (x,), backward, "layer_norm")
 

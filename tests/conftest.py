@@ -26,3 +26,10 @@ def pooled(monkeypatch, pools):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(data, "_POOL_MIN_PIXELS", 0)
     return pools
+
+
+@pytest.fixture
+def settled(monkeypatch):
+    """Count every dataset file as settled, however fresh, so the first
+    load of a just-written dataset writes its pixel cache."""
+    monkeypatch.setattr(data, "_SETTLE_NS", -10 ** 9)

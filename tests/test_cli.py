@@ -10,7 +10,7 @@ import pytest
 
 from gbmpatch import data
 from gbmpatch.checkpoint import load_checkpoint, save_checkpoint
-from gbmpatch.cli import format_report, main
+from gbmpatch.cli import _point_latest, format_report, main
 from gbmpatch.data import (CLASS_CODES, DatasetManifest, generate_synthetic,
                            write_atomic)
 from gbmpatch.metrics import METRIC_NAMES
@@ -208,6 +208,31 @@ class TestCv:
         assert link.is_symlink()
         assert (link / "run.json").is_file()
         assert link.resolve() == run.resolve()
+
+    def test_run_json_records_load_and_fold_seconds(self, finished_run):
+        _, run = finished_run
+        payload = json.loads((run / "run.json").read_text())
+        assert payload["load_s"] > 0
+        assert [f["fold"] for f in payload["folds"]] == [0, 1, 2]
+        assert all(f["wall_s"] > 0 for f in payload["folds"])
+
+    def test_latest_is_replaced_by_a_swap(self, tmp_path, capsys):
+        for name in ("run-a", "run-b"):
+            (tmp_path / name).mkdir()
+            _point_latest(tmp_path, tmp_path / name)
+        assert os.readlink(tmp_path / "latest") == "run-b"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "latest", "run-a", "run-b"]   # no temp link left behind
+        assert capsys.readouterr().out == ""
+
+    def test_latest_that_is_a_directory_gives_a_note(self, tmp_path, capsys):
+        (tmp_path / "run-a").mkdir()
+        (tmp_path / "latest").mkdir()
+        _point_latest(tmp_path, tmp_path / "run-a")
+        out = capsys.readouterr().out
+        assert out.startswith("note: could not refresh") and out.count("\n") == 1
+        assert (tmp_path / "latest").is_dir() and not (tmp_path / "latest").is_symlink()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["latest", "run-a"]
 
     def test_missing_data_dir_is_data_error(self, tmp_path):
         assert main(["cv", "--data", str(tmp_path / "nope"),
@@ -412,6 +437,31 @@ class TestReport:
         out = capsys.readouterr().out
         assert "Average" in out
         assert "fold-average micro metrics" in out
+
+    def test_prints_load_and_fold_seconds(self, finished_run, capsys):
+        _, run = finished_run
+        payload = json.loads((run / "run.json").read_text())
+        assert main(["report", "--run", str(run)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert f"data loaded in {payload['load_s']:.2f} s" in lines
+        folds = [l for l in lines if l.startswith("fold ")]
+        assert len(folds) == 3
+        for line, f in zip(folds, payload["folds"]):
+            assert line.endswith(f", {f['wall_s']:.2f} s)")
+
+    def test_renders_a_run_json_without_timings(self, finished_run, tmp_path,
+                                                capsys):
+        _, run = finished_run
+        payload = json.loads((run / "run.json").read_text())
+        del payload["load_s"]
+        for f in payload["folds"]:
+            del f["wall_s"]
+        (tmp_path / "run.json").write_text(json.dumps(payload))
+        assert main(["report", "--run", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "data loaded" not in out
+        assert [l for l in out.splitlines() if l.startswith("fold ")][0].endswith(
+            f"final loss {payload['folds'][0]['final_loss']:.4f})")
 
     def test_works_through_latest_symlink(self, finished_run, capsys):
         out_dir, _ = finished_run

@@ -3,6 +3,7 @@ import json
 import os
 import re
 import shutil
+import time
 
 import numpy as np
 import pytest
@@ -613,14 +614,16 @@ class TestLoadPreprocessed:
         assert images.dtype == np.float32
         assert labels.tolist() == [0, 0, 1, 3]
 
-    def test_tensor_bytes_are_pinned(self, tmp_path):
+    def test_tensor_bytes_are_pinned(self, tmp_path, settled):
         manifest = generate_synthetic(tmp_path, [2, 1, 1, 1, 1, 1, 1, 1, 1],
                                       seed=3, size=40)
-        images, labels = load_preprocessed(manifest, size=28)
-        assert images.shape == (10, 3, 28, 28)
-        assert labels.tolist() == [0, 0, 1, 2, 3, 4, 5, 6, 7, 8]
-        assert sha256(images.tobytes()) == (
-            "8f87fe0dfadde7164f018ff75bbb6932757924a3018ea4ffb41047663eb031cf")
+        for _ in range(2):   # the first load writes the cache, the second reads it
+            images, labels = load_preprocessed(manifest, size=28)
+            assert images.shape == (10, 3, 28, 28)
+            assert labels.tolist() == [0, 0, 1, 2, 3, 4, 5, 6, 7, 8]
+            assert sha256(images.tobytes()) == (
+                "8f87fe0dfadde7164f018ff75bbb6932757924a3018ea4ffb41047663eb031cf")
+        assert (tmp_path / ".pixels-28.cache").is_file()
 
     def test_empty_manifest_is_data_error(self, tmp_path):
         manifest = DatasetManifest(root=tmp_path, entries=[], seed=0)
@@ -666,6 +669,165 @@ class TestLoadPreprocessed:
             load_preprocessed(manifest, size=size)
         n = len(manifest.entries)
         assert calls == {"load_ppm": 2 * n, "resize_bilinear": 2 * n}
+
+
+def counting_calls(monkeypatch):
+    """Calls of ``load_ppm`` and ``resize_bilinear``, counted through the
+    module as a tracer would."""
+    calls = {"load_ppm": 0, "resize_bilinear": 0}
+    for name in calls:
+        inner = getattr(data, name)
+
+        def wrapper(*args, _name=name, _inner=inner, **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(data, name, wrapper)
+    return calls
+
+
+def fresh_load(manifest, size):
+    """Every entry preprocessed on its own, without the loader or its cache."""
+    root = manifest.root
+    return np.stack([preprocess(load_ppm(root / rel), size)
+                     for rel, _ in manifest.entries])
+
+
+class TestPixelCache:
+    COUNTS = [2, 1, 1, 0, 0, 1, 0, 0, 1]
+
+    @pytest.fixture
+    def dataset(self, tmp_path, settled):
+        return generate_synthetic(tmp_path, self.COUNTS, seed=8, size=20)
+
+    def cache(self, manifest, size=12):
+        return manifest.root / f".pixels-{size}.cache"
+
+    def test_hit_matches_miss_without_decoding(self, dataset, monkeypatch):
+        calls = counting_calls(monkeypatch)
+        miss, _ = load_preprocessed(dataset, size=12)
+        n = len(dataset.entries)
+        assert calls == {"load_ppm": n, "resize_bilinear": n}
+        assert sorted(p.name for p in dataset.root.iterdir()
+                      if p.is_file()) == [".pixels-12.cache", MANIFEST_NAME]
+        hit, labels = load_preprocessed(dataset, size=12)
+        assert calls == {"load_ppm": n, "resize_bilinear": n}
+        assert hit.tobytes() == miss.tobytes()
+        assert hit.tobytes() == fresh_load(dataset, 12).tobytes()
+        assert labels.tolist() == dataset.labels.tolist()
+
+    def test_one_cache_per_size(self, dataset):
+        for size in (12, 8, 12, 8):
+            got, _ = load_preprocessed(dataset, size=size)
+            assert got.tobytes() == fresh_load(dataset, size).tobytes()
+        assert self.cache(dataset, 8).is_file() and self.cache(dataset).is_file()
+
+    def check_miss(self, manifest, monkeypatch):
+        """A load of ``manifest`` decodes every entry, returns a fresh
+        load's bytes, and leaves a cache the next load hits."""
+        calls = counting_calls(monkeypatch)
+        images, labels = load_preprocessed(manifest, size=12)
+        assert calls["load_ppm"] == len(manifest.entries)
+        assert images.tobytes() == fresh_load(manifest, 12).tobytes()
+        assert labels.tolist() == manifest.labels.tolist()
+        again, _ = load_preprocessed(manifest, size=12)
+        assert calls["load_ppm"] == len(manifest.entries)
+        assert again.tobytes() == images.tobytes()
+
+    def test_rewritten_entry_is_a_miss(self, dataset, monkeypatch):
+        load_preprocessed(dataset, size=12)
+        rel = dataset.entries[2][0]
+        pixels = load_ppm(dataset.root / rel)
+        save_ppm(255 - pixels, dataset.root / rel)
+        self.check_miss(dataset, monkeypatch)
+
+    @pytest.mark.parametrize("edit", ["relabel", "drop"])
+    def test_manifest_edit_is_a_miss(self, dataset, monkeypatch, edit):
+        load_preprocessed(dataset, size=12)
+        if edit == "relabel":
+            rel, label = dataset.entries[1]
+            dataset.entries[1] = (rel, (label + 1) % len(CLASS_CODES))
+        else:
+            del dataset.entries[3]
+        dataset.save()
+        self.check_miss(DatasetManifest.load(dataset.root), monkeypatch)
+
+    @pytest.mark.parametrize("damage", ["truncate", "flip", "header"])
+    def test_damaged_cache_is_a_miss_and_rewritten(self, dataset, monkeypatch,
+                                                   damage):
+        load_preprocessed(dataset, size=12)
+        path = self.cache(dataset)
+        good = path.read_bytes()
+        raw = bytearray(good)
+        if damage == "truncate":
+            del raw[100:]
+        elif damage == "flip":
+            raw[-100] ^= 1   # a payload byte: only the crc32 notices
+        else:
+            raw[:10] = b"garbage!!!"
+        path.write_bytes(bytes(raw))
+        self.check_miss(dataset, monkeypatch)
+        assert path.read_bytes() == good
+
+    @pytest.mark.parametrize("step", ["open", "write", "replace"])
+    def test_unwritable_cache_is_skipped(self, dataset, monkeypatch, step):
+        # root ignores file modes, so each step of the write fails by patch
+        denied = PermissionError(13, "Permission denied")
+        real_open = open
+
+        class FailingWrites:
+            def __init__(self, f):
+                self.f = f
+
+            def write(self, content):
+                raise OSError(28, "No space left on device")
+
+            def close(self):
+                self.f.close()
+
+        def guarded_open(path, mode="r", *args, **kwargs):
+            f = real_open(path, mode, *args, **kwargs)
+            if "w" not in mode:
+                return f
+            if step == "open":
+                f.close()
+                raise denied
+            return FailingWrites(f) if step == "write" else f
+
+        def failing_replace(src, dst):
+            raise denied
+
+        monkeypatch.setattr(data, "open", guarded_open, raising=False)
+        if step == "replace":
+            monkeypatch.setattr(os, "replace", failing_replace)
+        before = sorted(dataset.root.rglob("*"))
+        images, _ = load_preprocessed(dataset, size=12)
+        assert images.tobytes() == fresh_load(dataset, 12).tobytes()
+        assert sorted(dataset.root.rglob("*")) == before
+
+    def test_no_resize_writes_no_cache(self, dataset):
+        images, _ = load_preprocessed(dataset, size=20)
+        assert images.tobytes() == fresh_load(dataset, 20).tobytes()
+        assert not list(dataset.root.glob(".pixels-*"))
+
+    def test_fresh_entry_writes_no_cache(self, tmp_path, monkeypatch):
+        # a 1 s margin in place of 2 s: one entry rewritten just now
+        # blocks the write until it is older than the margin
+        monkeypatch.setattr(data, "_SETTLE_NS", 1_000_000_000)
+        manifest = generate_synthetic(tmp_path, self.COUNTS, seed=8, size=20)
+        time.sleep(1.1)
+        rel = manifest.entries[0][0]
+        save_ppm(255 - load_ppm(tmp_path / rel), tmp_path / rel)
+        images, _ = load_preprocessed(manifest, size=12)
+        assert images.tobytes() == fresh_load(manifest, 12).tobytes()
+        assert not self.cache(manifest).exists()
+        time.sleep(1.1)
+        load_preprocessed(manifest, size=12)
+        assert self.cache(manifest).is_file()
+
+    def test_real_margin_skips_a_just_written_dataset(self, tmp_path):
+        manifest = generate_synthetic(tmp_path, self.COUNTS, seed=8, size=20)
+        load_preprocessed(manifest, size=12)
+        assert not self.cache(manifest).exists()
 
 
 class TestParseJsonObject:

@@ -267,17 +267,18 @@ class TestCvFlags:
 def run_payload():
     """The fields ``report`` reads, shaped as ``cv`` writes them."""
     bundle = {name: 0.5 for name in METRIC_NAMES}
-    return {"data": "d", "created": "t",
+    return {"data": "d", "created": "t", "load_s": 0.5,
             "per_class": [dict(bundle) for _ in CLASS_CODES],
             "micro": dict(bundle), "fold_average": dict(bundle),
             "folds": [{"fold": 0, "epochs_run": 1, "final_loss": 0.1,
-                       "micro": dict(bundle)}]}
+                       "wall_s": 0.2, "micro": dict(bundle)}]}
 
 
 class TestRunManifest:
     @BOUNDED
     @given(st.sampled_from(sorted(run_payload()) + [None]),
-           st.sampled_from(["fold", "final_loss", "micro", "f1", None]),
+           st.sampled_from(["fold", "final_loss", "wall_s", "micro", "f1",
+                            None]),
            JSON | st.integers(10 ** 300, 10 ** 400))
     @example("micro", "f1", 10 ** 400)
     def test_report_renders_or_rejects(self, ckpt_dir, key, inner, value):

@@ -295,6 +295,48 @@ class TestLayerNorm:
             T.layer_norm(Tensor([1.0, 2.0]), eps=0.0)
 
 
+def silu_composite(x, g):
+    """silu's output and input gradient, as plain expressions."""
+    sig = 0.5 * (1 + np.tanh(x * 0.5))
+    return x * sig, g * sig * (1.0 + x * (1.0 - sig))
+
+
+def layer_norm_composite(x, g, eps=1e-5):
+    """layer_norm's output and input gradient, as plain expressions."""
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    normed = centered * inv
+    m1 = g.mean(axis=-1, keepdims=True)
+    m2 = (g * normed).mean(axis=-1, keepdims=True)
+    return normed, inv * (g - m1 - normed * m2)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("op,composite", [(T.silu, silu_composite),
+                                          (T.layer_norm, layer_norm_composite)],
+                         ids=["silu", "layer_norm"])
+def test_in_place_op_equals_its_composite(op, composite, dtype):
+    # the ops evaluate in place, in the composite's order: same bits
+    rng = np.random.default_rng(21)
+    x = (rng.normal(size=(4, 7, 33)) * 3).astype(dtype)
+    g = rng.normal(size=x.shape).astype(dtype)
+    want_out, want_grad = composite(x, g)
+
+    leaf = Tensor(x.copy(), requires_grad=True)
+    out = op(leaf)
+    T.mul(out, Tensor(g)).sum().backward()
+    np.testing.assert_array_equal(out.data, want_out)
+    np.testing.assert_array_equal(leaf.grad, want_grad)
+    np.testing.assert_array_equal(leaf.data, x)
+
+    upstream = g.copy()
+    (grad,) = out._backward_fn(upstream)
+    np.testing.assert_array_equal(grad, want_grad)
+    np.testing.assert_array_equal(upstream, g)   # no backward writes into g
+
+
 class TestDropout:
     def test_rate_zero_identity(self):
         x = Tensor(np.arange(6.0).reshape(2, 3))
@@ -363,6 +405,14 @@ class TestBackward:
         x = Tensor(data, requires_grad=True)
         (T.mul(x, x).sum() * 0.5).backward()
         np.testing.assert_allclose(x.grad, data, atol=1e-6)
+
+    def test_leaf_gradient_is_an_array_of_its_own(self):
+        # the sum's gradient is a read-only broadcast view; non-leaves may
+        # adopt it, but a leaf accumulates into a writable copy
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        x.sum().backward()
+        assert x.grad.flags.writeable and x.grad.flags.owndata
+        np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
 
     def test_accumulation_without_reset(self):
         x = Tensor(np.ones(3), requires_grad=True)
