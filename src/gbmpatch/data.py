@@ -22,6 +22,7 @@ import math
 import operator
 import os
 import re
+import stat
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -297,6 +298,10 @@ class DatasetManifest:
     root: Path
     entries: list = field(default_factory=list)   # (relative path, class index)
     seed: Optional[int] = None
+    # ``load`` stats every entry once, after the clock read ``stat_ns``;
+    # ``load_preprocessed`` keys the pixel cache by these stats
+    stats: dict = field(default_factory=dict, repr=False, compare=False)
+    stat_ns: Optional[int] = field(default=None, repr=False, compare=False)
 
     @property
     def labels(self) -> np.ndarray:
@@ -329,7 +334,7 @@ class DatasetManifest:
         items = payload.get("entries", [])
         if not isinstance(items, list):
             raise DataError(f"manifest {path}: entries is not a list")
-        entries = []
+        entries, stats, stat_ns = [], {}, time.time_ns()
         for item in items:
             if not (isinstance(item, dict) and isinstance(item.get("path"), str)
                     and "label" in item):
@@ -341,13 +346,15 @@ class DatasetManifest:
                 raise DataError(f"manifest {path}: {rel!r} leaves the dataset root")
             label = class_index(item["label"])
             try:
-                present = (root / rel).is_file()
-            except OSError:   # e.g. a name too long for the file system
-                present = False
-            if not present:
+                st = os.stat(root / rel)
+            except (OSError, ValueError):   # e.g. a name too long, or a NUL
+                st = None
+            if st is None or not stat.S_ISREG(st.st_mode):
                 raise DataError(f"manifest lists missing file {root / rel}")
             entries.append((rel, label))
-        return cls(root=root, entries=entries, seed=payload.get("seed"))
+            stats[rel] = st
+        return cls(root=root, entries=entries, seed=payload.get("seed"),
+                   stats=stats, stat_ns=stat_ns)
 
 
 # the first line of a pixel cache; bump it whenever load_ppm or
@@ -364,10 +371,12 @@ def load_preprocessed(manifest: DatasetManifest, size: int = 224):
     The resized pixels are kept in ``<root>/.pixels-<size>.cache``, keyed
     by each entry's path, label and file stat, so a later load of the
     unchanged dataset skips decoding and resizing and returns the same
-    bytes. The cache is written only when the first entry needed a resize
-    and every entry's inode changed more than ``_SETTLE_NS`` before the
-    load began, so an in-place rewrite within one timestamp tick is never
-    served stale; a cache that cannot be written is skipped silently.
+    bytes. The stats are those ``DatasetManifest.load`` took; an entry it
+    did not stat is stat'ed here. The cache is written only when the first
+    entry needed a resize and every entry's inode changed more than
+    ``_SETTLE_NS`` before its stat was taken, so an in-place rewrite
+    within one timestamp tick is never served stale; a cache that cannot
+    be written is skipped silently.
     """
     size = _as_size(size, "image size")
     if size < 1:
@@ -377,8 +386,9 @@ def load_preprocessed(manifest: DatasetManifest, size: int = 224):
     images = np.empty((len(manifest.entries), CHANNELS, size, size),
                       dtype=np.float32)
     root = Path(manifest.root)
-    start = time.time_ns()
-    stats = [os.stat(root / rel) for rel, _ in manifest.entries]
+    start = time.time_ns() if manifest.stat_ns is None else manifest.stat_ns
+    stats = [manifest.stats.get(rel) or os.stat(root / rel)
+             for rel, _ in manifest.entries]
     header = _CACHE_FORMAT + f"size {size}\n".encode() + "".join(
         f"{ascii(rel)} {label} {st.st_size} {st.st_ino} {st.st_mtime_ns} "
         f"{st.st_ctime_ns}\n"
@@ -433,6 +443,7 @@ def _load_entries(manifest: DatasetManifest, images: np.ndarray,
             _scale_normalize(pixels, images[i])
             try:
                 if i == 0 and tmp and pixels.shape != raw.shape:
+                    _remove_dead_writers(root)
                     out = open(tmp, "wb")
                     writing = True
                     out.write(header)
@@ -453,6 +464,24 @@ def _load_entries(manifest: DatasetManifest, images: np.ndarray,
         if tmp:
             with contextlib.suppress(OSError):
                 tmp.unlink(missing_ok=True)
+
+
+def _remove_dead_writers(root: Path):
+    """Delete the pixel caches' ``.<pid>.tmp`` files under ``root`` whose
+    writer no longer runs, as a killed load leaves its temp file behind."""
+    if os.name != "posix":   # elsewhere os.kill(pid, 0) would end the process
+        return
+    with contextlib.suppress(OSError):
+        for path in root.iterdir():
+            match = re.fullmatch(r"\.pixels-[0-9]+\.cache\.([0-9]+)\.tmp", path.name)
+            if not match:
+                continue
+            try:
+                os.kill(int(match[1]), 0)
+            except ProcessLookupError:
+                path.unlink(missing_ok=True)
+            except (OSError, OverflowError):   # alive, or no pid we can ask
+                pass
 
 
 # ----------------------------------------------------------------------

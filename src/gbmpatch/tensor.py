@@ -24,6 +24,10 @@ DEFAULT_DTYPE = np.float32
 # bytes of one attention chunk's score block: about half of a 2 MiB L2 cache
 _SCORE_BYTES = 1 << 20
 
+# an attention slice with a row sum below this is recomputed from its exact
+# row max; at or above it, the error from subnormal entries is far below eps
+_SUM_FLOOR = 2.0 ** -100
+
 
 def _as_array(data, dtype=None) -> np.ndarray:
     arr = np.asarray(data)
@@ -407,6 +411,18 @@ def _split_heads(x: np.ndarray, heads: int, dtype, last=None,
     return out.reshape(b * heads, *shape[2:])
 
 
+def _recentre(i, qa, kt, va, scores, summed):
+    """Slice i's forward shifted by its exact row max: ``summed[i]`` gets
+    ``exp(s − max) @ [v | 1]`` and ``qa[i]``'s spare column −max."""
+    w = kt.shape[1] - 1
+    p = np.matmul(qa[i, :, :w], kt[i, :w], out=scores)
+    row_max = p.max(axis=-1, keepdims=True)
+    p -= row_max
+    np.exp(p, out=p)
+    np.matmul(p, va[i], out=summed[i])
+    qa[i, :, w:] = -row_max
+
+
 def _merge_heads(x: np.ndarray, b: int) -> np.ndarray:
     """(B·heads, n, w) -> (B, n, heads·w), the inverse of ``_split_heads``."""
     s, n, w = x.shape
@@ -421,7 +437,14 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float) -> Tens
     extra column that folds a pass over the score block into a matmul
     (Rabe & Staats, arXiv 2112.05682; FlashAttention-2, arXiv 2307.08691):
 
-    - forward reads each row's sum from ``P @ [v | 1]``;
+    - forward shifts row i of the scores by ``c_i = ‖q_i·scale‖ ·
+      max_j ‖k_j‖``, which bounds every score in the row (Cauchy–Schwarz),
+      through ``[q·scale | −c] @ [k | 1]ᵀ``: exp of a score at or below 0
+      cannot overflow, and softmax ignores a per-row shift (Milakov &
+      Gimelshein, arXiv 1805.02867);
+    - forward reads each row's sum from ``P @ [v | 1]``, and a slice with
+      a row sum under _SUM_FLOOR (or 0 or NaN, as from a non-finite bound)
+      is recomputed from its exact row max;
     - the graph keeps ``[q·scale | −lse]`` and ``[k | 1]ᵀ``, not the
       (B, heads, N, N) probabilities, and backward recomputes them as
       ``exp([q·scale | −lse] @ [k | 1]ᵀ)``;
@@ -430,8 +453,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float) -> Tens
 
     Every right operand is stored contiguous, as BLAS reads a transposed
     one about 1.7x slower here. Both passes walk the slices in chunks
-    whose score block fits in _SCORE_BYTES, reusing one block; the chunk
-    size moves no bits.
+    whose score block fits in _SCORE_BYTES, reusing one block. Each slice
+    takes its path on its own row sums, so the chunk size moves no bits.
     """
     if heads < 1:
         raise ParameterError(f"attention heads must be positive, got {heads}")
@@ -444,7 +467,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float) -> Tens
     b, n, m = q.shape[0], q.shape[1], k.shape[1]
     qw, vw = q.shape[-1] // heads, v.shape[-1] // heads
     dtype = np.result_type(q.data, k.data, v.data)
-    qa = _split_heads(q.data * scale, heads, dtype, 0.0)   # [q·s | −lse]
+    qa = _split_heads(q.data * scale, heads, dtype, 0.0)   # [q·s | −bound]
     kt = _split_heads(k.data, heads, dtype, 1.0, transpose=True)
     va = _split_heads(v.data, heads, dtype, 1.0)
     slices = b * heads
@@ -452,17 +475,20 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float) -> Tens
     chunks = [slice(i, min(i + step, slices)) for i in range(0, slices, step)]
     block = (min(step, slices), n, m)
 
+    qs, ks = qa[..., :qw], kt[:, :qw]
+    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite bound falls back
+        qa[..., qw] = np.sqrt(np.einsum("snw,snw->sn", qs, qs))
+        qa[..., qw] *= -np.sqrt(np.einsum("swm,swm->sm", ks, ks).max(-1, keepdims=True))
     scores = np.empty(block, dtype)
     summed = np.empty((slices, n, vw + 1), dtype)   # [P @ v | rowsum(P)]
     for c in chunks:
-        p = np.matmul(qa[c, :, :qw], kt[c, :qw], out=scores[:c.stop - c.start])
-        row_max = p.max(axis=-1, keepdims=True)
-        p -= row_max
+        p = np.matmul(qa[c], kt[c], out=scores[:c.stop - c.start])   # ≤ 0
         np.exp(p, out=p)
         np.matmul(p, va[c], out=summed[c])
-        qa[c, :, qw:] = row_max   # until the row sums give lse
     total = summed[..., vw:]
-    qa[..., qw:] = -(qa[..., qw:] + np.log(total))
+    for i in np.flatnonzero(~(total >= _SUM_FLOOR).all(axis=(1, 2))):
+        _recentre(i, qa, kt, va, scores[0], summed)
+    qa[..., qw:] -= np.log(total)   # [q·s | −lse], lse = shift + log(rowsum)
     out = np.empty((b, n, heads, vw), dtype)
     np.divide(summed[..., :vw].reshape(b, heads, n, vw),
               total.reshape(b, heads, n, 1), out=out.transpose(0, 2, 1, 3))

@@ -3,6 +3,8 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -823,6 +825,44 @@ class TestPixelCache:
         time.sleep(1.1)
         load_preprocessed(manifest, size=12)
         assert self.cache(manifest).is_file()
+
+    def test_loaded_manifest_stats_each_entry_once(self, dataset, monkeypatch):
+        # load stats every entry; load_preprocessed keys the cache by those
+        # stats, and a manifest loaded after a rewrite misses
+        paths = {str(dataset.root / rel) for rel, _ in dataset.entries}
+        seen, real_stat = [], os.stat
+
+        def counting_stat(path, *args, **kwargs):
+            seen.append(str(path) in paths)
+            return real_stat(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "stat", counting_stat)
+        manifest = DatasetManifest.load(dataset.root)
+        assert sum(seen) == len(paths)
+        load_preprocessed(manifest, size=12)
+        assert sum(seen) == len(paths) and self.cache(dataset).is_file()
+        rel = dataset.entries[2][0]
+        save_ppm(255 - load_ppm(dataset.root / rel), dataset.root / rel)
+        self.check_miss(DatasetManifest.load(dataset.root), monkeypatch)
+
+    def test_write_removes_dead_writers_temp_files(self, dataset):
+        # a killed load leaves <cache>.<pid>.tmp: the next write removes
+        # the files of pids that no longer run and keeps the others
+        dead = subprocess.Popen([sys.executable, "-c", ""])
+        dead.wait()
+        live = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
+        try:
+            temps = {(size, pid): dataset.root / f".pixels-{size}.cache.{pid}.tmp"
+                     for size in (12, 8) for pid in (dead.pid, live.pid)}
+            for path in temps.values():
+                path.write_bytes(b"partial")
+            load_preprocessed(dataset, size=12)
+            assert self.cache(dataset).is_file()
+            for (size, pid), path in temps.items():
+                assert path.exists() == (pid == live.pid)
+        finally:
+            live.kill()
+            live.wait()
 
     def test_real_margin_skips_a_just_written_dataset(self, tmp_path):
         manifest = generate_synthetic(tmp_path, self.COUNTS, seed=8, size=20)

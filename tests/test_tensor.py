@@ -115,6 +115,34 @@ class TestAttention:
         scale = spread / float(np.abs(q @ np.swapaxes(k, -1, -2)).max())
         return (*(heads_last(a) for a in (q, k, v, w)), scale)
 
+    @staticmethod
+    def recentred(monkeypatch):
+        """The slices attention recomputes from their exact row max, in
+        call order."""
+        seen, real = [], T._recentre
+
+        def spy(i, *arrays):
+            seen.append(int(i))
+            real(i, *arrays)
+
+        monkeypatch.setattr(T, "_recentre", spy)
+        return seen
+
+    @staticmethod
+    def under_floor(q, k, heads, scale):
+        """The slices with a row sum under the floor when row i is shifted
+        by ‖q_i·scale‖ · max_j ‖k_j‖, in float64."""
+        def split(a):
+            b, n, d = a.shape
+            return (a.astype(np.float64).reshape(b, n, heads, d // heads)
+                    .transpose(0, 2, 1, 3).reshape(b * heads, n, d // heads))
+
+        qs, ks = split(q) * scale, split(k)
+        bound = (np.linalg.norm(qs, axis=-1)
+                 * np.linalg.norm(ks, axis=-1).max(axis=-1, keepdims=True))
+        sums = np.exp(qs @ np.swapaxes(ks, -1, -2) - bound[..., None]).sum(-1)
+        return list(np.flatnonzero((sums < T._SUM_FLOOR).any(axis=-1)))
+
     @pytest.mark.parametrize("spread", [1.0, 1000.0])
     def test_forward_matches_composite(self, spread):
         q, k, v, _, scale = self.operands(spread)
@@ -138,13 +166,65 @@ class TestAttention:
             np.testing.assert_allclose(fused, unfused, rtol=1e-4,
                                        atol=1e-4 * np.abs(unfused).max())
 
+    def test_recentres_the_slices_under_the_floor(self, monkeypatch):
+        # at +-1000 every slice has a row whose scores all sit hundreds
+        # below its bound
+        q, k, v, _, scale = self.operands(1000.0)
+        seen = self.recentred(monkeypatch)
+        out = T.attention(Tensor(q), Tensor(k), Tensor(v), 4, scale).data
+        assert seen == self.under_floor(q, k, 4, scale) == list(range(8))
+        assert np.all(np.isfinite(out))
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_each_path_matches_float64(self, monkeypatch, exact):
+        # a floor of inf recomputes every slice from its exact row max
+        if exact:
+            monkeypatch.setattr(T, "_SUM_FLOOR", np.inf)
+        seen = self.recentred(monkeypatch)
+        q, k, v, w, scale = self.operands(1.0)
+        runs = []
+        for dtype in (np.float32, np.float64):
+            leaves = [Tensor(a.astype(dtype), requires_grad=True) for a in (q, k, v)]
+            op = T.attention if dtype == np.float32 else composite_attention
+            out = op(*leaves, 4, scale)
+            (out * Tensor(w.astype(dtype))).sum().backward()
+            runs.append([out.data] + [t.grad for t in leaves])
+        assert seen == (list(range(8)) if exact else [])
+        (out, *grads), (want, *wants) = runs
+        assert out.dtype == np.float32
+        np.testing.assert_allclose(out, want, rtol=1e-5, atol=1e-6)
+        for got, want in zip(grads, wants):
+            np.testing.assert_allclose(got, want, rtol=1e-4,
+                                       atol=1e-4 * np.abs(want).max())
+
+    def test_nan_inputs_give_nan_outputs(self):
+        # a NaN query row spoils its own row; a NaN key spoils its slice
+        q, k, v, w, scale = self.operands(1.0)
+        q[0, 3, 0] = np.nan   # batch 0, head 0
+        k[1, 2, 8] = np.nan   # batch 1, head 1
+        leaves = [Tensor(a, requires_grad=True) for a in (q, k, v)]
+        out = T.attention(*leaves, 4, scale)
+        (out * Tensor(w)).sum().backward()   # a RuntimeWarning fails the test
+        want = composite_attention(Tensor(q), Tensor(k), Tensor(v), 4, scale).data
+        nan = np.isnan(want)
+        assert nan[0, 3, :8].all() and nan[1, :, 8:16].all()
+        np.testing.assert_array_equal(np.isnan(out.data), nan)
+        np.testing.assert_allclose(out.data[~nan], want[~nan], rtol=1e-5, atol=1e-6)
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_chunk_size_moves_no_bits(self, monkeypatch, dtype):
         # 3 batches of 5 heads, 15 slices: chunks of 1, of 4 (which leave
-        # a remainder of 3) and one chunk over all of them
+        # a remainder of 3) and one chunk over all of them. Heads 0, 2 and
+        # 4 of batch 1 (slices 5, 7 and 9) get queries 30x as long, whose
+        # row sums fall under the floor: they take the exact path, and
+        # share chunks of 4 with slices that do not
         rng = np.random.default_rng(5)
-        q, k, v, w = (heads_last(rng.normal(size=(3, 5, 37, 8)).astype(dtype))
+        q, k, v, w = (rng.normal(size=(3, 5, 37, 8)).astype(dtype)
                       for _ in range(4))
+        q[1, ::2] *= 30
+        q, k, v, w = (heads_last(a) for a in (q, k, v, w))
+        assert self.under_floor(q, k, 5, 0.3) == [5, 7, 9]
+        seen = self.recentred(monkeypatch)
         block = 37 * 37 * np.dtype(dtype).itemsize
         runs = []
         for score_bytes in (1, 4 * block, 1 << 40):
@@ -153,6 +233,8 @@ class TestAttention:
             out = T.attention(*leaves, 5, 0.3)
             (out * Tensor(w)).sum().backward()
             runs.append([out.data] + [t.grad for t in leaves])
+            assert seen == [5, 7, 9]
+            seen.clear()
         for run in runs[1:]:
             for got, want in zip(run, runs[0]):
                 assert got.dtype == dtype
