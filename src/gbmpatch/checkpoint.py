@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, astuple
+from dataclasses import asdict
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
@@ -115,16 +115,13 @@ def load_model(path) -> Tuple[PatchClassifier, dict]:
     The listing is checked against the metadata's shapes before any model
     exists, so a load allocates no parameter and draws nothing."""
     params, meta = load_checkpoint(path)
-    # ValueError: a config's ParameterError, or the size check below
+    # ValueError: a config's ParameterError, or the depth check below
     try:
         enc_cfg = EncoderConfig(**meta["encoder"])
         head_cfg = HeadConfig(**meta["head"])
-        # a float size would pass the shape check and break the forward,
-        # and a depth past the listing's length would only grow the table
-        sizes = (*astuple(enc_cfg), head_cfg.bottleneck)
-        if any(type(n) is not int for n in sizes) or enc_cfg.depth > len(params):
-            raise ValueError(f"sizes {sizes} are not integers that fit "
-                             f"{len(params)} listed parameters")
+        # a depth past the listing's length would only grow the table
+        if enc_cfg.depth > len(params):
+            raise ValueError(f"depth {enc_cfg.depth} exceeds the listing")
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path} metadata does not describe a model: {exc}")
     shapes = parameter_shapes(enc_cfg, head_cfg)

@@ -38,6 +38,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("folds", "epochs", "warmup_epochs", "batch_size", "seed"):
+            if type(value := getattr(self, name)) is not int:
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
         if self.folds < 2:
             raise ParameterError(f"need at least 2 folds, got {self.folds}")
         if self.epochs < 1 or self.batch_size < 1:

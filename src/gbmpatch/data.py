@@ -293,25 +293,20 @@ def parse_json_object(text, where: str) -> dict:
 
 @dataclass
 class DatasetManifest:
-    """On-disk description of a labeled patch dataset."""
+    """On-disk description of a labeled patch dataset. ``load`` checks the
+    document only (its JSON shape, its labels, paths inside ``root``);
+    ``load_preprocessed`` checks that each entry is a regular file."""
 
     root: Path
     entries: list = field(default_factory=list)   # (relative path, class index)
     seed: Optional[int] = None
-    # ``load`` stats every entry once, after the clock read ``stat_ns``;
-    # ``load_preprocessed`` keys the pixel cache by these stats
-    stats: dict = field(default_factory=dict, repr=False, compare=False)
-    stat_ns: Optional[int] = field(default=None, repr=False, compare=False)
 
     @property
     def labels(self) -> np.ndarray:
         return np.asarray([label for _, label in self.entries], dtype=np.int64)
 
     def class_counts(self) -> np.ndarray:
-        counts = np.zeros(N_CLASSES, dtype=np.int64)
-        for _, label in self.entries:
-            counts[label] += 1
-        return counts
+        return np.bincount(self.labels, minlength=N_CLASSES)
 
     def save(self):
         payload = {
@@ -334,7 +329,7 @@ class DatasetManifest:
         items = payload.get("entries", [])
         if not isinstance(items, list):
             raise DataError(f"manifest {path}: entries is not a list")
-        entries, stats, stat_ns = [], {}, time.time_ns()
+        entries = []
         for item in items:
             if not (isinstance(item, dict) and isinstance(item.get("path"), str)
                     and "label" in item):
@@ -344,17 +339,8 @@ class DatasetManifest:
             rel = item["path"]
             if Path(rel).is_absolute() or ".." in Path(rel).parts:   # lexical
                 raise DataError(f"manifest {path}: {rel!r} leaves the dataset root")
-            label = class_index(item["label"])
-            try:
-                st = os.stat(root / rel)
-            except (OSError, ValueError):   # e.g. a name too long, or a NUL
-                st = None
-            if st is None or not stat.S_ISREG(st.st_mode):
-                raise DataError(f"manifest lists missing file {root / rel}")
-            entries.append((rel, label))
-            stats[rel] = st
-        return cls(root=root, entries=entries, seed=payload.get("seed"),
-                   stats=stats, stat_ns=stat_ns)
+            entries.append((rel, class_index(item["label"])))
+        return cls(root=root, entries=entries, seed=payload.get("seed"))
 
 
 # the first line of a pixel cache; bump it whenever load_ppm or
@@ -368,15 +354,15 @@ _SETTLE_NS = 2_000_000_000
 def load_preprocessed(manifest: DatasetManifest, size: int = 224):
     """Load every manifest entry into (N, 3, size, size) float32 + labels.
 
-    The resized pixels are kept in ``<root>/.pixels-<size>.cache``, keyed
-    by each entry's path, label and file stat, so a later load of the
-    unchanged dataset skips decoding and resizing and returns the same
-    bytes. The stats are those ``DatasetManifest.load`` took; an entry it
-    did not stat is stat'ed here. The cache is written only when the first
-    entry needed a resize and every entry's inode changed more than
-    ``_SETTLE_NS`` before its stat was taken, so an in-place rewrite
-    within one timestamp tick is never served stale; a cache that cannot
-    be written is skipped silently.
+    Each entry is stat'ed once, here; one that is not a regular file raises
+    ``DataError``. The resized pixels are kept in
+    ``<root>/.pixels-<size>.cache``, keyed by each entry's path, label and
+    stat, so a later load of the unchanged dataset skips decoding and
+    resizing and returns the same bytes. The cache is written only when
+    the first entry needed a resize and every entry's inode changed more
+    than ``_SETTLE_NS`` before the clock read taken just before the stats,
+    so a rewrite within one timestamp tick is never served stale; an
+    unwritable cache is skipped silently.
     """
     size = _as_size(size, "image size")
     if size < 1:
@@ -386,9 +372,8 @@ def load_preprocessed(manifest: DatasetManifest, size: int = 224):
     images = np.empty((len(manifest.entries), CHANNELS, size, size),
                       dtype=np.float32)
     root = Path(manifest.root)
-    start = time.time_ns() if manifest.stat_ns is None else manifest.stat_ns
-    stats = [manifest.stats.get(rel) or os.stat(root / rel)
-             for rel, _ in manifest.entries]
+    start = time.time_ns()
+    stats = [_stat_entry(root / rel) for rel, _ in manifest.entries]
     header = _CACHE_FORMAT + f"size {size}\n".encode() + "".join(
         f"{ascii(rel)} {label} {st.st_size} {st.st_ino} {st.st_mtime_ns} "
         f"{st.st_ctime_ns}\n"
@@ -398,6 +383,15 @@ def load_preprocessed(manifest: DatasetManifest, size: int = 224):
         settled = all(st.st_ctime_ns < start - _SETTLE_NS for st in stats)
         _load_entries(manifest, images, cache if settled else None, header)
     return images, manifest.labels
+
+
+def _stat_entry(path: Path) -> os.stat_result:
+    """``os.stat(path)``; ``DataError`` unless it is a regular file."""
+    with contextlib.suppress(OSError, ValueError):   # e.g. a long name, a NUL
+        st = os.stat(path)
+        if stat.S_ISREG(st.st_mode):
+            return st
+    raise DataError(f"manifest lists missing file {path}")
 
 
 def _read_cache(path: Path, header: bytes, images: np.ndarray) -> bool:

@@ -50,6 +50,9 @@ class EncoderConfig:
     mlp_ratio: int = 4
 
     def __post_init__(self):
+        for name, value in vars(self).items():   # every field is a size
+            if type(value) is not int:
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
         if self.image_size <= 0 or self.tile_size <= 0:
             raise ParameterError("image_size and tile_size must be positive")
         if self.image_size % self.tile_size != 0:

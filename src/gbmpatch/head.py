@@ -26,6 +26,9 @@ class HeadConfig:
     dropout: float = 0.5
 
     def __post_init__(self):
+        if type(self.bottleneck) is not int:
+            raise ParameterError(
+                f"bottleneck must be an integer, got {self.bottleneck!r}")
         if self.bottleneck < 1:
             raise ParameterError(f"bottleneck must be >= 1, got {self.bottleneck}")
         if not 0.0 <= self.dropout < 1.0:

@@ -535,6 +535,32 @@ def test_path_error_is_data_error(dataset, finished_run, tmp_path, capsys,
     assert one_line_error(capsys)
 
 
+@pytest.mark.parametrize("entry", ["missing", "directory", "long_name"])
+@pytest.mark.parametrize("command", ["cv", "eval"])
+def test_unreadable_entry_exits_3(finished_run, tmp_path, capsys, command,
+                                  entry):
+    """An entry the loader cannot stat as a file ends in one error line."""
+    root = tmp_path / "data"
+    manifest = generate_synthetic(root, [3] * 9, seed=0, size=28)
+    rel, label = manifest.entries[4]
+    if entry == "long_name":
+        manifest.entries[4] = "a" * 300, label
+        manifest.save()
+    else:
+        (root / rel).unlink()
+        if entry == "directory":
+            (root / rel).mkdir()
+    _, run = finished_run
+    out = tmp_path / "runs"
+    extra = {"cv": ["--out", str(out)] + SMALL_NET + QUICK_TRAIN,
+             "eval": ["--checkpoint", str(run / "model.ckpt")]}[command]
+    assert main([command, "--data", str(root)] + extra) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: manifest lists missing file")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not list(out.glob("run-*"))
+
+
 # Each size asks for arrays past 128 TiB, the x86-64 user address space, so
 # numpy is refused under any overcommit setting and no memory is touched. A
 # size in the GiB range could be granted, and the test would then swap.

@@ -306,3 +306,12 @@ class TestTrainConfigValidation:
     def test_negative_seed(self):
         with pytest.raises(ParameterError, match="seed"):
             TrainConfig(seed=-1)
+
+    @pytest.mark.parametrize("name", ["folds", "epochs", "warmup_epochs",
+                                      "batch_size", "seed"])
+    @pytest.mark.parametrize("bad", [1.0, True, np.int64(1), "1"],
+                             ids=["float", "bool", "numpy", "str"])
+    def test_every_int_field_must_be_an_int(self, name, bad):
+        # a float count once reached numpy and died there
+        with pytest.raises(ParameterError, match=f"{name} must be an integer"):
+            TrainConfig(**{name: bad})

@@ -517,12 +517,6 @@ class TestGenerator:
             generate_synthetic(tmp_path, [0] * 9, seed=0, size=16)
         assert not (tmp_path / "manifest.json").exists()
 
-    def test_missing_file_fails_load(self, tmp_path):
-        generate_synthetic(tmp_path, [1, 1, 0, 0, 0, 0, 0, 0, 0], seed=0, size=16)
-        (tmp_path / "PN/0000.ppm").unlink()
-        with pytest.raises(DataError, match="missing"):
-            DatasetManifest.load(tmp_path)
-
     @pytest.mark.parametrize("payload", [
         [], "entries", 3, None,
         {"entries": {"path": "CT/0000.ppm", "label": "CT"}},
@@ -534,7 +528,6 @@ class TestGenerator:
         {"entries": [{"path": 7, "label": "CT"}]},
         {"entries": [{"path": ["CT/0000.ppm"], "label": "CT"}]},
         {"entries": [{"path": "CT/0000.ppm", "label": ["CT"]}]},
-        {"entries": [{"path": "a" * 300, "label": "CT"}]},   # name too long
     ])
     def test_malformed_manifest_is_data_error(self, tmp_path, payload):
         generate_synthetic(tmp_path, [1] + [0] * 8, seed=0, size=8)
@@ -626,6 +619,25 @@ class TestLoadPreprocessed:
             assert sha256(images.tobytes()) == (
                 "8f87fe0dfadde7164f018ff75bbb6932757924a3018ea4ffb41047663eb031cf")
         assert (tmp_path / ".pixels-28.cache").is_file()
+
+    @pytest.mark.parametrize("entry", ["missing", "directory", "nul",
+                                       "long_name"])
+    def test_missing_file_fails_load(self, tmp_path, entry):
+        # the manifest is a valid document; only the loader's stat of the
+        # entry can reject it
+        manifest = generate_synthetic(tmp_path, [1, 1, 0, 0, 0, 0, 0, 0, 0],
+                                      seed=0, size=16)
+        if entry in ("missing", "directory"):
+            (tmp_path / "PN/0000.ppm").unlink()
+            if entry == "directory":
+                (tmp_path / "PN/0000.ppm").mkdir()
+        else:
+            manifest.entries[1] = {"nul": "PN/0\x00.ppm",
+                                   "long_name": "a" * 300}[entry], 1
+            manifest.save()
+        manifest = DatasetManifest.load(tmp_path)
+        with pytest.raises(DataError, match="missing"):
+            load_preprocessed(manifest, size=8)
 
     def test_empty_manifest_is_data_error(self, tmp_path):
         manifest = DatasetManifest(root=tmp_path, entries=[], seed=0)
@@ -826,24 +838,36 @@ class TestPixelCache:
         load_preprocessed(manifest, size=12)
         assert self.cache(manifest).is_file()
 
-    def test_loaded_manifest_stats_each_entry_once(self, dataset, monkeypatch):
-        # load stats every entry; load_preprocessed keys the cache by those
-        # stats, and a manifest loaded after a rewrite misses
-        paths = {str(dataset.root / rel) for rel, _ in dataset.entries}
+    def test_held_manifest_reads_a_rewritten_entry(self, dataset, monkeypatch):
+        # a manifest loaded before the rewrite still gets the new pixels:
+        # the cache is keyed by stats taken at each load
+        manifest = DatasetManifest.load(dataset.root)
+        load_preprocessed(manifest, size=12)
+        assert self.cache(dataset).is_file()
+        rel = dataset.entries[2][0]
+        save_ppm(255 - load_ppm(dataset.root / rel), dataset.root / rel)
+        self.check_miss(manifest, monkeypatch)
+
+    @pytest.mark.parametrize("made", ["loaded", "generated"])
+    def test_each_load_stats_each_entry_once(self, dataset, monkeypatch, made):
+        # DatasetManifest.load stats no entry; a miss and a hit each stat
+        # every entry once
+        paths = sorted(str(dataset.root / rel) for rel, _ in dataset.entries)
         seen, real_stat = [], os.stat
 
         def counting_stat(path, *args, **kwargs):
-            seen.append(str(path) in paths)
+            seen.append(str(path))
             return real_stat(path, *args, **kwargs)
 
         monkeypatch.setattr(os, "stat", counting_stat)
-        manifest = DatasetManifest.load(dataset.root)
-        assert sum(seen) == len(paths)
-        load_preprocessed(manifest, size=12)
-        assert sum(seen) == len(paths) and self.cache(dataset).is_file()
-        rel = dataset.entries[2][0]
-        save_ppm(255 - load_ppm(dataset.root / rel), dataset.root / rel)
-        self.check_miss(DatasetManifest.load(dataset.root), monkeypatch)
+        manifest = {"loaded": DatasetManifest.load(dataset.root),
+                    "generated": dataset}[made]
+        assert not set(seen) & set(paths)
+        for _ in range(2):
+            seen.clear()
+            load_preprocessed(manifest, size=12)
+            assert sorted(p for p in seen if p in paths) == paths
+            assert self.cache(dataset).is_file()
 
     def test_write_removes_dead_writers_temp_files(self, dataset):
         # a killed load leaves <cache>.<pid>.tmp: the next write removes

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,19 @@ class TestConfig:
     def test_nonpositive_dim_or_heads_rejected(self, kw):
         with pytest.raises(ParameterError, match="positive"):
             EncoderConfig(**kw)
+
+    def test_bool_size_rejected(self):
+        # True once passed as a size of 1 and built a model
+        with pytest.raises(ParameterError, match="image_size must be an integer"):
+            EncoderConfig(image_size=True, tile_size=1)
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(EncoderConfig)])
+    @pytest.mark.parametrize("bad", [2.0, True, np.int64(2), "2"],
+                             ids=["float", "bool", "numpy", "str"])
+    def test_every_field_must_be_an_int(self, name, bad):
+        # a float size once reached numpy and died there
+        with pytest.raises(ParameterError, match=f"{name} must be an integer"):
+            EncoderConfig(**{name: bad})
 
 
 class TestTiling:

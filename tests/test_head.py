@@ -165,3 +165,10 @@ class TestPredict:
             HeadConfig(dropout=1.0)
         with pytest.raises(ParameterError):
             HeadConfig(bottleneck=0)
+
+    @pytest.mark.parametrize("bad", [16.0, True, np.int64(16), "16"],
+                             ids=["float", "bool", "numpy", "str"])
+    def test_bottleneck_must_be_an_int(self, bad):
+        # a float bottleneck once reached numpy and died there
+        with pytest.raises(ParameterError, match="bottleneck must be an integer"):
+            HeadConfig(bottleneck=bad)
