@@ -18,9 +18,9 @@ from .data import CLASS_CODES, N_CLASSES
 from .encoder import EncoderConfig
 from .errors import NumericError, ParameterError, StratificationError
 from .head import HeadConfig
-from .metrics import (METRIC_NAMES, ConfusionMatrix, MetricBundle, accumulate,
+from .metrics import (METRIC_NAMES, ConfusionMatrix, MetricBundle,
                       micro_average, score)
-from .model import PatchClassifier
+from .model import PREDICT_CHUNK, PatchClassifier
 
 # Adam moment decay rates and denominator floor (Kingma & Ba defaults)
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -92,16 +92,17 @@ class CVResult:
 
 def stratified_kfold(labels: Sequence[int], folds: int,
                      seed: int = 0) -> List[FoldAssignment]:
-    """Per-class shuffle, then deal indices round-robin across folds.
+    """Per-class shuffle, then deal one fold id per image round-robin.
 
+    A fold's rows are the images holding its id, in ascending order.
     Guarantees: folds partition the index range, and within every class
     the fold sizes differ by at most one. A class with fewer samples than
     folds cannot be spread over every fold and is rejected by name.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    if folds < 2:
-        raise ParameterError(f"need at least 2 folds, got {folds}")
-    buckets: List[List[int]] = [[] for _ in range(folds)]
+    if type(folds) is not int or folds < 2:
+        raise ParameterError(f"folds must be an integer >= 2, got {folds!r}")
+    fold_of = np.empty(len(labels), dtype=np.int64)
     rng = np.random.default_rng(seed)
     for cls in np.unique(labels):
         members = np.flatnonzero(labels == cls)
@@ -110,16 +111,11 @@ def stratified_kfold(labels: Sequence[int], folds: int,
             raise StratificationError(
                 f"class {name} has {len(members)} samples, fewer than "
                 f"{folds} folds")
-        members = members[rng.permutation(len(members))]
-        for f in range(folds):
-            buckets[f].extend(members[f::folds])
-    assignments = []
-    everything = np.arange(len(labels))
-    for f in range(folds):
-        val = np.sort(np.asarray(buckets[f], dtype=np.int64))
-        train = np.setdiff1d(everything, val, assume_unique=False)
-        assignments.append(FoldAssignment(fold=f, train_idx=train, val_idx=val))
-    return assignments
+        fold_of[members[rng.permutation(len(members))]] = (
+            np.arange(len(members)) % folds)
+    return [FoldAssignment(fold=f, train_idx=np.flatnonzero(fold_of != f),
+                           val_idx=np.flatnonzero(fold_of == f))
+            for f in range(folds)]
 
 
 # ----------------------------------------------------------------------
@@ -190,8 +186,9 @@ def adam_step(params: Dict[str, "object"], state: AdamState, lr: float,
 def train_fold(images: np.ndarray, labels: np.ndarray,
                assignment: FoldAssignment, enc_cfg: EncoderConfig,
                head_cfg: HeadConfig, cfg: TrainConfig):
-    """Train a fresh model on one fold for cfg.epochs epochs; returns
-    (FoldResult, model)."""
+    """Train a fresh model on one fold for cfg.epochs epochs, then score
+    its held-out rows from ``images`` one predict chunk at a time, never
+    copying the whole fold; returns (FoldResult, model)."""
     labels = np.asarray(labels, dtype=np.int64)
     model = PatchClassifier(enc_cfg, head_cfg,
                             seed=cfg.seed * 1000 + assignment.fold)
@@ -236,8 +233,10 @@ def train_fold(images: np.ndarray, labels: np.ndarray,
             raise NumericError(
                 f"non-finite parameter {name} after training fold {assignment.fold}")
 
-    val = assignment.val_idx
-    cm = accumulate(model.predict(images[val]), labels[val], N_CLASSES)
+    cm = ConfusionMatrix(N_CLASSES)
+    for start in range(0, len(assignment.val_idx), PREDICT_CHUNK):
+        rows = assignment.val_idx[start:start + PREDICT_CHUNK]
+        cm.add(model.predict(images[rows]), labels[rows])
     return FoldResult(assignment.fold, cm, epoch_losses), model
 
 

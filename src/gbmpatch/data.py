@@ -164,13 +164,13 @@ def _resize_plan(src_h: int, src_w: int, height: int, width: int) -> tuple:
     return plan
 
 
-def _as_size(value, what: str) -> int:
+def _as_int(value, what: str) -> int:
     """``value`` as an int when it is an integer (Python or numpy), else
-    ParameterError: a float or a string is no pixel count."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ParameterError(f"{what} must be an integer, got {value!r}") from None
+    ParameterError: a float, a bool or a string is no size, seed or count."""
+    if type(value) is not bool:
+        with contextlib.suppress(TypeError):
+            return operator.index(value)
+    raise ParameterError(f"{what} must be an integer, got {value!r}")
 
 
 def resize_bilinear(pixels: np.ndarray, width: int = 224,
@@ -181,8 +181,8 @@ def resize_bilinear(pixels: np.ndarray, width: int = 224,
     on already-conforming inputs.
     """
     _check_pixels(pixels)
-    width = _as_size(width, "resize width")
-    height = _as_size(height, "resize height")
+    width = _as_int(width, "resize width")
+    height = _as_int(height, "resize height")
     if width < 1 or height < 1:
         raise ParameterError(
             f"resize target must be at least 1x1, got {width}x{height}")
@@ -364,7 +364,7 @@ def load_preprocessed(manifest: DatasetManifest, size: int = 224):
     so a rewrite within one timestamp tick is never served stale; an
     unwritable cache is skipped silently.
     """
-    size = _as_size(size, "image size")
+    size = _as_int(size, "image size")
     if size < 1:
         raise ParameterError(f"image size must be at least 1, got {size}")
     if not manifest.entries:
@@ -595,11 +595,12 @@ def generate_synthetic(root, counts: Sequence[int] = DEFAULT_PROFILE,
     number. Generator-named files (<class_code>/<digits>.ppm) that the new
     manifest does not list, left by an earlier dataset, are removed.
     """
+    seed, size = _as_int(seed, "seed"), _as_int(size, "patch size")
     if seed < 0:
         raise ParameterError(f"seed must be nonnegative, got {seed}")
     if size < 1:
         raise ParameterError(f"patch size must be at least 1, got {size}")
-    counts = list(counts)
+    counts = [_as_int(count, "class count") for count in counts]
     if len(counts) != N_CLASSES:
         raise DataError(f"need {N_CLASSES} class counts, got {len(counts)}")
     if any(c < 0 for c in counts) or not any(counts):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 from typing import Dict
 
 import numpy as np
@@ -10,6 +11,8 @@ from .encoder import EncoderConfig, encode_batch, encoder_table, init_encoder
 from .head import (HeadConfig, aggregate_features, head_forward, head_table,
                    init_head, predict)
 from .tensor import Tensor, cross_entropy
+
+PREDICT_CHUNK = 64   # images per eval forward, in predict and cv's scoring
 
 
 def parameter_shapes(enc_cfg: EncoderConfig,
@@ -70,23 +73,20 @@ class PatchClassifier:
              dropout_seed: int = 0) -> Tensor:
         return cross_entropy(self.logits(images, train, dropout_seed), labels)
 
-    def predict(self, images: np.ndarray, batch_size: int = 64) -> np.ndarray:
+    def predict(self, images: np.ndarray,
+                batch_size: int = PREDICT_CHUNK) -> np.ndarray:
         """Eval-mode argmax labels, computed in chunks to bound memory.
 
-        No graph is recorded: every parameter's ``requires_grad`` is off
-        for the call and restored afterwards, also when the forward raises.
+        The forward runs on a shallow twin whose weights are constant
+        tensors over the same arrays, so no graph is recorded and no
+        parameter's ``requires_grad`` is touched.
         """
         images = np.asarray(images)
         out = np.empty(images.shape[0], dtype=np.int64)
-        params = list(self.parameters().values())
-        flags = [p.requires_grad for p in params]
-        for p in params:
-            p.requires_grad = False
-        try:
-            for start in range(0, images.shape[0], batch_size):
-                chunk = images[start:start + batch_size]
-                out[start:start + len(chunk)] = predict(self.logits(chunk))
-        finally:
-            for p, flag in zip(params, flags):
-                p.requires_grad = flag
+        frozen = copy.copy(self)
+        frozen.encoder = {n: Tensor(p.data) for n, p in self.encoder.items()}
+        frozen.head = {n: Tensor(p.data) for n, p in self.head.items()}
+        for start in range(0, images.shape[0], batch_size):
+            chunk = images[start:start + batch_size]
+            out[start:start + len(chunk)] = predict(frozen.logits(chunk))
         return out

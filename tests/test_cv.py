@@ -8,12 +8,12 @@ import gbmpatch.cv as cv
 from gbmpatch.cv import (ADAM_EPS, AdamState, CVResult, FoldAssignment,
                          FoldResult, TrainConfig, adam_step, lr_at, run_folds,
                          stratified_kfold, summarize, train_fold)
-from gbmpatch.data import DEFAULT_PROFILE
+from gbmpatch.data import DEFAULT_PROFILE, N_CLASSES
 from gbmpatch.encoder import EncoderConfig
 from gbmpatch.errors import (NumericError, ParameterError,
                              StratificationError)
 from gbmpatch.head import HeadConfig
-from gbmpatch.metrics import micro_average
+from gbmpatch.metrics import accumulate, micro_average
 from gbmpatch.model import PatchClassifier
 from gbmpatch.tensor import Tensor
 
@@ -74,6 +74,49 @@ class TestStratifiedKfold:
     def test_too_few_folds_rejected(self):
         with pytest.raises(ParameterError):
             stratified_kfold(labels_from_counts([5, 5]), 1)
+
+    @pytest.mark.parametrize("folds", [2.0, True, "2", None],
+                             ids=["float", "bool", "str", "none"])
+    def test_non_integer_folds_rejected(self, folds):
+        with pytest.raises(ParameterError, match="folds must be an integer"):
+            stratified_kfold(labels_from_counts([5, 5]), folds)
+
+    @staticmethod
+    def bucket_dealer(labels, folds, seed):
+        """The earlier dealer: per-class members into per-fold lists, then
+        a sort and a set difference per fold."""
+        labels = np.asarray(labels, dtype=np.int64)
+        buckets = [[] for _ in range(folds)]
+        rng = np.random.default_rng(seed)
+        for cls in np.unique(labels):
+            members = np.flatnonzero(labels == cls)
+            members = members[rng.permutation(len(members))]
+            for f in range(folds):
+                buckets[f].extend(members[f::folds])
+        everything = np.arange(len(labels))
+        out = []
+        for f in range(folds):
+            val = np.sort(np.asarray(buckets[f], dtype=np.int64))
+            out.append((np.setdiff1d(everything, val), val))
+        return out
+
+    @pytest.mark.parametrize("folds", range(2, 8))
+    @pytest.mark.parametrize("seed", [0, 1, 17])
+    def test_deal_equals_the_bucket_dealer(self, folds, seed):
+        rng = np.random.default_rng([folds, seed])
+        for _ in range(4):
+            # some classes absent, the rest at least `folds` strong, shuffled
+            counts = rng.integers(folds, 3 * folds + 5, size=N_CLASSES)
+            counts[rng.random(N_CLASSES) < 0.3] = 0
+            counts[rng.integers(N_CLASSES)] = folds
+            labels = rng.permutation(labels_from_counts(counts))
+            got = stratified_kfold(labels, folds, seed)
+            for f, (a, (train, val)) in enumerate(zip(got, self.bucket_dealer(
+                    labels, folds, seed))):
+                assert a.fold == f
+                for mine, ref in ((a.train_idx, train), (a.val_idx, val)):
+                    assert mine.dtype == ref.dtype
+                    assert np.array_equal(mine, ref)
 
 
 class TestSchedule:
@@ -207,6 +250,29 @@ class TestTrainFold:
                                     val_idx=np.arange(len(labels)))
         with pytest.raises(NumericError, match="non-finite"):
             train_fold(images, labels, assignment, TINY, self.HEAD, cfg)
+
+    def test_held_out_rows_are_scored_in_predict_chunks(self, monkeypatch):
+        # 15 images per class over 2 folds: fold 0 holds 8 of each, 72 rows
+        rng = np.random.default_rng(3)
+        images, labels = separable_dataset(rng, per_class=15)
+        cfg = self.quick_cfg(folds=2, epochs=1, warmup_epochs=0, batch_size=64)
+        assignment = stratified_kfold(labels, cfg.folds, cfg.seed)[0]
+        val = assignment.val_idx
+        assert len(val) > 64
+        sizes = []
+        predict = PatchClassifier.predict
+
+        def recording(self, chunk, *args, **kwargs):
+            sizes.append(len(chunk))
+            return predict(self, chunk, *args, **kwargs)
+
+        monkeypatch.setattr(PatchClassifier, "predict", recording)
+        result, model = train_fold(images, labels, assignment, TINY,
+                                   self.HEAD, cfg)
+        monkeypatch.undo()
+        assert sum(sizes) == len(val) and max(sizes) <= 64
+        want = accumulate(model.predict(images[val]), labels[val], N_CLASSES)
+        assert np.array_equal(result.confusion.counts, want.counts)
 
     def test_one_loss_per_epoch(self):
         rng = np.random.default_rng(2)

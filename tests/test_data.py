@@ -321,7 +321,7 @@ class TestResize:
         with pytest.raises(ParameterError, match="at least 1x1"):
             resize_bilinear(img, width, height)
 
-    @pytest.mark.parametrize("width, height", [(5.5, 5), (5, "5")])
+    @pytest.mark.parametrize("width, height", [(5.5, 5), (5, "5"), (True, True)])
     def test_rejects_non_integer_target(self, width, height):
         img = random_patch(np.random.default_rng(14), 10, 10)
         with pytest.raises(ParameterError, match="must be an integer"):
@@ -411,7 +411,7 @@ class TestPreprocess:
         with pytest.raises(ParameterError):
             preprocess(random_patch(np.random.default_rng(15), 8, 8), size=0)
 
-    @pytest.mark.parametrize("size", [5.5, "5"])
+    @pytest.mark.parametrize("size", [5.5, "5", True])
     def test_rejects_non_integer_size(self, size):
         with pytest.raises(ParameterError, match="must be an integer"):
             preprocess(random_patch(np.random.default_rng(15), 8, 8), size=size)
@@ -515,6 +515,19 @@ class TestGenerator:
             generate_synthetic(tmp_path, [-1] + [1] * 8, seed=0, size=16)
         with pytest.raises(DataError):
             generate_synthetic(tmp_path, [0] * 9, seed=0, size=16)
+        assert not (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(size=2.5), dict(size=True), dict(seed=1.5), dict(seed=True),
+        dict(counts=[1.5] + [1] * 8), dict(counts=[True] + [1] * 8),
+    ], ids=["float-size", "bool-size", "float-seed", "bool-seed",
+            "float-count", "bool-count"])
+    def test_non_integer_argument_is_parameter_error(self, tmp_path, kwargs):
+        # floats once died in numpy with a bare TypeError, and a bool
+        # seed or count was taken as 1
+        args = dict(counts=[1] * 9, seed=0, size=8)
+        with pytest.raises(ParameterError, match="must be an integer"):
+            generate_synthetic(tmp_path, **{**args, **kwargs})
         assert not (tmp_path / "manifest.json").exists()
 
     @pytest.mark.parametrize("payload", [
@@ -651,7 +664,7 @@ class TestLoadPreprocessed:
         with pytest.raises(ParameterError, match="at least 1"):
             load_preprocessed(manifest, size=size)
 
-    @pytest.mark.parametrize("size", [5.5, "5"])
+    @pytest.mark.parametrize("size", [5.5, "5", True])
     def test_non_integer_size_is_parameter_error(self, tmp_path, size):
         manifest = generate_synthetic(tmp_path, [1] * 9, seed=0, size=8)
         with pytest.raises(ParameterError, match="must be an integer"):

@@ -57,6 +57,24 @@ def test_flags_restored_when_forward_raises(model):
     assert flags(model) == before
 
 
+def test_predict_never_touches_a_flag(model, images, monkeypatch):
+    # the flags seen during the forward are the ones set before it
+    for p in model.head.values():
+        p.requires_grad = False
+    before = flags(model)
+    during = []
+    logits = PatchClassifier.logits
+
+    def snapshot(self, *args, **kwargs):
+        during.append(flags(model))
+        return logits(self, *args, **kwargs)
+
+    monkeypatch.setattr(PatchClassifier, "logits", snapshot)
+    model.predict(images, batch_size=3)
+    assert len(during) == 3 and all(seen == before for seen in during)
+    assert set(before.values()) == {True, False}
+
+
 def test_builds_no_graph(model, images, monkeypatch):
     built = []
     logits = PatchClassifier.logits
