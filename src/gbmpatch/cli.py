@@ -114,7 +114,6 @@ def _build_configs(settings: dict) -> tuple:
 
 
 def _make_run_dir(base: Path) -> Path:
-    base.mkdir(parents=True, exist_ok=True)
     stamp = _dt.datetime.now().strftime("run-%Y%m%d-%H%M%S")
     run = base / stamp
     bump = 0
@@ -148,27 +147,31 @@ def cmd_cv(args) -> int:
     images, labels = load_preprocessed(manifest, size=enc_cfg.image_size)
     load_s = time.perf_counter() - start
 
-    run_dir = _make_run_dir(Path(args.out))
-    _say(f"run directory: {run_dir}")
+    # --out first, so a path that cannot hold runs fails before training
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
 
-    try:
-        fold_results, best, best_model, wall_s = [], None, None, {}
+    fold_results, best, best_model, wall_s = [], None, None, {}
+    start = time.perf_counter()
+    for r, model in run_folds(images, labels, enc_cfg, head_cfg, train_cfg):
+        wall_s[r.fold] = time.perf_counter() - start
+        if args.verbose:
+            for epoch, loss in enumerate(r.epoch_losses):
+                _say(f"  fold {r.fold} epoch {epoch}: loss {loss:.4f}")
+        _say(f"fold {r.fold}: micro f1 {r.micro.f1:.4f} "
+             f"after {len(r.epoch_losses)} epochs "
+             f"(loss {r.epoch_losses[-1]:.4f})")
+        fold_results.append(r)
+        # the first fold with the best f1 keeps the checkpoint
+        if best is None or r.micro.f1 > best.micro.f1:
+            best, best_model = r, model
         start = time.perf_counter()
-        for r, model in run_folds(images, labels, enc_cfg, head_cfg, train_cfg):
-            wall_s[r.fold] = time.perf_counter() - start
-            if args.verbose:
-                for epoch, loss in enumerate(r.epoch_losses):
-                    _say(f"  fold {r.fold} epoch {epoch}: loss {loss:.4f}")
-            _say(f"fold {r.fold}: micro f1 {r.micro.f1:.4f} "
-                 f"after {len(r.epoch_losses)} epochs "
-                 f"(loss {r.epoch_losses[-1]:.4f})")
-            fold_results.append(r)
-            # the first fold with the best f1 keeps the checkpoint
-            if best is None or r.micro.f1 > best.micro.f1:
-                best, best_model = r, model
-            start = time.perf_counter()
-        result = summarize(fold_results)
+    result = summarize(fold_results)
 
+    # made only now: a run that fails or is killed in training leaves none
+    run_dir = _make_run_dir(out)
+    _say(f"run directory: {run_dir}")
+    try:
         artifacts = ["metrics.csv", "confusion.txt", "report.txt", "model.ckpt"]
         write_atomic(run_dir / "metrics.csv",
                      metrics_csv(result.per_class, result.micro, CLASS_CODES))
@@ -206,7 +209,7 @@ def cmd_cv(args) -> int:
         with contextlib.suppress(OSError):
             run_dir.rmdir()
         raise
-    _point_latest(Path(args.out), run_dir)
+    _point_latest(out, run_dir)
 
     _say("")
     _say(report.rstrip("\n"))

@@ -258,21 +258,25 @@ def preprocess(pixels: np.ndarray, size: int = 224) -> np.ndarray:
 # dataset manifest
 
 
-def write_atomic(path, content) -> Path:
-    """Write text or bytes to a sibling temp file, then swap it into place.
+def write_atomic(path, *parts) -> Path:
+    """Write text or bytes-like parts, in order, to ``<name>.tmp``, then
+    swap it into place.
 
     Readers see either the old file or the complete new one, never a
-    partial write; the temp file is removed if the write or swap fails.
+    partial write. The temp file is removed only if the write or swap
+    fails, so a finished writer never deletes one that another writer of
+    the same path has opened since.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    if isinstance(content, str):
-        content = content.encode("utf-8")
     try:
-        tmp.write_bytes(content)
+        with open(tmp, "wb") as f:
+            for part in parts:
+                f.write(part.encode("utf-8") if isinstance(part, str) else part)
         os.replace(tmp, path)
-    finally:
+    except BaseException:
         tmp.unlink(missing_ok=True)
+        raise
     return path
 
 
@@ -343,9 +347,11 @@ class DatasetManifest:
         return cls(root=root, entries=entries, seed=payload.get("seed"))
 
 
-# the first line of a pixel cache; bump it whenever load_ppm or
-# resize_bilinear would return other pixels for the same file
-_CACHE_FORMAT = b"gbmpatch pixel cache 1\n"
+# the first line of an image cache; bump it whenever load_ppm or
+# resize_bilinear would return other pixels for the same file (the size
+# line names the dtype and the crc32 of _BYTE_TABLE, so a change of the
+# normalization is a miss without a bump)
+_CACHE_FORMAT = b"gbmpatch image cache 2\n"
 # a file whose inode changed this recently may change again within the same
 # timestamp tick without its stat showing it (git's "racy" files)
 _SETTLE_NS = 2_000_000_000
@@ -355,14 +361,15 @@ def load_preprocessed(manifest: DatasetManifest, size: int = 224):
     """Load every manifest entry into (N, 3, size, size) float32 + labels.
 
     Each entry is stat'ed once, here; one that is not a regular file raises
-    ``DataError``. The resized pixels are kept in
-    ``<root>/.pixels-<size>.cache``, keyed by each entry's path, label and
-    stat, so a later load of the unchanged dataset skips decoding and
-    resizing and returns the same bytes. The cache is written only when
-    the first entry needed a resize and every entry's inode changed more
-    than ``_SETTLE_NS`` before the clock read taken just before the stats,
-    so a rewrite within one timestamp tick is never served stale; an
-    unwritable cache is skipped silently.
+    ``DataError``. The finished images are kept in
+    ``<root>/.pixels-<size>.cache``, keyed by their dtype, the
+    normalization table and each entry's path, label and stat, so a later
+    load of the unchanged dataset reads them back in one read, without
+    decoding, resizing or normalizing, and gets the same bytes. The cache
+    is written only when the first entry needed a resize and every entry's
+    inode changed more than ``_SETTLE_NS`` before the clock read taken just
+    before the stats, so a rewrite within one timestamp tick is never
+    served stale; an unwritable cache is skipped silently.
     """
     size = _as_int(size, "image size")
     if size < 1:
@@ -374,14 +381,27 @@ def load_preprocessed(manifest: DatasetManifest, size: int = 224):
     root = Path(manifest.root)
     start = time.time_ns()
     stats = [_stat_entry(root / rel) for rel, _ in manifest.entries]
-    header = _CACHE_FORMAT + f"size {size}\n".encode() + "".join(
-        f"{ascii(rel)} {label} {st.st_size} {st.st_ino} {st.st_mtime_ns} "
-        f"{st.st_ctime_ns}\n"
-        for (rel, label), st in zip(manifest.entries, stats)).encode()
+    header = _CACHE_FORMAT + (
+        f"size {size} {images.dtype.str} "
+        f"{zlib.crc32(_BYTE_TABLE.tobytes()):08x}\n" + "".join(
+            f"{ascii(rel)} {label} {st.st_size} {st.st_ino} "
+            f"{st.st_mtime_ns} {st.st_ctime_ns}\n"
+            for (rel, label), st in zip(manifest.entries, stats))).encode()
     cache = root / f".pixels-{size}.cache"
-    if not _read_cache(cache, header, images):
-        settled = all(st.st_ctime_ns < start - _SETTLE_NS for st in stats)
-        _load_entries(manifest, images, cache if settled else None, header)
+    if _read_cache(cache, header, images):
+        return images, manifest.labels
+    for i, (rel, _) in enumerate(manifest.entries):
+        # load_ppm and resize_bilinear are looked up in the module on
+        # every call, so a patched one sees each
+        raw = load_ppm(root / rel)
+        pixels = resize_bilinear(raw, size, size)
+        _scale_normalize(pixels, images[i])
+        if i == 0:
+            resized = pixels.shape != raw.shape
+    if resized and all(st.st_ctime_ns < start - _SETTLE_NS for st in stats):
+        with contextlib.suppress(OSError):   # a read-only root or a full disk
+            write_atomic(cache, header, images,
+                         zlib.crc32(images).to_bytes(4, "big"))
     return images, manifest.labels
 
 
@@ -395,87 +415,20 @@ def _stat_entry(path: Path) -> os.stat_result:
 
 
 def _read_cache(path: Path, header: bytes, images: np.ndarray) -> bool:
-    """Fill ``images`` from a cache holding ``header``, then the uint8
-    (size, size, 3) pixels of every image and their big-endian crc32.
+    """Fill ``images`` from a cache holding ``header``, then the bytes of
+    ``images`` and their big-endian crc32.
 
     False on any mismatch or read error; ``images`` then holds garbage.
     """
-    pixels = np.empty(images.shape[2:] + (CHANNELS,), np.uint8)
     try:
         with open(path, "rb") as f:
-            if (os.fstat(f.fileno()).st_size
-                    != len(header) + len(images) * pixels.nbytes + 4
-                    or f.read(len(header)) != header):
-                return False
-            crc = 0
-            for image in images:
-                if f.readinto(pixels) != pixels.nbytes:
-                    return False
-                crc = zlib.crc32(pixels, crc)
-                _scale_normalize(pixels, image)
-            return f.read() == crc.to_bytes(4, "big")
+            return (os.fstat(f.fileno()).st_size
+                    == len(header) + images.nbytes + 4
+                    and f.read(len(header)) == header
+                    and f.readinto(images) == images.nbytes
+                    and f.read() == zlib.crc32(images).to_bytes(4, "big"))
     except OSError:
         return False
-
-
-def _load_entries(manifest: DatasetManifest, images: np.ndarray,
-                  cache: Optional[Path], header: bytes):
-    """Decode, resize and normalize every entry into ``images``; stream the
-    resized pixels into ``cache`` when one is given and the first entry
-    needed a resize."""
-    size = images.shape[-1]
-    root = Path(manifest.root)
-    # a name of this process's own, so concurrent loads never share one
-    tmp = cache and cache.with_name(f"{cache.name}.{os.getpid()}.tmp")
-    out, writing, crc = None, False, 0
-    try:
-        for i, (rel, _) in enumerate(manifest.entries):
-            # load_ppm and resize_bilinear are looked up in the module on
-            # every call, so a patched one sees each
-            raw = load_ppm(root / rel)
-            pixels = resize_bilinear(raw, size, size)
-            _scale_normalize(pixels, images[i])
-            try:
-                if i == 0 and tmp and pixels.shape != raw.shape:
-                    _remove_dead_writers(root)
-                    out = open(tmp, "wb")
-                    writing = True
-                    out.write(header)
-                if writing:
-                    out.write(pixels)
-                    crc = zlib.crc32(pixels, crc)
-            except OSError:   # a read-only root or a full disk: no cache
-                writing = False
-        if writing:
-            with contextlib.suppress(OSError):
-                out.write(crc.to_bytes(4, "big"))
-                out.close()
-                os.replace(tmp, cache)
-    finally:
-        if out:
-            with contextlib.suppress(OSError):
-                out.close()
-        if tmp:
-            with contextlib.suppress(OSError):
-                tmp.unlink(missing_ok=True)
-
-
-def _remove_dead_writers(root: Path):
-    """Delete the pixel caches' ``.<pid>.tmp`` files under ``root`` whose
-    writer no longer runs, as a killed load leaves its temp file behind."""
-    if os.name != "posix":   # elsewhere os.kill(pid, 0) would end the process
-        return
-    with contextlib.suppress(OSError):
-        for path in root.iterdir():
-            match = re.fullmatch(r"\.pixels-[0-9]+\.cache\.([0-9]+)\.tmp", path.name)
-            if not match:
-                continue
-            try:
-                os.kill(int(match[1]), 0)
-            except ProcessLookupError:
-                path.unlink(missing_ok=True)
-            except (OSError, OverflowError):   # alive, or no pid we can ask
-                pass
 
 
 # ----------------------------------------------------------------------

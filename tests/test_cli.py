@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -264,6 +265,28 @@ class TestCv:
                      "--dim", str(2 ** 46), "--heads", "1"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: out of memory") and err.count("\n") == 1
+        assert out.is_dir() and not list(out.glob("run-*"))
+
+    def test_killed_run_leaves_no_run_directory(self, dataset, tmp_path):
+        # SIGKILL skips every cleanup; the kill lands while fold 1 of 2
+        # trains (~1 s of 1000 epochs), before the run directory exists
+        out = tmp_path / "runs"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "gbmpatch.cli", "cv", "--data",
+             str(dataset), "--out", str(out), "--folds", "2", "--epochs",
+             "1000", "--warmup-epochs", "0"] + SMALL_NET,
+            stdout=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)))
+        line = ""
+        try:
+            for line in proc.stdout:
+                if line.startswith("fold 0:"):
+                    break
+        finally:
+            proc.kill()
+            proc.wait(timeout=60)
+            proc.stdout.close()
+        assert line.startswith("fold 0:") and proc.returncode == -signal.SIGKILL
         assert out.is_dir() and not list(out.glob("run-*"))
 
     @pytest.mark.parametrize("extra,code", [

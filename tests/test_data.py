@@ -3,8 +3,6 @@ import json
 import os
 import re
 import shutil
-import subprocess
-import sys
 import time
 
 import numpy as np
@@ -16,7 +14,8 @@ from gbmpatch.data import (_BASE_COLORS, _BLOB_COUNTS, _STRIPE_FREQS,
                            DatasetManifest, IMAGENET_STD, _render_patch,
                            class_index, generate_synthetic, load_ppm,
                            load_preprocessed, normalize, parse_json_object,
-                           preprocess, resize_bilinear, save_ppm, to_tensor)
+                           preprocess, resize_bilinear, save_ppm, to_tensor,
+                           write_atomic)
 from gbmpatch.errors import (DataError, DimensionError, ParameterError,
                              PpmParseError)
 
@@ -699,9 +698,9 @@ class TestLoadPreprocessed:
 
 
 def counting_calls(monkeypatch):
-    """Calls of ``load_ppm`` and ``resize_bilinear``, counted through the
-    module as a tracer would."""
-    calls = {"load_ppm": 0, "resize_bilinear": 0}
+    """Calls of ``load_ppm``, ``resize_bilinear`` and ``_scale_normalize``,
+    counted through the module as a tracer would."""
+    calls = {"load_ppm": 0, "resize_bilinear": 0, "_scale_normalize": 0}
     for name in calls:
         inner = getattr(data, name)
 
@@ -730,14 +729,17 @@ class TestPixelCache:
         return manifest.root / f".pixels-{size}.cache"
 
     def test_hit_matches_miss_without_decoding(self, dataset, monkeypatch):
+        # a hit reads the finished images: it neither decodes, resizes nor
+        # normalizes
         calls = counting_calls(monkeypatch)
         miss, _ = load_preprocessed(dataset, size=12)
         n = len(dataset.entries)
-        assert calls == {"load_ppm": n, "resize_bilinear": n}
+        every = {"load_ppm": n, "resize_bilinear": n, "_scale_normalize": n}
+        assert calls == every
         assert sorted(p.name for p in dataset.root.iterdir()
                       if p.is_file()) == [".pixels-12.cache", MANIFEST_NAME]
         hit, labels = load_preprocessed(dataset, size=12)
-        assert calls == {"load_ppm": n, "resize_bilinear": n}
+        assert calls == every
         assert hit.tobytes() == miss.tobytes()
         assert hit.tobytes() == fresh_load(dataset, 12).tobytes()
         assert labels.tolist() == dataset.labels.tolist()
@@ -765,6 +767,13 @@ class TestPixelCache:
         rel = dataset.entries[2][0]
         pixels = load_ppm(dataset.root / rel)
         save_ppm(255 - pixels, dataset.root / rel)
+        self.check_miss(dataset, monkeypatch)
+
+    def test_new_normalization_is_a_miss(self, dataset, monkeypatch):
+        # the header holds the crc32 of the byte table, so other
+        # normalized values need no format bump
+        load_preprocessed(dataset, size=12)
+        monkeypatch.setattr(data, "_BYTE_TABLE", -data._BYTE_TABLE)
         self.check_miss(dataset, monkeypatch)
 
     @pytest.mark.parametrize("edit", ["relabel", "drop"])
@@ -810,6 +819,12 @@ class TestPixelCache:
 
             def close(self):
                 self.f.close()
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.close()
 
         def guarded_open(path, mode="r", *args, **kwargs):
             f = real_open(path, mode, *args, **kwargs)
@@ -882,29 +897,41 @@ class TestPixelCache:
             assert sorted(p for p in seen if p in paths) == paths
             assert self.cache(dataset).is_file()
 
-    def test_write_removes_dead_writers_temp_files(self, dataset):
-        # a killed load leaves <cache>.<pid>.tmp: the next write removes
-        # the files of pids that no longer run and keeps the others
-        dead = subprocess.Popen([sys.executable, "-c", ""])
-        dead.wait()
-        live = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
-        try:
-            temps = {(size, pid): dataset.root / f".pixels-{size}.cache.{pid}.tmp"
-                     for size in (12, 8) for pid in (dead.pid, live.pid)}
-            for path in temps.values():
-                path.write_bytes(b"partial")
-            load_preprocessed(dataset, size=12)
-            assert self.cache(dataset).is_file()
-            for (size, pid), path in temps.items():
-                assert path.exists() == (pid == live.pid)
-        finally:
-            live.kill()
-            live.wait()
+    def test_write_replaces_a_killed_writers_temp_file(self, dataset):
+        # a killed load leaves <cache>.tmp; the next write of that cache
+        # takes the name over and swaps it into place
+        (dataset.root / ".pixels-12.cache.tmp").write_bytes(b"partial")
+        load_preprocessed(dataset, size=12)
+        assert self.cache(dataset).is_file()
+        assert not list(dataset.root.glob("*.tmp"))
 
     def test_real_margin_skips_a_just_written_dataset(self, tmp_path):
         manifest = generate_synthetic(tmp_path, self.COUNTS, seed=8, size=20)
         load_preprocessed(manifest, size=12)
         assert not self.cache(manifest).exists()
+
+
+class TestWriteAtomic:
+    def test_parts_are_written_in_order(self, tmp_path):
+        path = write_atomic(tmp_path / "f", "ab", b"cd",
+                            np.arange(2, dtype=np.uint8))
+        assert path.read_bytes() == b"abcd\x00\x01"
+        assert sorted(tmp_path.iterdir()) == [path]
+
+    def test_keeps_a_temp_file_made_after_its_swap(self, tmp_path,
+                                                   monkeypatch):
+        # another writer of the same path opens <name>.tmp right after
+        # this one's swap; a finished writer leaves that file alone
+        real_replace = os.replace
+
+        def replace_then_another_writer_opens(src, dst):
+            real_replace(src, dst)
+            (tmp_path / "f.tmp").write_bytes(b"another")
+
+        monkeypatch.setattr(os, "replace", replace_then_another_writer_opens)
+        write_atomic(tmp_path / "f", b"mine")
+        assert (tmp_path / "f").read_bytes() == b"mine"
+        assert (tmp_path / "f.tmp").read_bytes() == b"another"
 
 
 class TestParseJsonObject:
