@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 # Save a model, reload it, and show the reloaded copy scores the exact
-# same logits. The file format is a readable text header over a float32
-# blob, so `head -20 model.ckpt` tells you what you are holding.
+# same logits. The file is two text lines (the magic with the crc32 of
+# the parameter table, then the JSON configs) over a float32 blob, so
+# `head -2 model.ckpt` tells you what you are holding.
 
 import tempfile
 from pathlib import Path
@@ -24,12 +25,10 @@ path = Path(tempfile.mkdtemp()) / "model.ckpt"
 save_model(path, model, extra_meta={"note": "demo"})
 print(f"wrote {path.stat().st_size} bytes")
 
-# the header is plain text up to the DATA sentinel
+# the header is two plain text lines; the configs fix every weight's shape
 with open(path, "rb") as fh:
-    for line in fh:
-        if line.strip() == b"DATA":
-            break
-        print(" ", line.decode().rstrip()[:76])
+    for _ in range(2):
+        print(" ", fh.readline().decode().rstrip()[:76])
 
 clone, meta = load_model(path)
 after = clone.logits(images).data

@@ -7,8 +7,7 @@ stratified k-fold cross-validation with warmup+cosine AdamW, a synthetic
 long-tailed patch generator, and a CLI (``gbmpatch``).
 """
 
-from .checkpoint import (load_checkpoint, load_model, save_checkpoint,
-                         save_model)
+from .checkpoint import load_model, save_model
 from .cv import (AdamState, CVResult, FoldAssignment, FoldResult,
                  TrainConfig, adam_step, lr_at, run_folds, stratified_kfold,
                  summarize, train_fold)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import datetime as _dt
+import itertools
 import json
 import os
 import sys
@@ -115,13 +116,12 @@ def _build_configs(settings: dict) -> tuple:
 
 def _make_run_dir(base: Path) -> Path:
     stamp = _dt.datetime.now().strftime("run-%Y%m%d-%H%M%S")
-    run = base / stamp
-    bump = 0
-    while run.exists():
-        bump += 1
-        run = base / f"{stamp}-{bump}"
-    run.mkdir()
-    return run
+    for bump in itertools.count():
+        run = base / (f"{stamp}-{bump}" if bump else stamp)
+        # mkdir is the claim, so two runs in one second get two names
+        with contextlib.suppress(FileExistsError):
+            run.mkdir()
+            return run
 
 
 def _point_latest(base: Path, run: Path):

@@ -1,73 +1,94 @@
-from dataclasses import replace
+import json
+import zlib
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
-from gbmpatch.checkpoint import (MAGIC, load_checkpoint, load_model,
-                                 save_checkpoint, save_model)
+from gbmpatch import model as model_module
+from gbmpatch.checkpoint import MAGIC, load_model, save_model
 from gbmpatch.cli import main
 from gbmpatch.encoder import EncoderConfig, encoder_table, init_encoder
-from gbmpatch.errors import ContractError, DataError
+from gbmpatch.errors import DataError
 from gbmpatch.head import HeadConfig, head_table, init_head
 from gbmpatch.model import PatchClassifier, parameter_shapes
 
 TINY = EncoderConfig(image_size=28, tile_size=14, dim=8, depth=1, heads=2,
                      registers=2)
+HEAD = HeadConfig(bottleneck=4)
+IMAGES = np.random.default_rng(1).normal(size=(2, 3, 28, 28)).astype(np.float32)
 
 
 def tiny_model(seed=0):
-    return PatchClassifier(TINY, HeadConfig(bottleneck=4), seed=seed)
+    return PatchClassifier(TINY, HEAD, seed=seed)
+
+
+@pytest.fixture
+def saved(tmp_path):
+    """A tiny model and the path it was saved to."""
+    model = tiny_model(seed=3)
+    path = tmp_path / "model.ckpt"
+    save_model(path, model, {"tag": "unit"})
+    return model, path
+
+
+def eval_exit(path, tmp_path, capsys):
+    """``eval``'s exit code on ``path`` and its one stderr line."""
+    code = main(["eval", "--checkpoint", str(path), "--data", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+    return code, err
+
+
+def table_crc(shapes):
+    """The magic line's crc, as the format describes it: crc32 of one
+    ``name<TAB>shape`` line per weight, as 8 hex digits."""
+    table = "".join(f"{name}\t{shape}\n" for name, shape in shapes.items())
+    return b"%08x" % zlib.crc32(table.encode())
+
+
+def write_file(path, meta, arrays):
+    """A checkpoint by hand: ``arrays`` in order under their own table."""
+    shapes = {name: a.shape for name, a in arrays.items()}
+    path.write_bytes(MAGIC + b" " + table_crc(shapes) + b"\n"
+                     + json.dumps(meta).encode() + b"\n"
+                     + b"".join(a.astype("<f4").tobytes()
+                                for a in arrays.values()))
+
+
+def configs_meta(enc_cfg=TINY, head_cfg=HEAD):
+    return {"encoder": asdict(enc_cfg), "head": asdict(head_cfg)}
 
 
 class TestRawFormat:
-    def test_round_trip_bits(self, tmp_path):
-        rng = np.random.default_rng(0)
-        params = {
-            "a": rng.normal(size=(3, 4)).astype(np.float32),
-            "b.c": rng.normal(size=(5,)).astype(np.float32),
-            "scalarish": np.float32(2.5).reshape(()),
-            "é": np.zeros((2,), np.float32),           # names are UTF-8
-        }
-        path = tmp_path / "w.ckpt"
-        save_checkpoint(path, params, {"note": "x"})
-        loaded, meta = load_checkpoint(path)
-        assert meta == {"note": "x"}
-        assert list(loaded) == list(params)
-        for name in params:
-            assert loaded[name].dtype == np.float32
-            assert loaded[name].shape == params[name].shape
-            assert loaded[name].tobytes() == params[name].tobytes()
+    def test_header_is_readable_text(self, saved):
+        model, path = saved
+        first, meta, blob = path.read_bytes().split(b"\n", 2)
+        assert first == MAGIC + b" " + table_crc(parameter_shapes(TINY, HEAD))
+        assert MAGIC == b"GBMPATCH-CKPT-3"
+        assert json.loads(meta) == {**configs_meta(), "tag": "unit"}
+        params = model.parameters()
+        assert blob == b"".join(params[n].data.astype("<f4").tobytes()
+                                for n in parameter_shapes(TINY, HEAD))
 
-    def test_header_is_readable_text(self, tmp_path):
-        path = tmp_path / "w.ckpt"
-        save_checkpoint(path, {"x": np.zeros((2, 2), np.float32)}, {"k": 1})
-        head = path.read_bytes().split(b"\nDATA\n")[0].decode("utf-8")
-        assert head.splitlines()[0] == "GBMPATCH-CKPT-2"
-        assert '"k": 1' in head
-        assert head.splitlines()[-1] == "x\t(2,2)"
-
-    @pytest.mark.parametrize("name", ["a\tb", "x\ny"])
-    def test_name_with_listing_delimiter_rejected(self, tmp_path, name):
-        path = tmp_path / "w.ckpt"
-        with pytest.raises(ContractError, match="tab or newline"):
-            save_checkpoint(path, {name: np.zeros(2, np.float32)}, {})
-        assert not path.exists()
+    def test_round_trip_bits(self, saved):
+        model, path = saved
+        restored, _ = load_model(path)
+        loaded = restored.parameters()
+        assert list(loaded) == list(model.parameters())
+        for name, param in model.parameters().items():
+            assert loaded[name].data.dtype == np.float32
+            assert loaded[name].data.shape == param.data.shape
+            assert loaded[name].data.tobytes() == param.data.tobytes()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk"
-        path.write_bytes(b"not a checkpoint\nDATA\n")
-        with pytest.raises(DataError, match="magic"):
-            load_checkpoint(path)
+        path.write_bytes(b"not a checkpoint")
+        with pytest.raises(DataError, match="magic line b'not a checkpoint'"):
+            load_model(path)
 
-    def test_missing_sentinel(self, tmp_path):
-        path = tmp_path / "junk"
-        path.write_bytes(MAGIC + b"\n{}\n0\n")
-        with pytest.raises(DataError, match="DATA"):
-            load_checkpoint(path)
-
-    def test_failed_save_leaves_existing_file(self, tmp_path, monkeypatch):
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(path, {"x": np.zeros(8, np.float32)}, {"v": 1})
+    def test_failed_save_leaves_existing_file(self, saved, monkeypatch):
+        _, path = saved
         before = path.read_bytes()
 
         def refuse(src, dst):
@@ -75,100 +96,116 @@ class TestRawFormat:
 
         monkeypatch.setattr("os.replace", refuse)
         with pytest.raises(OSError, match="disk full"):
-            save_checkpoint(path, {"x": np.ones(8, np.float32)}, {"v": 2})
+            save_model(path, tiny_model(seed=4))
         assert path.read_bytes() == before
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+        assert sorted(p.name for p in path.parent.iterdir()) == ["model.ckpt"]
 
-    def test_truncated_blob(self, tmp_path):
-        path = tmp_path / "w.ckpt"
-        save_checkpoint(path, {"x": np.zeros(8, np.float32)}, {})
-        raw = path.read_bytes()
-        path.write_bytes(raw[:-4])
-        with pytest.raises(DataError, match="blob"):
-            load_checkpoint(path)
+    def test_truncated_blob(self, saved, tmp_path, capsys):
+        _, path = saved
+        path.write_bytes(path.read_bytes()[:-4])   # one float short
+        with pytest.raises(DataError, match="blob holds"):
+            load_model(path)
+        code, err = eval_exit(path, tmp_path, capsys)
+        assert code == 3 and "describe a model" in err
 
-    def test_trailing_bytes_rejected(self, tmp_path):
-        # the listing must account for every byte after DATA
-        path = tmp_path / "w.ckpt"
-        save_checkpoint(path, {"x": np.zeros(3, np.float32),
-                               "y": np.zeros(2, np.float32)}, {})
-        path.write_bytes(path.read_bytes() + bytes(20))
-        with pytest.raises(DataError, match="covers 20 bytes"):
-            load_checkpoint(path)
+    def test_trailing_bytes_rejected(self, saved, tmp_path, capsys):
+        _, path = saved
+        path.write_bytes(path.read_bytes() + b"x")
+        with pytest.raises(DataError, match="blob holds"):
+            load_model(path)
+        code, err = eval_exit(path, tmp_path, capsys)
+        assert code == 3 and "describe a model" in err
 
 
-def raw_checkpoint(meta=b"{}", listing=b"x\t(8)", blob=bytes(32)):
-    """A hand-built checkpoint file whose count matches its listing."""
-    count = b"%d" % (listing.count(b"\n") + 1)
-    return (MAGIC + b"\n" + meta + b"\n" + count + b"\n" + listing
-            + b"\nDATA\n" + blob)
+def rename(rows):
+    return [("blk0.attn.wz" if n == "blk0.attn.wq" else n, s, i)
+            for n, s, i in rows]
+
+
+def swap(rows):
+    names = [n for n, _, _ in rows]
+    a, b = names.index("blk0.attn.wq"), names.index("blk0.attn.wk")
+    rows[a], rows[b] = rows[b], rows[a]
+    return rows
+
+
+def transpose(rows):
+    return [(n, s[::-1] if n == "blk0.mlp.w1" else s, i) for n, s, i in rows]
 
 
 class TestListingValidation:
-    def test_hand_built_file_loads(self, tmp_path):
-        path = tmp_path / "w.ckpt"
-        path.write_bytes(raw_checkpoint())
-        params, meta = load_checkpoint(path)
-        assert meta == {} and params["x"].shape == (8,)
+    """The configs imply the parameter table; the file only holds its crc."""
 
-    @pytest.mark.parametrize("listing", [
-        b"x\t(-4)",                         # negative dimension
-        b"x\t(2,-4)",
-        b"\xff\t(8)",                       # name not UTF-8
-        b"x",                               # too few fields
-        b"x\t(8)\t0",                       # a byte offset: too many fields
-        b"x\t(8)\t0\t0",
-        b"x\t8",                            # shape without parentheses
-        b"x\t(2,,4)",
-        b"x\t(" + b",".join([b"1"] * 65) + b")",   # more axes than numpy has
-        b"x\t(0,99999999999999999999)",     # dimension past numpy's limit
-        b"x\t(4)\nx\t(4)",                  # one name listed twice
-    ])
-    def test_bad_listing_is_data_error(self, tmp_path, listing):
+    def test_hand_built_file_loads(self, tmp_path):
+        shapes = parameter_shapes(TINY, HEAD)
         path = tmp_path / "w.ckpt"
-        path.write_bytes(raw_checkpoint(listing=listing))
-        with pytest.raises(DataError):
-            load_checkpoint(path)
+        write_file(path, configs_meta(),
+                   {n: np.full(s, 0.5, np.float32) for n, s in shapes.items()})
+        model, meta = load_model(path)
+        assert meta == configs_meta()
+        assert all((p.data == 0.5).all() for p in model.parameters().values())
+
+    @pytest.mark.parametrize("edit", [rename, swap, transpose])
+    def test_file_saved_under_another_table_is_refused(self, saved,
+                                                       monkeypatch, edit):
+        # the same total size, so only the crc tells the tables apart
+        _, path = saved
+        monkeypatch.setattr(model_module, "encoder_table",
+                            lambda cfg: edit(encoder_table(cfg)))
+        with pytest.raises(DataError, match="describe a model: parameter table"):
+            load_model(path)
+
+    @pytest.mark.parametrize("depth", [lambda blob: 10 ** 12, len],
+                             ids=["10**12", "blob_length"])
+    def test_huge_depth_builds_no_table(self, saved, monkeypatch, depth):
+        _, path = saved
+        first, meta, blob = path.read_bytes().split(b"\n", 2)
+        doc = json.loads(meta)
+        doc["encoder"]["depth"] = depth(blob)
+        path.write_bytes(b"\n".join([first, json.dumps(doc).encode(), blob]))
+
+        def refuse(cfg):
+            raise AssertionError("the table was built")
+
+        monkeypatch.setattr(model_module, "encoder_table", refuse)
+        with pytest.raises(DataError, match="at dim 8 exceeds the blob"):
+            load_model(path)
 
     @pytest.mark.parametrize("meta", [b"[]", b'"text"', b"3", b"null",
                                       b"\xff", b"{"])
-    def test_metadata_must_be_an_object(self, tmp_path, meta):
-        path = tmp_path / "w.ckpt"
-        path.write_bytes(raw_checkpoint(meta=meta))
+    def test_metadata_must_be_an_object(self, saved, meta):
+        _, path = saved
+        first, _, blob = path.read_bytes().split(b"\n", 2)
+        path.write_bytes(first + b"\n" + meta + b"\n" + blob)
         with pytest.raises(DataError, match="metadata"):
-            load_checkpoint(path)
+            load_model(path)
 
     def test_earlier_format_is_rejected_by_magic(self, tmp_path, capsys):
+        # the listing layout those formats had, over a 2-float blob
         path = tmp_path / "w.ckpt"
-        raw = raw_checkpoint(listing=b"x\t(8)\t0")
-        path.write_bytes(raw.replace(MAGIC, b"GBMPATCH-CKPT-1", 1))
-        with pytest.raises(DataError, match="GBMPATCH-CKPT-1"):
-            load_checkpoint(path)
-        assert main(["eval", "--checkpoint", str(path),
-                     "--data", str(tmp_path)]) == 3
-        assert "magic" in capsys.readouterr().err
+        for old in ("GBMPATCH-CKPT-2", "GBMPATCH-CKPT-1"):
+            path.write_bytes(old.encode() + b'\n{"encoder": {}}\n1\n'
+                             b"x\t(2)\nDATA\n" + bytes(8))
+            with pytest.raises(DataError, match=old):
+                load_model(path)
+            code, err = eval_exit(path, tmp_path, capsys)
+            assert code == 3 and "magic" in err and old in err
 
 
 class TestModelRoundTrip:
-    def test_logits_bit_identical_after_reload(self, tmp_path):
-        rng = np.random.default_rng(1)
-        model = tiny_model(seed=3)
-        imgs = rng.normal(size=(2, 3, 28, 28)).astype(np.float32)
-        before = model.logits(imgs).data
-
-        path = tmp_path / "model.ckpt"
-        save_model(path, model, {"tag": "unit"})
+    def test_logits_bit_identical_after_reload(self, saved):
+        model, path = saved
         restored, meta = load_model(path)
         assert meta["tag"] == "unit"
-        after = restored.logits(imgs).data
-        assert before.tobytes() == after.tobytes()
+        assert (restored.logits(IMAGES).data.tobytes()
+                == model.logits(IMAGES).data.tobytes())
 
     @pytest.mark.parametrize("change", [{"registers": 0}, {"depth": 0}],
                              ids=["registers0", "depth0"])
     def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch,
                                           change):
-        enc_cfg, head_cfg = replace(TINY, **change), HeadConfig(bottleneck=4)
-        model = PatchClassifier(enc_cfg, head_cfg, seed=3)
+        enc_cfg = replace(TINY, **change)
+        model = PatchClassifier(enc_cfg, HEAD, seed=3)
         path = tmp_path / "model.ckpt"
         save_model(path, model)
 
@@ -178,68 +215,61 @@ class TestModelRoundTrip:
         def shapes(weights):
             return [(name, t.shape) for name, t in weights.items()]
 
+        # the tables the file's layout rests on are the ones init draws
         assert shapes(init_encoder(enc_cfg)) == rows(encoder_table(enc_cfg))
-        assert (shapes(init_head(head_cfg, enc_cfg.dim))
-                == rows(head_table(head_cfg, enc_cfg.dim)))
-        listed = [(name, a.shape) for name, a in load_checkpoint(path)[0].items()]
-        assert listed == list(parameter_shapes(enc_cfg, head_cfg).items())
-
-        imgs = np.random.default_rng(2).normal(
-            size=(2, 3, 28, 28)).astype(np.float32)
-        before = model.logits(imgs).data
+        assert (shapes(init_head(HEAD, enc_cfg.dim))
+                == rows(head_table(HEAD, enc_cfg.dim)))
+        assert shapes(model.parameters()) == list(
+            parameter_shapes(enc_cfg, HEAD).items())
+        before = model.logits(IMAGES).data
 
         def refuse(*args, **kwargs):
             raise AssertionError("load_model drew random numbers")
 
         monkeypatch.setattr(np.random, "default_rng", refuse)
         restored, _ = load_model(path)
-        assert restored.logits(imgs).data.tobytes() == before.tobytes()
+        assert restored.logits(IMAGES).data.tobytes() == before.tobytes()
 
-    def test_configs_restored(self, tmp_path):
-        model = tiny_model()
-        save_model(tmp_path / "m.ckpt", model)
-        restored, _ = load_model(tmp_path / "m.ckpt")
+    def test_configs_restored(self, saved):
+        model, path = saved
+        restored, _ = load_model(path)
         assert restored.enc_cfg == TINY
         assert restored.head_cfg == model.head_cfg
 
+    def arrays(self, model):
+        return {n: p.data for n, p in model.parameters().items()}
+
     def test_shape_mismatch_rejected(self, tmp_path):
-        model = tiny_model()
+        arrays = self.arrays(tiny_model())
+        arrays["enc.patch.w"] = arrays["enc.patch.w"][:, :4]
         path = tmp_path / "m.ckpt"
-        save_model(path, model)
-        params, meta = load_checkpoint(path)
-        params["enc.patch.w"] = params["enc.patch.w"][:, :4]
-        save_checkpoint(path, params, meta)
-        with pytest.raises(DataError, match="shape"):
+        write_file(path, configs_meta(), arrays)
+        with pytest.raises(DataError, match="describe a model: parameter table"):
             load_model(path)
 
     def test_missing_parameter_rejected(self, tmp_path):
-        model = tiny_model()
+        arrays = self.arrays(tiny_model())
+        arrays.pop("head.w2")
         path = tmp_path / "m.ckpt"
-        save_model(path, model)
-        params, meta = load_checkpoint(path)
-        params.pop("head.w2")
-        save_checkpoint(path, params, meta)
-        with pytest.raises(DataError, match="names"):
+        write_file(path, configs_meta(), arrays)
+        with pytest.raises(DataError, match="describe a model: parameter table"):
             load_model(path)
 
     def test_checkpoint_with_folded_away_weights_rejected(self, tmp_path,
                                                           capsys):
-        # the layout that still had layer-norm affines, a tile bias and
-        # value biases: its extra names exit 3 before any model is built
-        path = tmp_path / "m.ckpt"
-        save_model(path, tiny_model())
-        params, meta = load_checkpoint(path)
+        # the table that still had layer-norm affines, a tile bias and
+        # value biases, written in this format: eval exits 3
+        arrays = self.arrays(tiny_model())
         for name in ("patch.b", "blk0.ln1.g", "blk0.ln1.b", "blk0.attn.bv",
                      "blk0.ln2.g", "blk0.ln2.b", "final.g", "final.b"):
-            params[f"enc.{name}"] = np.zeros(TINY.dim, np.float32)
-        save_checkpoint(path, params, meta)
-        assert main(["eval", "--checkpoint", str(path),
-                     "--data", str(tmp_path)]) == 3
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "enc.blk0.attn.bv" in err, err
+            arrays[f"enc.{name}"] = np.zeros(TINY.dim, np.float32)
+        path = tmp_path / "m.ckpt"
+        write_file(path, configs_meta(), arrays)
+        code, err = eval_exit(path, tmp_path, capsys)
+        assert code == 3 and "parameter table" in err
 
     def test_meta_without_configs_rejected(self, tmp_path):
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, {"x": np.zeros(1, np.float32)}, {"foo": 1})
+        write_file(path, {"foo": 1}, {"x": np.zeros(1, np.float32)})
         with pytest.raises(DataError, match="describe a model"):
             load_model(path)

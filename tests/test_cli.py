@@ -1,3 +1,4 @@
+import datetime
 import json
 import os
 import signal
@@ -10,8 +11,7 @@ import numpy as np
 import pytest
 
 from gbmpatch import data
-from gbmpatch.checkpoint import load_checkpoint, save_checkpoint
-from gbmpatch.cli import _point_latest, format_report, main
+from gbmpatch.cli import _make_run_dir, _point_latest, format_report, main
 from gbmpatch.data import (CLASS_CODES, DatasetManifest, generate_synthetic,
                            write_atomic)
 from gbmpatch.metrics import METRIC_NAMES
@@ -24,6 +24,15 @@ QUICK_TRAIN = ["--folds", "3", "--epochs", "2", "--warmup-epochs", "1",
                "--batch-size", "16", "--lr-max", "1e-3", "--lr-min", "1e-4"]
 # nested past the JSON decoder's recursion limit (RecursionError, not ValueError)
 DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+def edit_metadata(src, dst, section, key, value):
+    """Copy the checkpoint ``src`` to ``dst`` with one metadata field set."""
+    first, line, blob = Path(src).read_bytes().split(b"\n", 2)
+    meta = json.loads(line)
+    meta[section][key] = value
+    Path(dst).write_bytes(first + b"\n" + json.dumps(meta).encode() + b"\n"
+                          + blob)
 
 
 def one_line_error(capsys):
@@ -235,6 +244,29 @@ class TestCv:
         assert (tmp_path / "latest").is_dir() and not (tmp_path / "latest").is_symlink()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["latest", "run-a"]
 
+    def test_run_directory_another_run_claims_is_skipped(self, tmp_path,
+                                                         monkeypatch):
+        # another cv makes the same-second name between any probe and
+        # this run's mkdir
+        class Fixed(datetime.datetime):
+            @classmethod
+            def now(cls, tz=None):
+                return cls(2026, 1, 2, 3, 4, 5)
+
+        monkeypatch.setattr("gbmpatch.cli._dt.datetime", Fixed)
+        rival = tmp_path / "run-20260102-030405"
+        real_mkdir = Path.mkdir
+
+        def racing_mkdir(self, *args, **kwargs):
+            if self == rival and not rival.exists():
+                real_mkdir(rival)
+            return real_mkdir(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "mkdir", racing_mkdir)
+        assert _make_run_dir(tmp_path) == tmp_path / "run-20260102-030405-1"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "run-20260102-030405", "run-20260102-030405-1"]
+
     def test_missing_data_dir_is_data_error(self, tmp_path):
         assert main(["cv", "--data", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "runs")]) == 3
@@ -376,9 +408,9 @@ class TestCv:
                                                monkeypatch):
         written = []
 
-        def recording(path, content):
+        def recording(path, *parts):
             written.append(Path(path).name)
-            return write_atomic(path, content)
+            return write_atomic(path, *parts)
 
         monkeypatch.setattr("gbmpatch.cli.write_atomic", recording)
         monkeypatch.setattr("gbmpatch.checkpoint.write_atomic", recording)
@@ -434,16 +466,14 @@ class TestEval:
         ("head", "n_classes", 9),
         ("encoder", "heads", 2.0),          # in no shape; broke the forward
         ("head", "bottleneck", 4.0),
-        ("encoder", "depth", 10 ** 12),     # a table longer than the listing
+        ("encoder", "depth", 10 ** 12),     # a table longer than the blob
     ])
     def test_bad_model_metadata_is_data_error(self, dataset, finished_run,
                                               tmp_path, capsys, section, key,
                                               value):
         _, run = finished_run
-        params, meta = load_checkpoint(run / "model.ckpt")
-        meta[section][key] = value
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, params, meta)
+        edit_metadata(run / "model.ckpt", path, section, key, value)
         code = main(["eval", "--checkpoint", str(path), "--data", str(dataset)])
         err = capsys.readouterr().err
         assert code == 3
@@ -603,7 +633,7 @@ CV_QUICK = ["--image-size", "28"] + QUICK_TRAIN
     # _render_patch's canvas is 213 PiB
     (lambda tmp, data, ckpt: ["gen-data", "--out", f"{tmp}/d",
                               "--size", "100000000"], "out of memory"),
-    # metadata saying dim 2**46 fails the shape check, before any allocation
+    # metadata saying dim 2**46 fails the table check, before any allocation
     (lambda tmp, data, ckpt: ["eval", "--checkpoint", ckpt, "--data", data],
      "describe a model"),
 ], ids=["cv_dim", "cv_registers", "cv_image_size", "gen_data_size",
@@ -611,9 +641,8 @@ CV_QUICK = ["--image-size", "28"] + QUICK_TRAIN
 def test_unallocatable_size_exits_3(dataset, finished_run, tmp_path, capsys,
                                     argv, says):
     _, run = finished_run
-    params, meta = load_checkpoint(run / "model.ckpt")
-    meta["encoder"]["dim"] = 2 ** 46
-    save_checkpoint(tmp_path / "m.ckpt", params, meta)
+    edit_metadata(run / "model.ckpt", tmp_path / "m.ckpt", "encoder", "dim",
+                  2 ** 46)
     code = main(argv(str(tmp_path), str(dataset), str(tmp_path / "m.ckpt")))
     err = capsys.readouterr().err
     assert code == 3

@@ -9,7 +9,7 @@ file runs in a few seconds.
 
 import json
 import math
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -18,13 +18,16 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from gbmpatch.checkpoint import load_checkpoint, save_checkpoint
+from gbmpatch.checkpoint import load_model, save_model
 from gbmpatch.cli import (CV_CONFIGS, _build_configs, _settings, build_parser,
                           main)
 from gbmpatch.data import (CLASS_CODES, MANIFEST_NAME, DatasetManifest,
                            generate_synthetic, load_ppm, save_ppm)
+from gbmpatch.encoder import EncoderConfig
 from gbmpatch.errors import GbmPatchError
+from gbmpatch.head import HeadConfig
 from gbmpatch.metrics import METRIC_NAMES
+from gbmpatch.model import PatchClassifier, parameter_shapes
 
 BOUNDED = settings(max_examples=40, deadline=None, database=None,
                    suppress_health_check=[HealthCheck.too_slow])
@@ -32,37 +35,12 @@ BOUNDED = settings(max_examples=40, deadline=None, database=None,
 # RecursionError, which is not a ValueError
 DEEP = b"[" * 100_000 + b"]" * 100_000
 
-# any text but the listing's tab and newline delimiters
-NAMES = st.text(max_size=10).filter(lambda s: "\t" not in s and "\n" not in s)
 JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-10**6, 10**6)
     | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=5), inner, max_size=3),
     max_leaves=8)
-# listing-field replacements: numbers, shapes, text and raw bytes
-FIELD_JUNK = st.one_of(
-    st.integers(-10**6, 10**6).map(lambda n: str(n).encode()),
-    st.lists(st.integers(-3, 10**4), max_size=4).map(
-        lambda dims: ("(" + ",".join(map(str, dims)) + ")").encode()),
-    st.sampled_from([b"", b"zz", b"()", b"(,)", b"(1,)", b"(2,,3)",
-                     b"(" + b",".join([b"1"] * 65) + b")",
-                     b"(0,99999999999999999999)", b"\xff\xfe"]),
-    st.text(max_size=6).map(str.encode),
-    st.binary(max_size=6))
-
-
-@st.composite
-def checkpoints(draw):
-    shapes = draw(st.dictionaries(
-        NAMES, st.lists(st.integers(0, 4), max_size=3).map(tuple), max_size=4))
-    params = {}
-    for name, shape in shapes.items():
-        nbytes = 4 * math.prod(shape)
-        blob = draw(st.binary(min_size=nbytes, max_size=nbytes))
-        params[name] = np.frombuffer(blob, dtype="<f4").reshape(shape)
-    meta = draw(st.dictionaries(st.text(max_size=6), JSON, max_size=3))
-    return params, meta
 
 
 def loads_or_rejects(load, path):
@@ -77,67 +55,89 @@ def ckpt_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("ckpt")
 
 
+@pytest.fixture(scope="module")
+def model_file(ckpt_dir):
+    """The bytes of a saved tiny model."""
+    path = ckpt_dir / "saved.ckpt"
+    save_model(path, PatchClassifier(
+        EncoderConfig(image_size=28, tile_size=14, dim=8, depth=1, heads=2,
+                      registers=2, mlp_ratio=2), HeadConfig(bottleneck=4)))
+    return path.read_bytes()
+
+
+@st.composite
+def models(draw):
+    """A small classifier whose weights are any float32 bit patterns."""
+    heads = draw(st.sampled_from([1, 2]))
+    enc_cfg = EncoderConfig(
+        image_size=draw(st.sampled_from([7, 14])), tile_size=7,
+        dim=heads * draw(st.integers(1, 3)), depth=draw(st.integers(0, 2)),
+        heads=heads, registers=draw(st.integers(0, 2)),
+        mlp_ratio=draw(st.integers(1, 2)))
+    head_cfg = HeadConfig(bottleneck=draw(st.integers(1, 4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    arrays = {name: rng.integers(0, 256, 4 * math.prod(shape), np.uint8)
+              .view("<f4").reshape(shape)
+              for name, shape in parameter_shapes(enc_cfg, head_cfg).items()}
+    return PatchClassifier.from_arrays(enc_cfg, head_cfg, arrays)
+
+
 class TestCheckpoint:
     @BOUNDED
-    @given(checkpoints())
-    def test_save_load_is_identity(self, ckpt_dir, case):
-        params, meta = case
+    @given(models(), st.dictionaries(st.text(max_size=6), JSON, max_size=3))
+    def test_save_load_is_identity(self, ckpt_dir, model, extra):
+        extra = {k: v for k, v in extra.items() if k not in ("encoder", "head")}
         path = ckpt_dir / "w.ckpt"
-        save_checkpoint(path, params, meta)
-        loaded, loaded_meta = load_checkpoint(path)
-        assert loaded_meta == meta
-        assert list(loaded) == list(params)
-        for name, arr in params.items():
-            assert loaded[name].shape == arr.shape
-            assert loaded[name].tobytes() == arr.tobytes()
-
-    @BOUNDED
-    @given(checkpoints(), st.data())
-    def test_mutated_listing_or_meta(self, ckpt_dir, case, data):
-        path = ckpt_dir / "w.ckpt"
-        save_checkpoint(path, *case)
-        head, _, blob = path.read_bytes().partition(b"\nDATA\n")
-        lines = head.split(b"\n")
-        kind = data.draw(st.sampled_from(["field", "meta", "count"]))
-        if kind == "field" and len(lines) > 3:
-            i = data.draw(st.integers(3, len(lines) - 1))
-            fields = lines[i].split(b"\t")
-            j = data.draw(st.integers(0, len(fields) - 1))
-            fields[j] = data.draw(FIELD_JUNK)
-            lines[i] = b"\t".join(fields)
-        elif kind == "meta":
-            lines[1] = data.draw(st.one_of(
-                JSON.map(lambda v: json.dumps(v).encode()), st.binary(max_size=8)))
-        else:
-            lines[2] = data.draw(FIELD_JUNK)
-        path.write_bytes(b"\n".join(lines) + b"\nDATA\n" + blob)
-        loads_or_rejects(load_checkpoint, path)
+        save_model(path, model, extra)
+        restored, meta = load_model(path)
+        assert meta == {"encoder": asdict(model.enc_cfg),
+                        "head": asdict(model.head_cfg), **extra}
+        loaded = restored.parameters()
+        assert list(loaded) == list(model.parameters())
+        for name, param in model.parameters().items():
+            assert loaded[name].data.shape == param.data.shape
+            assert loaded[name].data.tobytes() == param.data.tobytes()
 
     @BOUNDED
     @given(st.binary(max_size=16).filter(lambda b: b"\n" not in b))
     @example(DEEP)
-    def test_any_meta_line(self, ckpt_dir, line):
-        path = ckpt_dir / "w.ckpt"
-        save_checkpoint(path, {"w": np.zeros(2, np.float32)}, {})
-        lines = path.read_bytes().split(b"\n")
+    def test_any_meta_line(self, ckpt_dir, model_file, line):
+        lines = model_file.split(b"\n", 2)
         lines[1] = line
+        path = ckpt_dir / "w.ckpt"
         path.write_bytes(b"\n".join(lines))
-        loads_or_rejects(load_checkpoint, path)
+        loads_or_rejects(load_model, path)
 
     @BOUNDED
-    @given(checkpoints(), st.data())
-    def test_mutated_bytes(self, ckpt_dir, case, data):
+    @given(st.data())
+    def test_mutated_meta(self, ckpt_dir, model_file, data):
+        first, line, blob = model_file.split(b"\n", 2)
+        meta = json.loads(line)
+        section = data.draw(st.sampled_from(["encoder", "head", None]))
+        value = data.draw(JSON)
+        if section is None:   # any JSON value for the whole line
+            meta = value
+        else:
+            key = data.draw(st.sampled_from(sorted(meta[section]) + ["junk"]))
+            meta[section][key] = value
         path = ckpt_dir / "w.ckpt"
-        save_checkpoint(path, *case)
-        raw = bytearray(path.read_bytes())
+        path.write_bytes(first + b"\n" + json.dumps(meta).encode() + b"\n"
+                         + blob)
+        loads_or_rejects(load_model, path)
+
+    @BOUNDED
+    @given(st.data())
+    def test_mutated_bytes(self, ckpt_dir, model_file, data):
+        raw = bytearray(model_file)
         for _ in range(data.draw(st.integers(1, 3))):
             pos = data.draw(st.integers(0, len(raw)))
             if data.draw(st.booleans()) and pos < len(raw):
                 raw[pos] = data.draw(st.integers(0, 255))
             else:
                 del raw[pos:]
+        path = ckpt_dir / "w.ckpt"
         path.write_bytes(bytes(raw))
-        loads_or_rejects(load_checkpoint, path)
+        loads_or_rejects(load_model, path)
 
 
 @pytest.fixture(scope="module")
