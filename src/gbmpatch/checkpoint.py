@@ -13,14 +13,14 @@ from __future__ import annotations
 import json
 import math
 import zlib
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .data import parse_json_object, write_atomic
-from .encoder import EncoderConfig
+from .encoder import EncoderConfig, encoder_table
 from .errors import DataError
 from .head import HeadConfig
 from .model import PatchClassifier, parameter_shapes
@@ -57,23 +57,27 @@ def load_model(path) -> Tuple[PatchClassifier, dict]:
         raise DataError(f"{path} has magic line {first[:40]!r}, expected {MAGIC!r}")
     line, _, blob = rest.partition(b"\n")
     meta = parse_json_object(line, f"{path} metadata")
+    item = np.dtype(BLOB_DTYPE).itemsize
     # ValueError: a config's ParameterError, or one of the checks below
     try:
         enc_cfg = EncoderConfig(**meta["encoder"])
         head_cfg = HeadConfig(**meta["head"])
-        # each block holds a dim x dim map, so the blob bounds the table
-        item = np.dtype(BLOB_DTYPE).itemsize
-        if item * enc_cfg.depth * enc_cfg.dim ** 2 > len(blob):
+        # one block's floats (the depth-1 table minus the depth-0 one) bound depth
+        one, none = (sum(math.prod(shape) for _, shape, _ in
+                         encoder_table(replace(enc_cfg, depth=d))) for d in (1, 0))
+        if item * enc_cfg.depth * (one - none) > len(blob):
             raise ValueError(f"depth {enc_cfg.depth} at dim {enc_cfg.dim} "
                              f"exceeds the blob's {len(blob)} bytes")
         shapes = parameter_shapes(enc_cfg, head_cfg)
         if crc != _table_crc(shapes):
             raise ValueError(f"parameter table crc {crc[:20]!r} does not match")
-        sizes = [math.prod(shape) for shape in shapes.values()]
-        if item * sum(sizes) != len(blob):
-            raise ValueError(f"the blob holds {len(blob)} bytes, not {item * sum(sizes)}")
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path} metadata does not describe a model: {exc}")
+    # the crc vouches for the table, so a size mismatch is the blob's own
+    sizes = [math.prod(shape) for shape in shapes.values()]
+    if item * sum(sizes) != len(blob):
+        raise DataError(f"{path} weights section is damaged: the blob holds "
+                        f"{len(blob)} bytes, not {item * sum(sizes)}")
     pieces = np.split(np.frombuffer(blob, BLOB_DTYPE).copy(), np.cumsum(sizes)[:-1])
     arrays = {name: piece.reshape(shape)
               for (name, shape), piece in zip(shapes.items(), pieces)}

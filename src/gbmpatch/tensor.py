@@ -13,6 +13,7 @@ stacked matmul) and nowhere else.
 
 from __future__ import annotations
 
+import ctypes
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -27,6 +28,15 @@ _SCORE_BYTES = 1 << 20
 # an attention slice with a row sum below this is recomputed from its exact
 # row max; at or above it, the error from subnormal entries is far below eps
 _SUM_FLOOR = 2.0 ** -100
+
+# glibc keeps 256 MiB of freed heap (M_TRIM_THRESHOLD, -1) and serves arrays
+# under 32 MiB, its 64-bit maximum, from the heap (M_MMAP_THRESHOLD, -3), so
+# the pages backward frees are reused, not faulted in; 1 where glibc applied it
+try:
+    _MALLOPT = tuple(ctypes.CDLL(None).mallopt(param, value)
+                     for param, value in ((-1, 256 << 20), (-3, 32 << 20)))
+except (AttributeError, OSError, TypeError):
+    _MALLOPT = ()
 
 
 def _as_array(data, dtype=None) -> np.ndarray:
@@ -52,11 +62,12 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 class Tensor:
     """A dense n-dimensional array with an optional gradient slot.
 
-    The value is immutable once created; only ``grad`` mutates. Gradients
-    accumulate across backward calls until ``zero_grad`` resets them.
+    The value is immutable once created; only ``grad`` mutates. Leaf
+    gradients accumulate across backward calls until ``zero_grad``.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "_op")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "_op",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None,
                  parents: tuple = (), backward_fn: Optional[Callable] = None,
@@ -96,10 +107,12 @@ class Tensor:
     # graph plumbing
 
     def backward(self):
-        """Populate ``grad`` on every reachable tensor that requires it.
+        """Populate ``grad`` on every reachable leaf that requires it.
 
-        Repeated calls accumulate into leaf gradients; intermediate node
-        gradients are reset on each call.
+        Backward frees the graph it runs: afterwards every non-leaf's
+        ``grad`` is None and the nodes keep only their values. Repeated
+        calls accumulate into leaf gradients, one new graph per call; a
+        second backward through a freed node raises ``ContractError``.
         """
         if self.shape != ():
             raise ContractError(
@@ -163,7 +176,8 @@ class ComputationRecord:
     topological order. It is the one place gradients reach operands: each
     op's backward returns one gradient per parent (``None`` for one it
     skipped), and only parents that require grad receive it, summed back
-    over broadcast axes and accumulated.
+    over broadcast axes and accumulated. A node's gradient, parents and
+    closure are dropped once its op has run, so a record replays once.
     """
 
     def __init__(self, nodes: list):
@@ -194,11 +208,15 @@ class ComputationRecord:
         for node in self.nodes:
             if node._parents:
                 node.grad = None
+            elif node.requires_grad and node._op != "leaf":
+                raise ContractError(f"backward reached a freed {node._op} node")
         root.grad = np.ones_like(root.data)
         for node in reversed(self.nodes):
             if node._backward_fn is None or node.grad is None:
                 continue
-            for parent, g in zip(node._parents, node._backward_fn(node.grad)):
+            g, parents, backward_fn = node.grad, node._parents, node._backward_fn
+            node.grad, node._parents, node._backward_fn = None, (), None
+            for parent, g in zip(parents, backward_fn(g)):
                 if g is None or not parent.requires_grad:
                     continue
                 g = _unbroadcast(g, parent.shape)

@@ -5,6 +5,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
+from gbmpatch import checkpoint as checkpoint_module
 from gbmpatch import model as model_module
 from gbmpatch.checkpoint import MAGIC, load_model, save_model
 from gbmpatch.cli import main
@@ -106,7 +107,7 @@ class TestRawFormat:
         with pytest.raises(DataError, match="blob holds"):
             load_model(path)
         code, err = eval_exit(path, tmp_path, capsys)
-        assert code == 3 and "describe a model" in err
+        assert code == 3 and "weights section is damaged" in err
 
     def test_trailing_bytes_rejected(self, saved, tmp_path, capsys):
         _, path = saved
@@ -114,7 +115,22 @@ class TestRawFormat:
         with pytest.raises(DataError, match="blob holds"):
             load_model(path)
         code, err = eval_exit(path, tmp_path, capsys)
-        assert code == 3 and "describe a model" in err
+        assert code == 3 and "weights section is damaged" in err
+
+    @pytest.mark.parametrize("edit", [lambda data: data[:-1],
+                                      lambda data: data + b"\0"],
+                             ids=["one_byte_short", "one_byte_long"])
+    def test_damaged_blob_is_not_blamed_on_the_metadata(self, saved, tmp_path,
+                                                        capsys, edit):
+        _, path = saved
+        size = len(path.read_bytes().split(b"\n", 2)[2])
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(DataError, match="weights section is damaged") as exc:
+            load_model(path)
+        assert "metadata" not in str(exc.value)
+        assert f"not {size}" in str(exc.value)
+        code, err = eval_exit(path, tmp_path, capsys)
+        assert code == 3 and "weights section is damaged" in err
 
 
 def rename(rows):
@@ -170,6 +186,35 @@ class TestListingValidation:
         monkeypatch.setattr(model_module, "encoder_table", refuse)
         with pytest.raises(DataError, match="at dim 8 exceeds the blob"):
             load_model(path)
+
+    def test_depth_bound_is_one_blocks_floats(self, saved, tmp_path, capsys,
+                                              monkeypatch):
+        # at dim 1 the old bound (4·depth·dim² bytes) let a depth of a
+        # quarter of the blob through, to build a table of that many blocks
+        _, path = saved
+        first, meta, blob = path.read_bytes().split(b"\n", 2)
+        doc = json.loads(meta)
+        depth = len(blob) // 4
+        doc["encoder"].update(dim=1, heads=1, depth=depth)
+        path.write_bytes(b"\n".join([first, json.dumps(doc).encode(), blob]))
+        depths, shapes_calls = [], []
+
+        def encoder_spy(cfg):
+            depths.append(cfg.depth)
+            return encoder_table(cfg)
+
+        def shapes_spy(enc_cfg, head_cfg):
+            shapes_calls.append(enc_cfg.depth)
+            return parameter_shapes(enc_cfg, head_cfg)
+
+        monkeypatch.setattr(checkpoint_module, "encoder_table", encoder_spy)
+        monkeypatch.setattr(checkpoint_module, "parameter_shapes", shapes_spy)
+        with pytest.raises(DataError, match=f"depth {depth} at dim 1 exceeds"):
+            load_model(path)
+        assert sorted(depths) == [0, 1] and shapes_calls == []
+        code, err = eval_exit(path, tmp_path, capsys)
+        assert code == 3 and "describe a model" in err
+        assert sorted(depths) == [0, 0, 1, 1] and shapes_calls == []
 
     @pytest.mark.parametrize("meta", [b"[]", b'"text"', b"3", b"null",
                                       b"\xff", b"{"])

@@ -4,13 +4,18 @@ Derived expectations were computed with independent oracles (triple-loop
 matmul, direct exp/sum evaluation, hand arithmetic) and frozen here.
 """
 
+import ctypes
 import inspect
+import weakref
 
 import numpy as np
 import pytest
 
 from gbmpatch import tensor as T
+from gbmpatch.encoder import EncoderConfig
 from gbmpatch.errors import ContractError, DataError, DimensionError, ParameterError
+from gbmpatch.head import HeadConfig
+from gbmpatch.model import PatchClassifier
 from gbmpatch.tensor import Tensor
 
 
@@ -242,21 +247,21 @@ class TestAttention:
 
     def test_second_backward_repeats_the_first_bit_for_bit(self, monkeypatch):
         # chunks of 4 slices over 15 reuse one score and one ds block
-        # within a call; a second call must not read the first one's
+        # within a call; a second call must not read the first one's. A
+        # backward frees the closure, so the op's own backward runs twice
+        # first, and then the engine's must give the same bits
         monkeypatch.setattr(T, "_SCORE_BYTES", 4 * 37 * 37 * 4)
         rng = np.random.default_rng(6)
         q, k, v, w = (heads_last(rng.normal(size=(3, 5, 37, 8)).astype(np.float32))
                       for _ in range(4))
         leaves = [Tensor(a, requires_grad=True) for a in (q, k, v)]
-        loss = (T.attention(*leaves, 5, 0.3) * Tensor(w)).sum()
-        grads = []
-        for _ in range(2):
-            for t in leaves:
-                t.zero_grad()
-            loss.backward()
-            grads.append([t.grad.copy() for t in leaves])
-        for first, second in zip(*grads):
-            np.testing.assert_array_equal(first, second)
+        out = T.attention(*leaves, 5, 0.3)
+        grads = [out._backward_fn(w.copy()) for _ in range(2)]
+        (out * Tensor(w)).sum().backward()
+        grads.append([t.grad for t in leaves])
+        for first, *later in zip(*grads):
+            for again in later:
+                np.testing.assert_array_equal(first, again)
 
     def test_heads_split_the_columns(self):
         # with one head per column block, attention is per-block attention
@@ -408,15 +413,15 @@ def test_in_place_op_equals_its_composite(op, composite, dtype):
 
     leaf = Tensor(x.copy(), requires_grad=True)
     out = op(leaf)
+    upstream = g.copy()   # before backward, which frees the closure
+    (grad,) = out._backward_fn(upstream)
+    np.testing.assert_array_equal(grad, want_grad)
+    np.testing.assert_array_equal(upstream, g)   # no backward writes into g
+
     T.mul(out, Tensor(g)).sum().backward()
     np.testing.assert_array_equal(out.data, want_out)
     np.testing.assert_array_equal(leaf.grad, want_grad)
     np.testing.assert_array_equal(leaf.data, x)
-
-    upstream = g.copy()
-    (grad,) = out._backward_fn(upstream)
-    np.testing.assert_array_equal(grad, want_grad)
-    np.testing.assert_array_equal(upstream, g)   # no backward writes into g
 
 
 class TestDropout:
@@ -565,6 +570,94 @@ class TestBackward:
             for parent in node._parents:
                 assert pos[id(parent)] < pos[id(node)]
         assert record.nodes[-1] is loss
+
+
+def replay_keeping_the_graph(root):
+    """The engine's backward without freeing: every node keeps its
+    parents, its closure and its gradient."""
+    nodes = T.ComputationRecord.trace(root).nodes
+    root.grad = np.ones_like(root.data)
+    for node in reversed(nodes):
+        if node._backward_fn is None or node.grad is None:
+            continue
+        for parent, g in zip(node._parents, node._backward_fn(node.grad)):
+            if g is None or not parent.requires_grad:
+                continue
+            g = T._unbroadcast(g, parent.shape).astype(parent.data.dtype)
+            parent.grad = g if parent.grad is None else parent.grad + g
+    return nodes
+
+
+class TestFreedGraph:
+    """Backward frees the graph it runs, and moves no bit doing so."""
+
+    @staticmethod
+    def train_loss():
+        cfg = EncoderConfig(image_size=28, tile_size=14, dim=8, depth=2,
+                            heads=2, registers=2, mlp_ratio=2)
+        model = PatchClassifier(cfg, HeadConfig(bottleneck=4), seed=3)
+        images = np.random.default_rng(4).normal(
+            size=(6, 3, 28, 28)).astype(np.float32)
+        return model, model.loss(images, np.arange(6) % 9, dropout_seed=5)
+
+    def test_leaf_gradients_match_a_backward_that_frees_nothing(self):
+        ref_model, ref_loss = self.train_loss()
+        kept = [n for n in replay_keeping_the_graph(ref_loss) if n._parents]
+        assert kept and all(n.grad is not None for n in kept)
+
+        model, loss = self.train_loss()
+        nodes = [n for n in T.ComputationRecord.trace(loss).nodes if n._parents]
+        assert len(nodes) == len(kept)
+        loss.backward()
+        for node in nodes:
+            assert node.grad is None and node._backward_fn is None
+            assert node._parents == ()
+        want = ref_model.parameters()
+        for name, p in model.parameters().items():
+            assert p.grad.dtype == want[name].grad.dtype
+            np.testing.assert_array_equal(p.grad, want[name].grad, err_msg=name)
+        assert loss.item() == ref_loss.item()
+
+    def test_second_backward_of_one_root_raises(self):
+        x = Tensor(np.arange(3.0), requires_grad=True)
+        loss = T.silu(x).sum()
+        loss.backward()
+        first = x.grad.copy()
+        with pytest.raises(ContractError, match="sum node"):
+            loss.backward()
+        np.testing.assert_array_equal(x.grad, first)   # nothing accumulated
+
+    def test_new_graph_on_a_freed_intermediate_raises(self):
+        x = Tensor(np.arange(3.0), requires_grad=True)
+        hidden = T.silu(x)
+        hidden.sum().backward()
+        first = x.grad.copy()
+        y = Tensor(np.ones(3), requires_grad=True)
+        with pytest.raises(ContractError, match="silu node"):
+            T.mul(hidden, y).sum().backward()
+        np.testing.assert_array_equal(x.grad, first)
+        assert y.grad is None
+
+    def test_intermediates_die_with_backward(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        hidden = T.layer_norm(T.silu(x))
+        probe = weakref.ref(hidden)
+        loss = T.mul(hidden, hidden).sum()
+        del hidden
+        assert probe() is not None   # the graph holds it until backward
+        loss.backward()
+        assert probe() is None
+        assert loss._parents == () and loss.grad is None
+
+    def test_freed_pages_stay_in_the_process(self):
+        # a silent no-op would bring back the page faults of freeing
+        try:
+            glibc = hasattr(ctypes.CDLL(None), "gnu_get_libc_version")
+        except (OSError, TypeError):
+            glibc = False
+        if not glibc:
+            pytest.skip("mallopt is a glibc call")
+        assert T._MALLOPT == (1, 1)
 
 
 class TestFiniteDiffCheck:
