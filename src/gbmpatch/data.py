@@ -29,6 +29,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
+try:
+    import fcntl
+except ImportError:   # not POSIX: writers of one path are not serialised
+    fcntl = None
+
 import numpy as np
 
 from .errors import DataError, DimensionError, ParameterError, PpmParseError
@@ -258,25 +263,55 @@ def preprocess(pixels: np.ndarray, size: int = 224) -> np.ndarray:
 # dataset manifest
 
 
+def _lock_temp(tmp: Path) -> int:
+    """A descriptor that holds an exclusive ``flock`` on the file named
+    ``tmp``, made if missing.
+
+    Writers of one path share that name. The lock makes a second writer
+    wait until the first has renamed its file into place or died (the
+    kernel drops a killed writer's lock), and the inode check makes it
+    lock again when the file it waited on is no longer the one named
+    ``tmp``.
+    """
+    while True:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            if os.path.samestat(os.fstat(fd), os.stat(tmp)):
+                return fd
+        except FileNotFoundError:   # renamed or removed while we waited
+            pass
+        except BaseException:
+            os.close(fd)
+            raise
+        os.close(fd)
+
+
 def write_atomic(path, *parts) -> Path:
     """Write text or bytes-like parts, in order, to ``<name>.tmp``, then
     swap it into place.
 
     Readers see either the old file or the complete new one, never a
-    partial write. The temp file is removed only if the write or swap
-    fails, so a finished writer never deletes one that another writer of
-    the same path has opened since.
+    partial write. Concurrent writers of one path take turns on the temp
+    file under ``_lock_temp`` (POSIX only; elsewhere they are not
+    serialised). The temp file is removed only if the write or swap fails,
+    while this writer holds it, so a finished writer never deletes one
+    that another writer of the same path has opened since.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
+    lock = None if fcntl is None else _lock_temp(tmp)
     try:
         with open(tmp, "wb") as f:
             for part in parts:
                 f.write(part.encode("utf-8") if isinstance(part, str) else part)
-        os.replace(tmp, path)
+        os.replace(tmp, path)   # under the lock: a waiting writer locks again
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    finally:
+        if lock is not None:
+            os.close(lock)
     return path
 
 

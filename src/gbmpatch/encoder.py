@@ -13,10 +13,12 @@ them into its weight rows and bias. Tiles have no bias, since ``pos`` is
 added to the same slots. Attention has no key bias, which softmax cancels,
 nor a value bias, which ``bo`` takes because attention rows sum to 1.
 
-Every projection is one ``linear`` node on (B, tokens, dim) rows, and
+Every projection is one ``linear`` node on (B, tokens, dim) rows, the
+MLP's first projection and its SiLU are one ``linear_silu`` node, and
 ``attention`` takes the (B, tokens, dim) q, k and v and splits the heads
-itself, so a block records 12 nodes: two norms, six linears, attention,
-silu and two residual adds.
+itself, so a block records 11 nodes: two norms, five linears, one
+linear_silu, attention and two residual adds. The tile projection is one
+``tile_linear`` node over the images, which keeps them, not their tiles.
 
 Defaults are desk scale (dim 32, depth 2) so the whole pipeline trains in
 seconds on a CPU; the geometry (224 input, 14 tile) matches the full-scale
@@ -33,8 +35,9 @@ import numpy as np
 
 from .data import CHANNELS
 from .errors import DimensionError, ParameterError
+# tile_image is the engine's; the package exports it from here
 from .tensor import (Tensor, attention, broadcast_to, concat, layer_norm,
-                     linear, silu)
+                     linear, linear_silu, tile_image, tile_linear)
 
 EncoderWeights = Dict[str, Tensor]
 
@@ -121,38 +124,19 @@ def init_encoder(cfg: EncoderConfig, seed: int = 0,
     return init_params(encoder_table(cfg), seed, dtype)
 
 
-def tile_image(images: np.ndarray, tile: int) -> np.ndarray:
-    """Cut (B, C, H, W) images into (B, tiles, patch_dim) flat tile rows.
-
-    Each row is one tile flattened channel-major: all of channel 0's
-    tile pixels, then channel 1's, then channel 2's. Tiles are ordered
-    left to right, top to bottom.
-    """
-    img = np.asarray(images)
-    if img.ndim != 4:
-        raise DimensionError(f"expected (B, C, H, W), got shape {img.shape}")
-    b, c, h, wdt = img.shape
-    if h % tile or wdt % tile:
+def embed(images: np.ndarray, w: EncoderWeights, cfg: EncoderConfig) -> Tensor:
+    """Project each (B, C, H, W) image's ``tile_image`` rows to tokens, add
+    their positions, then prepend the class and register slots ->
+    (B, seq_len, dim). The graph keeps the images, not their tiles."""
+    images = np.asarray(images)
+    if images.ndim != 4:
+        raise DimensionError(f"expected (B, C, H, W), got {images.shape}")
+    if images.shape[1:] != (CHANNELS, cfg.image_size, cfg.image_size):
         raise DimensionError(
-            f"tile {tile} does not divide image {h}x{wdt}")
-    ny, nx = h // tile, wdt // tile
-    return (img.reshape(b, c, ny, tile, nx, tile)
-               .transpose(0, 2, 4, 1, 3, 5)
-               .reshape(b, ny * nx, c * tile * tile))
-
-
-def embed(tiles: np.ndarray, w: EncoderWeights, cfg: EncoderConfig) -> Tensor:
-    """Project (B, tiles, patch_dim) rows to tokens, add their positions,
-    then prepend the class and register slots -> (B, seq_len, dim)."""
-    if tiles.ndim != 3:
-        raise DimensionError(
-            f"expected (B, tiles, patch_dim), got shape {tiles.shape}")
-    b, t, p = tiles.shape
-    if t != cfg.n_patches or p != cfg.patch_dim:
-        raise DimensionError(
-            f"tiles {tiles.shape[1:]} do not match config "
-            f"({cfg.n_patches}, {cfg.patch_dim})")
-    tokens = linear(Tensor(tiles), w["patch.w"], w["pos"])
+            f"images {images.shape[1:]} do not match config "
+            f"({CHANNELS}, {cfg.image_size}, {cfg.image_size})")
+    b = images.shape[0]
+    tokens = tile_linear(images, cfg.tile_size, w["patch.w"], w["pos"])
     cls = broadcast_to(w["cls"], (b, 1, cfg.dim))
     reg = broadcast_to(w["reg"], (b, cfg.registers, cfg.dim))
     return concat([cls, reg, tokens], axis=1)
@@ -167,21 +151,14 @@ def _attention(x: Tensor, w: EncoderWeights, p: str, cfg: EncoderConfig) -> Tens
 
 
 def _mlp(x: Tensor, w: EncoderWeights, p: str) -> Tensor:
-    return linear(silu(linear(x, w[f"{p}.w1"], w[f"{p}.b1"])),
+    return linear(linear_silu(x, w[f"{p}.w1"], w[f"{p}.b1"]),
                   w[f"{p}.w2"], w[f"{p}.b2"])
 
 
 def encode_batch(images: np.ndarray, w: EncoderWeights,
                  cfg: EncoderConfig) -> Tensor:
     """Full encoder pass over (B, C, H, W) images -> (B, seq_len, dim)."""
-    images = np.asarray(images)
-    if images.ndim != 4:
-        raise DimensionError(f"expected (B, C, H, W), got {images.shape}")
-    if images.shape[1:] != (CHANNELS, cfg.image_size, cfg.image_size):
-        raise DimensionError(
-            f"images {images.shape[1:]} do not match config "
-            f"({CHANNELS}, {cfg.image_size}, {cfg.image_size})")
-    x = embed(tile_image(images, cfg.tile_size), w, cfg)
+    x = embed(images, w, cfg)
     for i in range(cfg.depth):
         p = f"blk{i}"
         x = x + _attention(layer_norm(x), w, f"{p}.attn", cfg)

@@ -275,31 +275,61 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data @ b.data, (a, b), backward, "matmul")
 
 
-def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
-    """x @ w + b over the last axis of x, as one node. ``b`` broadcasts
-    against the output: a (k,) bias or, for embed, one row per token.
-
-    Gradients: dX = G @ Wᵀ (skipped, as in ``matmul``, when x needs none)
-    and dW = Xᵀ @ G, each one 2-D GEMM over all of x's rows, and dB = G,
-    which the engine sums down to b's shape.
-    """
+def _affine(x: np.ndarray, w: Tensor, b: Optional[Tensor]) -> np.ndarray:
+    """x @ w + b over x's last axis, for ``linear`` and the ops built on it."""
     shape = x.shape[:-1] + w.shape[1:]
     if (x.ndim < 1 or w.ndim != 2 or x.shape[-1] != w.shape[0] or b is not None
             and (b.ndim > len(shape) or shape[len(shape) - b.ndim:] != b.shape)):
         raise DimensionError(f"linear shapes incompatible: {x.shape} x {w.shape}"
                              + ("" if b is None else f" + {b.shape}"))
-    out = x.data @ w.data
+    out = x @ w.data
     if b is not None and np.result_type(out, b.data) == out.dtype:
         out += b.data   # in place: a second fresh array pays its page faults again
     elif b is not None:
         out = out + b.data
+    return out
+
+
+def _affine_grads(x: np.ndarray, w: Tensor, g: np.ndarray, with_dx: bool):
+    """(dX, dW) of x @ w under G = g, each one 2-D GEMM over all of x's
+    rows; an operand that needs no gradient gets None."""
+    rows, g2 = x.reshape(-1, w.shape[0]), g.reshape(-1, w.shape[1])
+    return ((g2 @ w.data.T).reshape(x.shape) if with_dx else None,
+            rows.T @ g2 if w.requires_grad else None)
+
+
+def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
+    """x @ w + b over the last axis of x, as one node. ``b`` broadcasts
+    against the output: a (k,) bias or one row per token.
+
+    Gradients: dX = G @ Wᵀ (skipped, as in ``matmul``, when x needs none)
+    and dW = Xᵀ @ G, each one 2-D GEMM over all of x's rows, and dB = G,
+    which the engine sums down to b's shape.
+    """
+    out = _affine(x.data, w, b)
 
     def backward(g):
-        rows, g2 = x.data.reshape(-1, w.shape[0]), g.reshape(-1, w.shape[1])
-        dx = (g2 @ w.data.T).reshape(x.shape) if x.requires_grad else None
-        return dx, rows.T @ g2 if w.requires_grad else None, g
+        return (*_affine_grads(x.data, w, g, x.requires_grad), g)
 
     return _make(out, (x, w) if b is None else (x, w, b), backward, "linear")
+
+
+def tile_linear(images: np.ndarray, tile: int, w: Tensor,
+                b: Optional[Tensor] = None) -> Tensor:
+    """``linear(Tensor(tile_image(images, tile)), w, b)`` as one node that
+    keeps the images, not their tiles: backward cuts the tiles again for
+    dW = tilesᵀ @ G, trading one cut for a copy of the input held through
+    the step (Chen et al., arXiv 1604.06174). The images are a constant
+    and get no gradient; ``b`` is embed's (tiles, dim) position rows."""
+    images = _as_array(images)
+    out = _affine(tile_image(images, tile), w, b)
+
+    def backward(g):
+        if not w.requires_grad:
+            return None, g
+        return _affine_grads(tile_image(images, tile), w, g, False)[1], g
+
+    return _make(out, (w,) if b is None else (w, b), backward, "tile_linear")
 
 
 # ----------------------------------------------------------------------
@@ -385,20 +415,41 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return sig
 
 
+def _silu_grad(g: np.ndarray, x: np.ndarray, sig: np.ndarray) -> np.ndarray:
+    """g * sig * (1.0 + x * (1.0 - sig)): silu's input gradient."""
+    grad = g * sig
+    inner = np.subtract(1.0, sig)
+    inner *= x
+    inner += 1.0
+    grad *= inner
+    return grad
+
+
 def silu(x: Tensor) -> Tensor:
     """x * sigmoid(x), with gradient sigmoid(x) * (1 + x * (1 - sigmoid(x)))."""
     sig = _sigmoid(x.data)
+    return _make(x.data * sig, (x,), lambda g: (_silu_grad(g, x.data, sig),), "silu")
+
+
+def linear_silu(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
+    """``silu(linear(x, w, b))`` as one node, with the same bits forward
+    and backward.
+
+    The node keeps the pre-activation z beside its output, not z's
+    sigmoid: forward turns the sigmoid into the output in place, and
+    backward computes it again from z. So the graph holds two arrays of
+    the hidden width where ``linear`` then ``silu`` hold three. The
+    gradients of x, w and b are ``linear``'s under silu's gradient.
+    """
+    z = _affine(x.data, w, b)
+    out = _sigmoid(z)
+    out *= z
 
     def backward(g):
-        # g * sig * (1.0 + x * (1.0 - sig))
-        grad = g * sig
-        inner = np.subtract(1.0, sig)
-        inner *= x.data
-        inner += 1.0
-        grad *= inner
-        return (grad,)
+        gz = _silu_grad(g, z, _sigmoid(z))
+        return (*_affine_grads(x.data, w, gz, x.requires_grad), gz)
 
-    return _make(x.data * sig, (x,), backward, "silu")
+    return _make(out, (x, w) if b is None else (x, w, b), backward, "linear_silu")
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -409,6 +460,26 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
     return _make(out_data, (x,), lambda g: (
         out_data * (g - (g * out_data).sum(axis=axis, keepdims=True)),), "softmax")
+
+
+def tile_image(images: np.ndarray, tile: int) -> np.ndarray:
+    """Cut (B, C, H, W) images into (B, tiles, patch_dim) flat tile rows.
+
+    Each row is one tile flattened channel-major: all of channel 0's
+    tile pixels, then channel 1's, then channel 2's. Tiles are ordered
+    left to right, top to bottom.
+    """
+    img = np.asarray(images)
+    if img.ndim != 4:
+        raise DimensionError(f"expected (B, C, H, W), got shape {img.shape}")
+    b, c, h, wdt = img.shape
+    if h % tile or wdt % tile:
+        raise DimensionError(
+            f"tile {tile} does not divide image {h}x{wdt}")
+    ny, nx = h // tile, wdt // tile
+    return (img.reshape(b, c, ny, tile, nx, tile)
+               .transpose(0, 2, 4, 1, 3, 5)
+               .reshape(b, ny * nx, c * tile * tile))
 
 
 def _split_heads(x: np.ndarray, heads: int, dtype, last=None,
@@ -463,9 +534,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float) -> Tens
     - forward reads each row's sum from ``P @ [v | 1]``, and a slice with
       a row sum under _SUM_FLOOR (or 0 or NaN, as from a non-finite bound)
       is recomputed from its exact row max;
-    - the graph keeps ``[q·scale | −lse]`` and ``[k | 1]ᵀ``, not the
-      (B, heads, N, N) probabilities, and backward recomputes them as
-      ``exp([q·scale | −lse] @ [k | 1]ᵀ)``;
+    - the graph keeps the −lse column, not the (B, heads, N, N)
+      probabilities; backward rebuilds ``[q·scale | −lse]`` and
+      ``[k | 1]ᵀ`` from it and the q and k it already holds, and
+      recomputes the probabilities as ``exp([q·scale | −lse] @ [k | 1]ᵀ)``;
     - the softmax row term D = rowsum(dP * P) equals rowsum(dO * O), and
       ``[dO | −D] @ [v | 1]ᵀ`` gives dP − D.
 
@@ -507,12 +579,15 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float) -> Tens
     for i in np.flatnonzero(~(total >= _SUM_FLOOR).all(axis=(1, 2))):
         _recentre(i, qa, kt, va, scores[0], summed)
     qa[..., qw:] -= np.log(total)   # [q·s | −lse], lse = shift + log(rowsum)
+    nlse = qa[..., qw].reshape(b, heads, n).copy()
     out = np.empty((b, n, heads, vw), dtype)
     np.divide(summed[..., :vw].reshape(b, heads, n, vw),
               total.reshape(b, heads, n, 1), out=out.transpose(0, 2, 1, 3))
     out = out.reshape(b, n, heads * vw)
 
     def backward(g):
+        qa = _split_heads(q.data * scale, heads, dtype, nlse)   # as forward left it
+        kt = _split_heads(k.data, heads, dtype, 1.0, transpose=True)
         d = (g * out).reshape(b, n, heads, vw).sum(axis=-1)
         ga = _split_heads(g, heads, dtype, -d.transpose(0, 2, 1))   # [g | −D]
         vt = _split_heads(v.data, heads, dtype, 1.0, transpose=True)

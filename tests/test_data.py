@@ -3,7 +3,11 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
+import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,8 @@ from gbmpatch.data import (_BASE_COLORS, _BLOB_COUNTS, _STRIPE_FREQS,
                            write_atomic)
 from gbmpatch.errors import (DataError, DimensionError, ParameterError,
                              PpmParseError)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def random_patch(rng, w, h):
@@ -932,6 +938,89 @@ class TestWriteAtomic:
         write_atomic(tmp_path / "f", b"mine")
         assert (tmp_path / "f").read_bytes() == b"mine"
         assert (tmp_path / "f.tmp").read_bytes() == b"another"
+
+
+WRITER = """
+import sys, time
+from gbmpatch.data import write_atomic
+path, letter = sys.argv[1], sys.argv[2].encode()
+print("ready", flush=True)
+sys.stdin.readline()
+end = time.monotonic() + float(sys.argv[3])
+while time.monotonic() < end:
+    write_atomic(path, *[letter * 4096] * 16)
+"""
+
+
+@pytest.mark.skipif(os.name != "posix", reason="flock is POSIX-only")
+class TestConcurrentWriters:
+    SIZE = 16 * 4096
+
+    def test_two_processes_writing_one_path_take_turns(self, tmp_path):
+        # each writer publishes 64 KiB of its own letter in 16 parts, over
+        # and over for a second; neither may fail, and every read of the
+        # path must be one writer's complete file
+        target = tmp_path / "f"
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        writers = [subprocess.Popen(
+            [sys.executable, "-c", WRITER, str(target), letter, "1.0"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, env=env, text=True) for letter in "ab"]
+        try:
+            for w in writers:
+                assert w.stdout.readline() == "ready\n"
+            for w in writers:
+                w.stdin.write("go\n")
+                w.stdin.flush()
+            reads, torn = 0, []
+            deadline = time.monotonic() + 60
+            while (any(w.poll() is None for w in writers)
+                   and time.monotonic() < deadline):
+                try:
+                    got = target.read_bytes()
+                except FileNotFoundError:   # before the first swap
+                    continue
+                reads += 1
+                if got not in (b"a" * self.SIZE, b"b" * self.SIZE):
+                    torn.append((len(got), sorted(set(got))))
+            errors = [w.stderr.read() for w in writers]
+        finally:
+            for w in writers:
+                w.kill()
+                w.wait()
+        assert [w.returncode for w in writers] == [0, 0], errors
+        assert reads and not torn, torn[:5]
+        assert sorted(tmp_path.iterdir()) == [target]
+
+    def test_waits_for_a_writer_until_it_is_killed(self, tmp_path):
+        # a writer killed while it holds the temp file's lock leaves the
+        # file behind; the next writer waits for the lock, which the
+        # kernel drops with the killed process, and takes the file over
+        target, tmp = tmp_path / "f", tmp_path / "f.tmp"
+        holder = subprocess.Popen(
+            [sys.executable, "-c",
+             "import fcntl, sys, time\n"
+             "f = open(sys.argv[1], 'wb')\n"
+             "f.write(b'partial')\n"
+             "f.flush()\n"
+             "fcntl.flock(f, fcntl.LOCK_EX)\n"
+             "print('locked', flush=True)\n"
+             "time.sleep(60)\n", str(tmp)],
+            stdout=subprocess.PIPE, text=True)
+        try:
+            assert holder.stdout.readline() == "locked\n"
+            writer = threading.Thread(target=write_atomic, args=(target, b"whole"),
+                                      daemon=True)
+            writer.start()
+            writer.join(0.3)
+            assert writer.is_alive() and not target.exists()
+        finally:
+            holder.kill()
+            holder.wait()
+        writer.join(10)
+        assert not writer.is_alive()
+        assert target.read_bytes() == b"whole"
+        assert sorted(tmp_path.iterdir()) == [target]
 
 
 class TestParseJsonObject:

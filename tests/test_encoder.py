@@ -95,26 +95,26 @@ class TestEmbed:
     def test_sequence_layout(self):
         rng = np.random.default_rng(2)
         w = init_encoder(TINY, seed=0)
-        tiles = tile_image(rand_image(rng, TINY, batch=1), 14)
-        seq = embed(tiles, w, TINY)
+        images = rand_image(rng, TINY, batch=1)
+        seq = embed(images, w, TINY)
         assert seq.shape == (1, TINY.seq_len, TINY.dim)
         # class slot = cls, register slots = reg, then patches + positions
         assert np.array_equal(seq.data[0, 0], w["cls"].data[0])
         assert np.array_equal(seq.data[0, 1:1 + TINY.registers], w["reg"].data)
-        first = tiles[0, 0] @ w["patch.w"].data
+        first = tile_image(images, 14)[0, 0] @ w["patch.w"].data
         assert np.allclose(seq.data[0, 1 + TINY.registers],
                            first + w["pos"].data[0], atol=1e-6)
 
     def test_wrong_tile_block_rejected(self):
+        # 42 px images cut into 3x3 tiles, not the config's 2x2
         w = init_encoder(TINY, seed=0)
-        with pytest.raises(DimensionError):
-            embed(np.zeros((1, 5, TINY.patch_dim), dtype=np.float32), w, TINY)
+        with pytest.raises(DimensionError, match="do not match config"):
+            embed(np.zeros((1, 3, 42, 42), dtype=np.float32), w, TINY)
 
     def test_unbatched_rank_rejected(self):
         w = init_encoder(TINY, seed=0)
         with pytest.raises(DimensionError):
-            embed(np.zeros((TINY.n_patches, TINY.patch_dim), dtype=np.float32),
-                  w, TINY)
+            embed(np.zeros((3, 28, 28), dtype=np.float32), w, TINY)
 
 
 class TestEncode:

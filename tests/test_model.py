@@ -3,6 +3,7 @@ graph and leaves every parameter's ``requires_grad`` as it found it. And
 the model's function: a forward with layer-norm affines, a tile bias and
 value biases computes nothing the model's own weights cannot."""
 
+import itertools
 import math
 
 import numpy as np
@@ -93,24 +94,98 @@ def test_builds_no_graph(model, images, monkeypatch):
 
 def test_desk_loss_graph_is_small():
     """A 56/14 train loss records one node per op the model states: each
-    block is two norms, six ``linear``s, ``attention``, ``silu`` and two
-    residual adds, with no head split or merge of its own, and the head
-    reads its features with one ``matmul`` and one ``reshape``."""
+    block is two norms, five ``linear``s, one ``linear_silu``,
+    ``attention`` and two residual adds, with no head split or merge of
+    its own; embed is one ``tile_linear``, and the head reads its
+    features with one ``matmul`` and one ``reshape``."""
     cfg = EncoderConfig(image_size=56)
     model = PatchClassifier(cfg, HeadConfig(), seed=0)
     images = np.random.default_rng(0).normal(size=(2, 3, 56, 56))
     loss = model.loss(images.astype(np.float32), [0, 1], dropout_seed=1)
     ops = [n._op for n in ComputationRecord.trace(loss).nodes if n._parents]
-    assert len(ops) == 36
-    per_block = {"layer_norm": 2, "linear": 6, "attention": 1, "silu": 1,
-                 "add": 2}
-    outside = {"linear": 3, "broadcast": 2, "concat": 1, "layer_norm": 1,
-               "matmul": 1, "reshape": 1, "silu": 1, "dropout": 1,
-               "cross_entropy": 1}
+    assert len(ops) == 34
+    per_block = {"layer_norm": 2, "linear": 5, "linear_silu": 1,
+                 "attention": 1, "add": 2}
+    outside = {"tile_linear": 1, "linear": 2, "broadcast": 2, "concat": 1,
+               "layer_norm": 1, "matmul": 1, "reshape": 1, "silu": 1,
+               "dropout": 1, "cross_entropy": 1}
     want = {op: cfg.depth * per_block.get(op, 0) + outside.get(op, 0)
             for op in {*per_block, *outside}}
     assert {op: ops.count(op) for op in set(ops)} == want
     assert not {"transpose", "narrow", "mean"} & set(ops)
+
+
+def held_arrays(root):
+    """{id: (holder, array)} for every ndarray the graph behind ``root``
+    holds: each node's ``.data``, and each array or tensor a backward
+    closure keeps."""
+    held = {}
+    for node in ComputationRecord.trace(root).nodes:
+        fn = node._backward_fn
+        cells = zip(fn.__code__.co_freevars, fn.__closure__ or ()) if fn else ()
+        for name, value in [("data", node.data),
+                            *((name, cell.cell_contents) for name, cell in cells)]:
+            if isinstance(value, Tensor):
+                value = value.data
+            if isinstance(value, np.ndarray):
+                held.setdefault(id(value), (f"{node._op}.{name}", value))
+    return held
+
+
+def test_loss_graph_holds_each_activation_once(images):
+    """A train loss's graph holds the caller's images and no copy of
+    them, shares no memory between two holders but a ``reshape`` and its
+    input, and holds exactly the arrays listed below."""
+    model = PatchClassifier(TINY, HeadConfig(bottleneck=4), seed=3)
+    labels = np.arange(7)
+    loss = model.loss(images, labels, dropout_seed=5)
+    held = held_arrays(loss)
+
+    b, p = images.shape[0], TINY.n_patches
+    tiles = b * p * TINY.patch_dim
+    assert [name for name, a in held.values()
+            if a.size == tiles and a is not images] == []
+    assert id(images) in held
+
+    pairs = {(x, y) for (x, a), (y, c) in itertools.combinations(held.values(), 2)
+             if np.shares_memory(a, c)}
+    assert pairs == {("matmul.data", "reshape.data")}
+
+    f, i8 = 4, 8   # float32 and int64 bytes
+    s, d, hidden, heads = TINY.seq_len, TINY.dim, TINY.mlp_ratio * TINY.dim, TINY.heads
+    k, classes = model.head_cfg.bottleneck, 9
+    rows = b * s * d * f   # one (B, seq_len, dim) activation
+    block = {
+        "two norms and their inverse stds": 2 * (rows + b * s * f),
+        "q, k, v and the output projection": 4 * rows,
+        "attention's output and −lse column": rows + b * heads * s * f,
+        "linear_silu's output and pre-activation": 2 * b * s * hidden * f,
+        "the MLP's second linear": rows,
+        "two residual adds": 2 * rows,
+    }
+    want = {
+        "parameters": sum(t.data.nbytes for t in model.parameters().values()),
+        "the images, kept by tile_linear": images.nbytes,
+        "tile_linear's tokens": b * p * d * f,
+        "class and register broadcasts": b * (1 + TINY.registers) * d * f,
+        "concat and its cuts (a view of a 3-entry cumsum)": rows + 3 * i8,
+        "blocks": TINY.depth * sum(block.values()),
+        "final norm and its inverse std": rows + b * s * f,
+        "readout constant and its matmul (reshape is a view)":
+            2 * s * f + b * 2 * d * f,
+        "head linear, silu and its sigmoid": 3 * b * k * f,
+        "dropout and its mask": 2 * b * k * f,
+        "logits": b * classes * f,
+        "loss, labels, row index and log-probabilities":
+            f + 2 * b * i8 + b * classes * f,
+    }
+    # a view keeps its whole base alive, so count each base buffer once
+    bases = {}
+    for _, a in held.values():
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        bases[id(a)] = a.nbytes
+    assert sum(bases.values()) == sum(want.values())
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -171,6 +171,40 @@ class TestAttention:
             np.testing.assert_allclose(fused, unfused, rtol=1e-4,
                                        atol=1e-4 * np.abs(unfused).max())
 
+    @pytest.mark.parametrize("spread", [1.0, 1000.0])
+    def test_gradients_equal_a_backward_that_keeps_the_splits(
+            self, monkeypatch, spread):
+        # the op keeps only the −lse column and rebuilds [q·scale | −lse]
+        # and [k | 1]ᵀ in backward; a backward that reads the slices its
+        # forward built gets the same bits. At 1000 every slice took the
+        # exact-max path, which rewrites the −lse column
+        q, k, v, g, scale = self.operands(spread)
+        built, real = [], T._split_heads
+
+        def keep(*args, **kwargs):
+            built.append(real(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(T, "_split_heads", keep)
+        out = T.attention(*(Tensor(a, requires_grad=True) for a in (q, k, v)),
+                          4, scale)
+        qa, kt = built[:2]   # as the forward left them: [q·s | −lse], [k | 1]ᵀ
+        got = out._backward_fn(g)
+
+        (b, n, width), heads = q.shape, 4
+        w = width // heads
+        d = (g * out.data).reshape(b, n, heads, w).sum(axis=-1)
+        ga = real(g, heads, np.float32, -d.transpose(0, 2, 1))
+        vt = real(v, heads, np.float32, 1.0, transpose=True)
+        ks = real(k, heads, np.float32)
+        p = np.exp(np.matmul(qa, kt))
+        dv = np.matmul(np.swapaxes(p, -1, -2), ga[:, :, :w])
+        dp = np.matmul(ga, vt) * p
+        dq = np.matmul(dp, ks) * np.float32(scale)
+        dk = np.matmul(np.swapaxes(dp, -1, -2), qa[:, :, :w])
+        for fused, want in zip(got, (dq, dk, dv)):
+            np.testing.assert_array_equal(fused, T._merge_heads(want, b))
+
     def test_recentres_the_slices_under_the_floor(self, monkeypatch):
         # at +-1000 every slice has a row whose scores all sit hundreds
         # below its bound
@@ -335,6 +369,73 @@ class TestLinear:
         b = None if b_shape is None else Tensor(np.zeros(b_shape))
         with pytest.raises(DimensionError):
             T.linear(x, Tensor(np.zeros(w_shape)), b)
+
+
+class TestTileLinear:
+    @pytest.mark.parametrize("with_bias", [False, True])
+    def test_equals_linear_on_the_tiles_bit_for_bit(self, with_bias):
+        # the paper's geometry: 256 tiles of 588, the embed product whose
+        # reduction axis is longest
+        rng = np.random.default_rng(11)
+        images, w, pos, g = (rng.normal(size=s).astype(np.float32) for s in
+                             ((3, 3, 224, 224), (588, 8), (256, 8), (3, 256, 8)))
+        runs = []
+        for fused in (True, False):
+            wt, bt = Tensor(w, requires_grad=True), Tensor(pos, requires_grad=True)
+            b = bt if with_bias else None
+            if fused:
+                out = T.tile_linear(images, 14, wt, b)
+            else:
+                out = T.linear(Tensor(T.tile_image(images, 14)), wt, b)
+            T.mul(out, Tensor(g)).sum().backward()
+            runs.append((out.data, wt.grad, bt.grad))
+        (out, dw, dpos), (want, want_dw, want_dpos) = runs
+        assert out.dtype == np.float32 and out.shape == (3, 256, 8)
+        np.testing.assert_array_equal(out, want)
+        np.testing.assert_array_equal(dw, want_dw)
+        if with_bias:
+            np.testing.assert_array_equal(dpos, want_dpos)
+        else:
+            assert dpos is None
+
+
+class TestLinearSilu:
+    @staticmethod
+    def operands(dtype):
+        rng = np.random.default_rng(12)
+        return (rng.normal(size=s).astype(dtype) * 3
+                for s in ((4, 7, 5), (5, 6), (6,), (4, 7, 6)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("x_grad", [True, False])
+    def test_equals_silu_of_linear_bit_for_bit(self, dtype, x_grad):
+        x, w, b, g = self.operands(dtype)
+        runs = []
+        for op in (T.linear_silu, lambda *a: T.silu(T.linear(*a))):
+            leaves = [Tensor(x, requires_grad=x_grad),
+                      *(Tensor(a, requires_grad=True) for a in (w, b))]
+            out = op(*leaves)
+            T.mul(out, Tensor(g)).sum().backward()
+            runs.append([out.data] + [t.grad for t in leaves])
+        for got, want in zip(*runs):
+            if want is None:
+                assert got is None
+            else:
+                assert got.dtype == dtype
+                np.testing.assert_array_equal(got, want)
+
+    def test_keeps_its_output_and_pre_activation_only(self):
+        x, w, b, g = self.operands(np.float32)
+        out = T.linear_silu(Tensor(x, requires_grad=True), Tensor(w), Tensor(b))
+        held = [c.cell_contents for c in out._backward_fn.__closure__
+                if isinstance(c.cell_contents, np.ndarray)]
+        (z,) = held   # the output is the node's own data
+        np.testing.assert_array_equal(z, x @ w + b)
+        upstream = g.copy()
+        first = out._backward_fn(upstream)
+        np.testing.assert_array_equal(upstream, g)   # no backward writes into g
+        for once, again in zip(first, out._backward_fn(g)):
+            np.testing.assert_array_equal(once, again)
 
 
 class TestSilu:
@@ -703,6 +804,13 @@ _LIN = {name: Tensor(a) for name, a in {
     "x_for_b": np.random.default_rng(7).normal(size=(2, 3, 5)),
     "w_for_b": np.linspace(-1, 1, 20).reshape(5, 4)}.items()}
 
+# fixed images for the tile_linear cases: two 3-channel images whose
+# 2x2 tiles make 12-wide rows for the (12, 1) probe weight, or whose
+# three 1x1 tiles take the (3, 4) probe as their position rows
+_TILE = {"w": np.random.default_rng(8).normal(size=(2, 3, 4, 2)),
+         "b": np.random.default_rng(9).normal(size=(2, 3, 1, 3)),
+         "w_for_b": Tensor(np.linspace(-1, 1, 12).reshape(3, 4))}
+
 
 GRAD_CASES = {
     "add_broadcast": lambda t: (t + Tensor(np.arange(float(t.shape[-1])))).sum(),
@@ -731,6 +839,16 @@ GRAD_CASES = {
         T.linear(_LIN["x_for_w"], t, _LIN["b_for_w"])).sum(),
     "linear_b": lambda t: T.silu(
         T.linear(_LIN["x_for_b"], _LIN["w_for_b"], t)).sum(),
+    "linear_silu_x": lambda t: T.linear_silu(
+        t.reshape((3, 1, 4)), _LIN["w_for_x"]).sum(),
+    "linear_silu_w": lambda t: T.linear_silu(
+        _LIN["x_for_w"], t, _LIN["b_for_w"]).sum(),
+    "linear_silu_b": lambda t: T.linear_silu(
+        _LIN["x_for_b"], _LIN["w_for_b"], t).sum(),
+    "tile_linear_w": lambda t: T.silu(
+        T.tile_linear(_TILE["w"], 2, t.reshape((12, 1)))).sum(),
+    "tile_linear_b": lambda t: T.silu(
+        T.tile_linear(_TILE["b"], 1, _TILE["w_for_b"], t)).sum(),
 }
 
 
