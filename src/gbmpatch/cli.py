@@ -155,9 +155,6 @@ def cmd_cv(args) -> int:
     start = time.perf_counter()
     for r, model in run_folds(images, labels, enc_cfg, head_cfg, train_cfg):
         wall_s[r.fold] = time.perf_counter() - start
-        if args.verbose:
-            for epoch, loss in enumerate(r.epoch_losses):
-                _say(f"  fold {r.fold} epoch {epoch}: loss {loss:.4f}")
         _say(f"fold {r.fold}: micro f1 {r.micro.f1:.4f} "
              f"after {len(r.epoch_losses)} epochs "
              f"(loss {r.epoch_losses[-1]:.4f})")
@@ -196,6 +193,7 @@ def cmd_cv(args) -> int:
             "confusion": result.confusion.counts.tolist(),
             "folds": [{"fold": r.fold, "epochs_run": len(r.epoch_losses),
                        "final_loss": r.epoch_losses[-1],
+                       "epoch_losses": r.epoch_losses,
                        "wall_s": wall_s[r.fold],
                        "micro": r.micro.as_dict()}
                       for r in result.fold_results],
@@ -263,10 +261,12 @@ def cmd_report(args) -> int:
                  f"({payload.get('created', '?')})", "",
                  format_report(payload["per_class"],
                                payload["micro"]).rstrip("\n"), ""]
-        # load_s and wall_s are absent from runs written before they were
+        # load_s, wall_s and epoch_losses are absent from older runs
         if payload.get("load_s") is not None:
             lines.append(f"data loaded in {payload['load_s']:.2f} s")
         for f in payload["folds"]:
+            lines += [f"  fold {f['fold']} epoch {epoch}: loss {loss:.4f}"
+                      for epoch, loss in enumerate(f.get("epoch_losses", ()))]
             wall = "" if f.get("wall_s") is None else f", {f['wall_s']:.2f} s"
             lines.append(
                 f"fold {f['fold']}: micro f1 {f['micro']['f1']:.4f} "
@@ -306,8 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("cv", help="stratified k-fold cross-validation")
     c.add_argument("--data", required=True, help="dataset directory")
     c.add_argument("--out", default="runs", help="where run directories go")
-    c.add_argument("--verbose", action="store_true",
-                   help="print every epoch")
     for config in CV_CONFIGS:
         for f in fields(config):
             c.add_argument("--" + f.name.replace("_", "-"),

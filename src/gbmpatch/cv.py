@@ -16,11 +16,12 @@ import numpy as np
 
 from .data import CLASS_CODES, N_CLASSES
 from .encoder import EncoderConfig
-from .errors import NumericError, ParameterError, StratificationError
+from .errors import (NumericError, ParameterError, StratificationError,
+                     as_int, settle)
 from .head import HeadConfig
 from .metrics import (METRIC_NAMES, ConfusionMatrix, MetricBundle,
-                      micro_average, score)
-from .model import PREDICT_CHUNK, PatchClassifier
+                      accumulate, micro_average, score)
+from .model import PatchClassifier
 
 # Adam moment decay rates and denominator floor (Kingma & Ba defaults)
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -38,14 +39,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("folds", "epochs", "warmup_epochs", "batch_size", "seed"):
-            if type(value := getattr(self, name)) is not int:
-                raise ParameterError(f"{name} must be an integer, got {value!r}")
-        if self.folds < 2:
-            raise ParameterError(f"need at least 2 folds, got {self.folds}")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ParameterError("epochs and batch_size must be positive")
-        if not 0 <= self.warmup_epochs < self.epochs:
+        settle(self, {"folds": 2, "epochs": 1, "warmup_epochs": 0,
+                      "batch_size": 1, "seed": 0},
+               ("lr_max", "lr_min", "weight_decay"))
+        if self.warmup_epochs >= self.epochs:
             raise ParameterError(
                 f"warmup_epochs {self.warmup_epochs} must lie in "
                 f"[0, epochs={self.epochs})")
@@ -55,8 +52,6 @@ class TrainConfig:
         if not 0 <= self.weight_decay < math.inf:
             raise ParameterError(
                 f"weight_decay must be finite and nonnegative, got {self.weight_decay}")
-        if self.seed < 0:
-            raise ParameterError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -100,8 +95,7 @@ def stratified_kfold(labels: Sequence[int], folds: int,
     folds cannot be spread over every fold and is rejected by name.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    if type(folds) is not int or folds < 2:
-        raise ParameterError(f"folds must be an integer >= 2, got {folds!r}")
+    folds, seed = as_int(folds, "folds", 2), as_int(seed, "seed", 0)
     fold_of = np.empty(len(labels), dtype=np.int64)
     rng = np.random.default_rng(seed)
     for cls in np.unique(labels):
@@ -129,8 +123,7 @@ def lr_at(step: int, total_steps: int, warmup_steps: int,
     lr(0) = 0 when warmup is on, lr(warmup_steps) = lr_max exactly, and
     lr(total_steps - 1) = lr_min exactly.
     """
-    if total_steps < 1:
-        raise ParameterError(f"total_steps must be >= 1, got {total_steps}")
+    # the warmup range is empty unless total_steps >= 1
     if not 0 <= warmup_steps < total_steps:
         raise ParameterError(
             f"warmup_steps {warmup_steps} outside [0, {total_steps})")
@@ -187,8 +180,7 @@ def train_fold(images: np.ndarray, labels: np.ndarray,
                assignment: FoldAssignment, enc_cfg: EncoderConfig,
                head_cfg: HeadConfig, cfg: TrainConfig):
     """Train a fresh model on one fold for cfg.epochs epochs, then score
-    its held-out rows from ``images`` one predict chunk at a time, never
-    copying the whole fold; returns (FoldResult, model)."""
+    its held-out rows of ``images``; returns (FoldResult, model)."""
     labels = np.asarray(labels, dtype=np.int64)
     model = PatchClassifier(enc_cfg, head_cfg,
                             seed=cfg.seed * 1000 + assignment.fold)
@@ -233,10 +225,8 @@ def train_fold(images: np.ndarray, labels: np.ndarray,
             raise NumericError(
                 f"non-finite parameter {name} after training fold {assignment.fold}")
 
-    cm = ConfusionMatrix(N_CLASSES)
-    for start in range(0, len(assignment.val_idx), PREDICT_CHUNK):
-        rows = assignment.val_idx[start:start + PREDICT_CHUNK]
-        cm.add(model.predict(images[rows]), labels[rows])
+    val = assignment.val_idx
+    cm = accumulate(model.predict(images, rows=val), labels[val], N_CLASSES)
     return FoldResult(assignment.fold, cm, epoch_losses), model
 
 

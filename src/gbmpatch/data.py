@@ -19,7 +19,6 @@ import contextlib
 import functools
 import json
 import math
-import operator
 import os
 import re
 import stat
@@ -36,7 +35,7 @@ except ImportError:   # not POSIX: writers of one path are not serialised
 
 import numpy as np
 
-from .errors import DataError, DimensionError, ParameterError, PpmParseError
+from .errors import DataError, DimensionError, PpmParseError, as_int
 
 CLASS_CODES = ("CT", "PN", "MP", "NC", "IC", "WM", "LI", "DM", "PL")
 N_CLASSES = len(CLASS_CODES)
@@ -169,15 +168,6 @@ def _resize_plan(src_h: int, src_w: int, height: int, width: int) -> tuple:
     return plan
 
 
-def _as_int(value, what: str) -> int:
-    """``value`` as an int when it is an integer (Python or numpy), else
-    ParameterError: a float, a bool or a string is no size, seed or count."""
-    if type(value) is not bool:
-        with contextlib.suppress(TypeError):
-            return operator.index(value)
-    raise ParameterError(f"{what} must be an integer, got {value!r}")
-
-
 def resize_bilinear(pixels: np.ndarray, width: int = 224,
                     height: int = 224) -> np.ndarray:
     """Bilinear resample of an (H, W, 3) uint8 image, half-pixel centered.
@@ -186,11 +176,8 @@ def resize_bilinear(pixels: np.ndarray, width: int = 224,
     on already-conforming inputs.
     """
     _check_pixels(pixels)
-    width = _as_int(width, "resize width")
-    height = _as_int(height, "resize height")
-    if width < 1 or height < 1:
-        raise ParameterError(
-            f"resize target must be at least 1x1, got {width}x{height}")
+    width = as_int(width, "resize width", 1)
+    height = as_int(height, "resize height", 1)
     src_h, src_w, _ = pixels.shape
     if (src_w, src_h) == (width, height):
         return pixels.copy()
@@ -406,9 +393,7 @@ def load_preprocessed(manifest: DatasetManifest, size: int = 224):
     before the stats, so a rewrite within one timestamp tick is never
     served stale; an unwritable cache is skipped silently.
     """
-    size = _as_int(size, "image size")
-    if size < 1:
-        raise ParameterError(f"image size must be at least 1, got {size}")
+    size = as_int(size, "image size", 1)
     if not manifest.entries:
         raise DataError(f"dataset {manifest.root} holds no patches")
     images = np.empty((len(manifest.entries), CHANNELS, size, size),
@@ -583,12 +568,8 @@ def generate_synthetic(root, counts: Sequence[int] = DEFAULT_PROFILE,
     number. Generator-named files (<class_code>/<digits>.ppm) that the new
     manifest does not list, left by an earlier dataset, are removed.
     """
-    seed, size = _as_int(seed, "seed"), _as_int(size, "patch size")
-    if seed < 0:
-        raise ParameterError(f"seed must be nonnegative, got {seed}")
-    if size < 1:
-        raise ParameterError(f"patch size must be at least 1, got {size}")
-    counts = [_as_int(count, "class count") for count in counts]
+    seed, size = as_int(seed, "seed", 0), as_int(size, "patch size", 1)
+    counts = [as_int(count, "class count") for count in counts]
     if len(counts) != N_CLASSES:
         raise DataError(f"need {N_CLASSES} class counts, got {len(counts)}")
     if any(c < 0 for c in counts) or not any(counts):

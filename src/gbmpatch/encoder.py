@@ -34,7 +34,7 @@ from typing import Dict
 import numpy as np
 
 from .data import CHANNELS
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError, ParameterError, settle
 # tile_image is the engine's; the package exports it from here
 from .tensor import (Tensor, attention, broadcast_to, concat, layer_norm,
                      linear, linear_silu, tile_image, tile_linear)
@@ -53,24 +53,15 @@ class EncoderConfig:
     mlp_ratio: int = 4
 
     def __post_init__(self):
-        for name, value in vars(self).items():   # every field is a size
-            if type(value) is not int:
-                raise ParameterError(f"{name} must be an integer, got {value!r}")
-        if self.image_size <= 0 or self.tile_size <= 0:
-            raise ParameterError("image_size and tile_size must be positive")
+        settle(self, {"image_size": 1, "tile_size": 1, "dim": 1, "depth": 0,
+                      "heads": 1, "registers": 0, "mlp_ratio": 1})
         if self.image_size % self.tile_size != 0:
             raise ParameterError(
                 f"tile size {self.tile_size} does not divide "
                 f"image size {self.image_size}")
-        if self.dim < 1 or self.heads < 1:
-            raise ParameterError("dim and heads must be positive")
         if self.dim % self.heads != 0:
             raise ParameterError(
                 f"heads {self.heads} does not divide dim {self.dim}")
-        if self.depth < 0 or self.registers < 0:
-            raise ParameterError("depth and registers must be nonnegative")
-        if self.mlp_ratio < 1:
-            raise ParameterError(f"mlp_ratio must be >= 1, got {self.mlp_ratio}")
 
     @property
     def tiles_per_side(self) -> int:

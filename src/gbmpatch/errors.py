@@ -1,8 +1,12 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the rules for settings.
 
 The CLI maps these onto exit codes: usage problems exit 2, data problems
 exit 3, numeric failures exit 4.
 """
+
+import contextlib
+import numbers
+import operator
 
 
 class GbmPatchError(Exception):
@@ -35,3 +39,29 @@ class StratificationError(DataError):
 
 class NumericError(GbmPatchError, RuntimeError):
     """A numeric invariant broke at runtime (NaN/Inf where finite required)."""
+
+
+def as_int(value, what: str, low=None) -> int:
+    """``value`` as a Python int when it is an integer (Python or numpy)
+    of at least ``low``, else ParameterError: a bool, a float or a string
+    is no size, seed or count."""
+    if type(value) is not bool:
+        with contextlib.suppress(TypeError):
+            number = operator.index(value)
+            if low is not None and number < low:
+                raise ParameterError(f"{what} must be >= {low}, got {number}")
+            return number
+    raise ParameterError(f"{what} must be an integer, got {value!r}")
+
+
+def settle(config, ints: dict, reals=()):
+    """Store a frozen config's number fields as Python numbers, so it
+    always JSON-dumps: ``ints`` maps each integer field to its ``as_int``
+    bound, and ``reals`` take any real number but a bool."""
+    for name, low in ints.items():
+        object.__setattr__(config, name, as_int(getattr(config, name), name, low))
+    for name in reals:
+        value = getattr(config, name)
+        if type(value) is bool or not isinstance(value, numbers.Real):
+            raise ParameterError(f"{name} must be a real number, got {value!r}")
+        object.__setattr__(config, name, float(value))

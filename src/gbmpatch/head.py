@@ -14,8 +14,8 @@ import numpy as np
 
 from .data import N_CLASSES
 from .encoder import EncoderConfig, init_params, readout
-from .errors import DimensionError, ParameterError
-from .tensor import Tensor, dropout, linear, matmul, reshape, silu
+from .errors import DimensionError, ParameterError, settle
+from .tensor import Tensor, dropout, linear, linear_silu, matmul, reshape
 
 HeadWeights = Dict[str, Tensor]
 
@@ -26,11 +26,7 @@ class HeadConfig:
     dropout: float = 0.5
 
     def __post_init__(self):
-        if type(self.bottleneck) is not int:
-            raise ParameterError(
-                f"bottleneck must be an integer, got {self.bottleneck!r}")
-        if self.bottleneck < 1:
-            raise ParameterError(f"bottleneck must be >= 1, got {self.bottleneck}")
+        settle(self, {"bottleneck": 1}, ("dropout",))
         if not 0.0 <= self.dropout < 1.0:
             raise ParameterError(f"dropout must be in [0, 1), got {self.dropout}")
 
@@ -64,7 +60,7 @@ def head_forward(features: Tensor, w: HeadWeights, cfg: HeadConfig,
     if features.ndim != 2 or features.shape[1] != w["w1"].shape[0]:
         raise DimensionError(
             f"features {features.shape} do not match w1 {w['w1'].shape}")
-    h = silu(linear(features, w["w1"], w["b1"]))
+    h = linear_silu(features, w["w1"], w["b1"])
     h = dropout(h, cfg.dropout, seed=dropout_seed, training=train)
     return linear(h, w["w2"], w["b2"])
 

@@ -10,9 +10,10 @@ import numpy as np
 from .encoder import EncoderConfig, encode_batch, encoder_table, init_encoder
 from .head import (HeadConfig, aggregate_features, head_forward, head_table,
                    init_head, predict)
+from .errors import as_int
 from .tensor import Tensor, cross_entropy
 
-PREDICT_CHUNK = 64   # images per eval forward, in predict and cv's scoring
+PREDICT_CHUNK = 64   # images per eval forward in predict
 
 
 def parameter_shapes(enc_cfg: EncoderConfig,
@@ -73,20 +74,23 @@ class PatchClassifier:
              dropout_seed: int = 0) -> Tensor:
         return cross_entropy(self.logits(images, train, dropout_seed), labels)
 
-    def predict(self, images: np.ndarray,
-                batch_size: int = PREDICT_CHUNK) -> np.ndarray:
-        """Eval-mode argmax labels, computed in chunks to bound memory.
+    def predict(self, images: np.ndarray, batch_size: int = PREDICT_CHUNK,
+                *, rows=None) -> np.ndarray:
+        """Eval-mode argmax labels of ``images[rows]`` (of every image when
+        ``rows`` is None), gathered and scored one chunk at a time.
 
         The forward runs on a shallow twin whose weights are constant
         tensors over the same arrays, so no graph is recorded and no
         parameter's ``requires_grad`` is touched.
         """
         images = np.asarray(images)
-        out = np.empty(images.shape[0], dtype=np.int64)
+        total = images.shape[0] if rows is None else len(rows)
+        out = np.empty(total, dtype=np.int64)
         frozen = copy.copy(self)
         frozen.encoder = {n: Tensor(p.data) for n, p in self.encoder.items()}
         frozen.head = {n: Tensor(p.data) for n, p in self.head.items()}
-        for start in range(0, images.shape[0], batch_size):
-            chunk = images[start:start + batch_size]
+        for start in range(0, total, as_int(batch_size, "batch_size", 1)):
+            chunk = (images[start:start + batch_size] if rows is None
+                     else images[rows[start:start + batch_size]])
             out[start:start + len(chunk)] = predict(frozen.logits(chunk))
         return out

@@ -72,6 +72,18 @@ class TestRawFormat:
         assert blob == b"".join(params[n].data.astype("<f4").tobytes()
                                 for n in parameter_shapes(TINY, HEAD))
 
+    def test_numpy_settings_round_trip(self, tmp_path):
+        # configs given numpy numbers store Python ones, so their model
+        # saves, and loads back under equal configs
+        enc = EncoderConfig(**{k: np.int64(v) for k, v in asdict(TINY).items()})
+        head = HeadConfig(bottleneck=np.int32(4), dropout=np.float32(0.25))
+        model = PatchClassifier(enc, head, seed=2)
+        save_model(tmp_path / "np.ckpt", model)
+        restored, _ = load_model(tmp_path / "np.ckpt")
+        assert (restored.enc_cfg, restored.head_cfg) == (TINY, replace(HEAD, dropout=0.25))
+        for name, param in model.parameters().items():
+            assert restored.parameters()[name].data.tobytes() == param.data.tobytes()
+
     def test_round_trip_bits(self, saved):
         model, path = saved
         restored, _ = load_model(path)

@@ -389,21 +389,6 @@ class TestCv:
         assert code == 2
         assert err.count("\n") == 1 and "Traceback" not in err
 
-    def test_verbose_prints_epochs_before_each_fold(self, dataset, tmp_path,
-                                                    capsys):
-        assert main(["cv", "--data", str(dataset), "--out",
-                     str(tmp_path / "runs"), "--verbose"]
-                    + SMALL_NET + QUICK_TRAIN) == 0
-        lines = [l for l in capsys.readouterr().out.splitlines()
-                 if l.startswith(("fold ", "  fold "))]
-        want = []
-        for k in range(3):
-            want += [f"  fold {k} epoch {e}:" for e in range(2)]
-            want.append(f"fold {k}: micro f1")
-        assert len(lines) == len(want)
-        for line, prefix in zip(lines, want):
-            assert line.startswith(prefix), (line, prefix)
-
     def test_every_artifact_written_atomically(self, dataset, tmp_path,
                                                monkeypatch):
         written = []
@@ -502,17 +487,35 @@ class TestReport:
         for line, f in zip(folds, payload["folds"]):
             assert line.endswith(f", {f['wall_s']:.2f} s)")
 
+    def test_prints_epoch_losses_before_each_fold(self, finished_run, capsys):
+        _, run = finished_run
+        payload = json.loads((run / "run.json").read_text())
+        for f in payload["folds"]:
+            assert len(f["epoch_losses"]) == f["epochs_run"] == 2
+            assert f["epoch_losses"][-1] == f["final_loss"]
+        assert main(["report", "--run", str(run)]) == 0
+        lines = [l for l in capsys.readouterr().out.splitlines()
+                 if l.startswith(("fold ", "  fold "))]
+        want = []
+        for f in payload["folds"]:
+            want += [f"  fold {f['fold']} epoch {e}: loss {loss:.4f}"
+                     for e, loss in enumerate(f["epoch_losses"])]
+            want.append(f"fold {f['fold']}: micro f1")
+        assert len(lines) == len(want) == 9
+        for line, prefix in zip(lines, want):
+            assert line.startswith(prefix), (line, prefix)
+
     def test_renders_a_run_json_without_timings(self, finished_run, tmp_path,
                                                 capsys):
         _, run = finished_run
         payload = json.loads((run / "run.json").read_text())
         del payload["load_s"]
         for f in payload["folds"]:
-            del f["wall_s"]
+            del f["wall_s"], f["epoch_losses"]
         (tmp_path / "run.json").write_text(json.dumps(payload))
         assert main(["report", "--run", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "data loaded" not in out
+        assert "data loaded" not in out and " epoch " not in out
         assert [l for l in out.splitlines() if l.startswith("fold ")][0].endswith(
             f"final loss {payload['folds'][0]['final_loss']:.4f})")
 
@@ -534,7 +537,10 @@ class TestReport:
         lambda p: p.update(folds=[{}]),
         lambda p: p["micro"].update(f1="high"),
         lambda p: p.update(fold_average=[1]),
-    ], ids=["empty_fold", "text_f1", "list_fold_average"])
+        lambda p: p["folds"][0].update(epoch_losses=["low"]),
+        lambda p: p["folds"][0].update(epoch_losses=3),
+    ], ids=["empty_fold", "text_f1", "list_fold_average", "text_epoch_loss",
+            "number_epoch_losses"])
     def test_malformed_run_json_is_data_error(self, finished_run, tmp_path,
                                               capsys, edit):
         _, run = finished_run

@@ -70,7 +70,7 @@ def _flag_values(action, clean):
     """The strategy for one flag's argv words; ``--flag=value`` keeps a
     negative value from reading as a flag."""
     flag = action.option_strings[0]
-    if action.nargs == 0:                      # --force, --verbose
+    if action.nargs == 0:                      # --force, --confusion
         return st.just([flag])
     if action.dest in GOOD_PATH:
         values = [GOOD_PATH[action.dest]] if clean else PATHS

@@ -81,6 +81,21 @@ class TestStratifiedKfold:
         with pytest.raises(ParameterError, match="folds must be an integer"):
             stratified_kfold(labels_from_counts([5, 5]), folds)
 
+    @pytest.mark.parametrize("seed, match", [
+        (1.5, "seed must be an integer"), (True, "seed must be an integer"),
+        (-1, "seed must be >= 0")], ids=["float", "bool", "negative"])
+    def test_bad_seed_rejected(self, seed, match):
+        # a float seed once died in numpy with a bare TypeError, a bool
+        # was taken as 1, and a negative one raised a bare ValueError
+        with pytest.raises(ParameterError, match=match):
+            stratified_kfold(labels_from_counts([5, 5]), 2, seed=seed)
+
+    def test_numpy_integer_folds_and_seed(self):
+        labels = labels_from_counts([5, 5])
+        got = stratified_kfold(labels, np.int64(2), seed=np.int32(4))
+        want = stratified_kfold(labels, 2, seed=4)
+        assert [a.val_idx.tolist() for a in got] == [a.val_idx.tolist() for a in want]
+
     @staticmethod
     def bucket_dealer(labels, folds, seed):
         """The earlier dealer: per-class members into per-fold lists, then
@@ -162,6 +177,8 @@ class TestSchedule:
             lr_at(20, self.TOTAL, self.WARM, self.LR_MAX, self.LR_MIN)
         with pytest.raises(ParameterError):
             lr_at(0, 10, 10, 1e-5, 1e-6)
+        with pytest.raises(ParameterError):
+            lr_at(0, 0, 0, 1e-5, 1e-6)
 
 
 class TestAdam:
@@ -259,18 +276,22 @@ class TestTrainFold:
         assignment = stratified_kfold(labels, cfg.folds, cfg.seed)[0]
         val = assignment.val_idx
         assert len(val) > 64
-        sizes = []
-        predict = PatchClassifier.predict
+        chunks = []
+        logits = PatchClassifier.logits
 
-        def recording(self, chunk, *args, **kwargs):
-            sizes.append(len(chunk))
-            return predict(self, chunk, *args, **kwargs)
+        def recording(self, batch, train=False, *args, **kwargs):
+            if not train:   # the eval forwards, not the training steps'
+                chunks.append(batch.copy())
+            return logits(self, batch, train, *args, **kwargs)
 
-        monkeypatch.setattr(PatchClassifier, "predict", recording)
+        monkeypatch.setattr(PatchClassifier, "logits", recording)
         result, model = train_fold(images, labels, assignment, TINY,
                                    self.HEAD, cfg)
         monkeypatch.undo()
-        assert sum(sizes) == len(val) and max(sizes) <= 64
+        # no forward exceeds a chunk, and the forwards cover the held-out
+        # rows once each, in order
+        assert [len(c) for c in chunks] == [64, len(val) - 64]
+        assert np.concatenate(chunks).tobytes() == images[val].tobytes()
         want = accumulate(model.predict(images[val]), labels[val], N_CLASSES)
         assert np.array_equal(result.confusion.counts, want.counts)
 
@@ -375,9 +396,34 @@ class TestTrainConfigValidation:
 
     @pytest.mark.parametrize("name", ["folds", "epochs", "warmup_epochs",
                                       "batch_size", "seed"])
-    @pytest.mark.parametrize("bad", [1.0, True, np.int64(1), "1"],
+    @pytest.mark.parametrize("bad", [1.0, True, np.float64(1), "1"],
                              ids=["float", "bool", "numpy", "str"])
     def test_every_int_field_must_be_an_int(self, name, bad):
         # a float count once reached numpy and died there
         with pytest.raises(ParameterError, match=f"{name} must be an integer"):
             TrainConfig(**{name: bad})
+
+    @pytest.mark.parametrize("name", ["folds", "epochs", "warmup_epochs",
+                                      "batch_size", "seed"])
+    def test_numpy_integer_is_stored_as_an_int(self, name):
+        value = 2 if name == "folds" else 0 if name == "warmup_epochs" else 3
+        cfg = TrainConfig(**{name: np.int64(value)})
+        assert getattr(cfg, name) == value and type(getattr(cfg, name)) is int
+
+    @pytest.mark.parametrize("name", ["lr_max", "lr_min", "weight_decay"])
+    @pytest.mark.parametrize("bad", ["1", None, True, 1j],
+                             ids=["str", "none", "bool", "complex"])
+    def test_every_real_field_must_be_a_real_number(self, name, bad):
+        # a string or None once died in a comparison with a bare TypeError,
+        # and a bool rate (lr_max=True, say) built a config
+        with pytest.raises(ParameterError, match=f"{name} must be a real number"):
+            TrainConfig(**{name: bad})
+
+    @pytest.mark.parametrize("name", ["lr_max", "lr_min", "weight_decay"])
+    @pytest.mark.parametrize("value", [np.float32(1e-5), np.int64(1), 1],
+                             ids=["numpy-float", "numpy-int", "int"])
+    def test_real_field_is_stored_as_a_float(self, name, value):
+        other = {"lr_max": 1.0} if name == "lr_min" else {"lr_min": 1e-6}
+        cfg = TrainConfig(**{**other, name: value})
+        assert getattr(cfg, name) == float(value)
+        assert type(getattr(cfg, name)) is float

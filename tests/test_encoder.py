@@ -44,7 +44,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("kw", [{"heads": 0}, {"heads": -4}, {"dim": 0}])
     def test_nonpositive_dim_or_heads_rejected(self, kw):
-        with pytest.raises(ParameterError, match="positive"):
+        with pytest.raises(ParameterError, match=f"{next(iter(kw))} must be >= 1"):
             EncoderConfig(**kw)
 
     def test_bool_size_rejected(self):
@@ -53,12 +53,31 @@ class TestConfig:
             EncoderConfig(image_size=True, tile_size=1)
 
     @pytest.mark.parametrize("name", [f.name for f in fields(EncoderConfig)])
-    @pytest.mark.parametrize("bad", [2.0, True, np.int64(2), "2"],
+    @pytest.mark.parametrize("bad", [2.0, True, np.float64(2), "2"],
                              ids=["float", "bool", "numpy", "str"])
     def test_every_field_must_be_an_int(self, name, bad):
         # a float size once reached numpy and died there
         with pytest.raises(ParameterError, match=f"{name} must be an integer"):
             EncoderConfig(**{name: bad})
+
+    def test_numpy_integers_are_stored_as_ints(self):
+        want = EncoderConfig(image_size=56, dim=16, depth=1, heads=2,
+                             registers=0, mlp_ratio=2)
+        cfg = EncoderConfig(**{f.name: np.int32(getattr(want, f.name))
+                               for f in fields(EncoderConfig)})
+        assert cfg == want
+        assert all(type(getattr(cfg, f.name)) is int
+                   for f in fields(EncoderConfig))
+
+    @pytest.mark.parametrize("kw", [{"depth": -1}, {"registers": -2},
+                                    {"mlp_ratio": 0}, {"image_size": 0},
+                                    {"tile_size": -14}])
+    def test_out_of_range_size_rejected(self, kw):
+        name, value = next(iter(kw.items()))
+        low = 0 if name in ("depth", "registers") else 1
+        with pytest.raises(ParameterError,
+                           match=f"{name} must be >= {low}, got {value}"):
+            EncoderConfig(**kw)
 
 
 class TestTiling:

@@ -166,9 +166,23 @@ class TestPredict:
         with pytest.raises(ParameterError):
             HeadConfig(bottleneck=0)
 
-    @pytest.mark.parametrize("bad", [16.0, True, np.int64(16), "16"],
+    @pytest.mark.parametrize("bad", [16.0, True, np.float64(16), "16"],
                              ids=["float", "bool", "numpy", "str"])
     def test_bottleneck_must_be_an_int(self, bad):
         # a float bottleneck once reached numpy and died there
         with pytest.raises(ParameterError, match="bottleneck must be an integer"):
             HeadConfig(bottleneck=bad)
+
+    @pytest.mark.parametrize("bad", ["0.5", None, False],
+                             ids=["str", "none", "bool"])
+    def test_dropout_must_be_a_real_number(self, bad):
+        # a string once died in a comparison with a bare TypeError
+        with pytest.raises(ParameterError, match="dropout must be a real number"):
+            HeadConfig(dropout=bad)
+
+    def test_numpy_settings_are_stored_as_python_numbers(self):
+        # a numpy float32 dropout once built a model that save_model
+        # could not write
+        cfg = HeadConfig(bottleneck=np.int64(8), dropout=np.float32(0.5))
+        assert cfg == HeadConfig(bottleneck=8, dropout=0.5)
+        assert type(cfg.bottleneck) is int and type(cfg.dropout) is float

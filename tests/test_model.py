@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from gbmpatch.encoder import EncoderConfig, readout, tile_image
-from gbmpatch.errors import DimensionError
+from gbmpatch.errors import DimensionError, ParameterError
 from gbmpatch.head import HeadConfig
 from gbmpatch.model import PatchClassifier
 from gbmpatch.tensor import (ComputationRecord, Tensor, attention,
@@ -40,6 +40,22 @@ def test_predictions_are_argmax_of_logits(model, images):
     preds = model.predict(images, batch_size=3)
     np.testing.assert_array_equal(
         preds, np.argmax(model.logits(images).data, axis=1))
+
+
+@pytest.mark.parametrize("idx", [[6, 0, 3, 3, 5], [2], []],
+                         ids=["shuffled-repeats", "one", "none"])
+def test_predict_rows_equals_predict_of_the_gathered_images(model, images, idx):
+    idx = np.asarray(idx, dtype=np.int64)
+    got = model.predict(images, batch_size=2, rows=idx)
+    assert got.dtype == np.int64
+    assert got.tobytes() == model.predict(images[idx], batch_size=2).tobytes()
+
+
+@pytest.mark.parametrize("bad", [0, 2.0, True])
+def test_predict_batch_size_is_a_positive_integer(model, images, bad):
+    # 0 once died in range() with a bare ValueError
+    with pytest.raises(ParameterError, match="batch_size must be"):
+        model.predict(images, batch_size=bad)
 
 
 def test_flags_restored_including_frozen_encoder(model, images):
@@ -97,22 +113,23 @@ def test_desk_loss_graph_is_small():
     block is two norms, five ``linear``s, one ``linear_silu``,
     ``attention`` and two residual adds, with no head split or merge of
     its own; embed is one ``tile_linear``, and the head reads its
-    features with one ``matmul`` and one ``reshape``."""
+    features with one ``matmul`` and one ``reshape`` and computes its
+    bottleneck with one ``linear_silu``."""
     cfg = EncoderConfig(image_size=56)
     model = PatchClassifier(cfg, HeadConfig(), seed=0)
     images = np.random.default_rng(0).normal(size=(2, 3, 56, 56))
     loss = model.loss(images.astype(np.float32), [0, 1], dropout_seed=1)
     ops = [n._op for n in ComputationRecord.trace(loss).nodes if n._parents]
-    assert len(ops) == 34
+    assert len(ops) == 33
     per_block = {"layer_norm": 2, "linear": 5, "linear_silu": 1,
                  "attention": 1, "add": 2}
-    outside = {"tile_linear": 1, "linear": 2, "broadcast": 2, "concat": 1,
-               "layer_norm": 1, "matmul": 1, "reshape": 1, "silu": 1,
-               "dropout": 1, "cross_entropy": 1}
+    outside = {"tile_linear": 1, "linear": 1, "linear_silu": 1,
+               "broadcast": 2, "concat": 1, "layer_norm": 1, "matmul": 1,
+               "reshape": 1, "dropout": 1, "cross_entropy": 1}
     want = {op: cfg.depth * per_block.get(op, 0) + outside.get(op, 0)
             for op in {*per_block, *outside}}
     assert {op: ops.count(op) for op in set(ops)} == want
-    assert not {"transpose", "narrow", "mean"} & set(ops)
+    assert not {"transpose", "narrow", "mean", "silu"} & set(ops)
 
 
 def held_arrays(root):
@@ -173,7 +190,7 @@ def test_loss_graph_holds_each_activation_once(images):
         "final norm and its inverse std": rows + b * s * f,
         "readout constant and its matmul (reshape is a view)":
             2 * s * f + b * 2 * d * f,
-        "head linear, silu and its sigmoid": 3 * b * k * f,
+        "head linear_silu's output and pre-activation": 2 * b * k * f,
         "dropout and its mask": 2 * b * k * f,
         "logits": b * classes * f,
         "loss, labels, row index and log-probabilities":
