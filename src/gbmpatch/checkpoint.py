@@ -63,8 +63,8 @@ def load_model(path) -> Tuple[PatchClassifier, dict]:
         enc_cfg = EncoderConfig(**meta["encoder"])
         head_cfg = HeadConfig(**meta["head"])
         # one block's floats (the depth-1 table minus the depth-0 one) bound depth
-        one, none = (sum(math.prod(shape) for _, shape, _ in
-                         encoder_table(replace(enc_cfg, depth=d))) for d in (1, 0))
+        tables = (encoder_table(replace(enc_cfg, depth=d)) for d in (1, 0))
+        one, none = (sum(map(math.prod, table.values())) for table in tables)
         if item * enc_cfg.depth * (one - none) > len(blob):
             raise ValueError(f"depth {enc_cfg.depth} at dim {enc_cfg.dim} "
                              f"exceeds the blob's {len(blob)} bytes")

@@ -18,7 +18,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .checkpoint import load_model, save_model
@@ -101,15 +101,9 @@ def cmd_gen_data(args) -> int:
 # cv
 
 
-def _settings(args) -> dict:
-    """The cv settings from the parsed flags, in CV_CONFIGS field order."""
-    return {f.name: getattr(args, f.name) for config in CV_CONFIGS
-            for f in fields(config)}
-
-
-def _build_configs(settings: dict) -> tuple:
-    """One config per entry of CV_CONFIGS, from the flat settings."""
-    return tuple(config(**{f.name: settings[f.name]
+def _build_configs(args) -> tuple:
+    """One config per entry of CV_CONFIGS, from the parsed flags."""
+    return tuple(config(**{f.name: getattr(args, f.name)
                            for f in fields(config)})
                  for config in CV_CONFIGS)
 
@@ -138,8 +132,7 @@ def _point_latest(base: Path, run: Path):
 
 
 def cmd_cv(args) -> int:
-    settings = _settings(args)
-    train_cfg, enc_cfg, head_cfg = _build_configs(settings)
+    train_cfg, enc_cfg, head_cfg = _build_configs(args)
 
     manifest = DatasetManifest.load(args.data)
     _say(f"loaded {len(manifest.entries)} patches from {args.data}")
@@ -185,7 +178,8 @@ def cmd_cv(args) -> int:
         payload = {
             "created": _dt.datetime.now().isoformat(timespec="seconds"),
             "data": str(args.data),
-            "settings": settings,
+            "settings": {k: v for config in (train_cfg, enc_cfg, head_cfg)
+                         for k, v in asdict(config).items()},
             "load_s": load_s,
             "per_class": [b.as_dict() for b in result.per_class],
             "micro": result.micro.as_dict(),

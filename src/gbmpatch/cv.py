@@ -238,7 +238,6 @@ def run_folds(images: np.ndarray, labels: np.ndarray,
     Lazy: a fold trains only when the caller asks for it, so the caller
     can report, checkpoint or stop between folds.
     """
-    labels = np.asarray(labels, dtype=np.int64)
     for assignment in stratified_kfold(labels, cfg.folds, cfg.seed):
         yield train_fold(images, labels, assignment, enc_cfg, head_cfg, cfg)
 

@@ -385,13 +385,14 @@ def load_preprocessed(manifest: DatasetManifest, size: int = 224):
     Each entry is stat'ed once, here; one that is not a regular file raises
     ``DataError``. The finished images are kept in
     ``<root>/.pixels-<size>.cache``, keyed by their dtype, the
-    normalization table and each entry's path, label and stat, so a later
-    load of the unchanged dataset reads them back in one read, without
-    decoding, resizing or normalizing, and gets the same bytes. The cache
-    is written only when the first entry needed a resize and every entry's
-    inode changed more than ``_SETTLE_NS`` before the clock read taken just
-    before the stats, so a rewrite within one timestamp tick is never
-    served stale; an unwritable cache is skipped silently.
+    normalization table and each entry's path and stat, so a later load of
+    the same files reads them back in one read, without decoding, resizing
+    or normalizing, and gets the same bytes. The labels always come from
+    the manifest, so a relabel is still a hit. The cache is written only
+    when the first entry needed a resize and every entry's inode changed
+    more than ``_SETTLE_NS`` before the clock read taken just before the
+    stats, so a rewrite within one timestamp tick is never served stale;
+    an unwritable cache is skipped silently.
     """
     size = as_int(size, "image size", 1)
     if not manifest.entries:
@@ -404,9 +405,9 @@ def load_preprocessed(manifest: DatasetManifest, size: int = 224):
     header = _CACHE_FORMAT + (
         f"size {size} {images.dtype.str} "
         f"{zlib.crc32(_BYTE_TABLE.tobytes()):08x}\n" + "".join(
-            f"{ascii(rel)} {label} {st.st_size} {st.st_ino} "
+            f"{ascii(rel)} {st.st_size} {st.st_ino} "
             f"{st.st_mtime_ns} {st.st_ctime_ns}\n"
-            for (rel, label), st in zip(manifest.entries, stats))).encode()
+            for (rel, _), st in zip(manifest.entries, stats))).encode()
     cache = root / f".pixels-{size}.cache"
     if _read_cache(cache, header, images):
         return images, manifest.labels

@@ -11,7 +11,8 @@ No weight is one the others can absorb. Norms have no gain or bias: the
 linear map after each (for the final norm, the head's first layer) takes
 them into its weight rows and bias. Tiles have no bias, since ``pos`` is
 added to the same slots. Attention has no key bias, which softmax cancels,
-nor a value bias, which ``bo`` takes because attention rows sum to 1.
+nor a value bias, which ``bo`` takes because attention rows sum to 1. Every
+weight left is a matrix, drawn from Normal(0, 0.02), or a bias at zeros.
 
 Every projection is one ``linear`` node on (B, tokens, dim) rows, the
 MLP's first projection and its SiLU are one ``linear_silu`` node, and
@@ -34,7 +35,7 @@ from typing import Dict
 import numpy as np
 
 from .data import CHANNELS
-from .errors import DimensionError, ParameterError, settle
+from .errors import DimensionError, ParameterError, as_int, settle
 # tile_image is the engine's; the package exports it from here
 from .tensor import (Tensor, attention, broadcast_to, concat, layer_norm,
                      linear, linear_silu, tile_image, tile_linear)
@@ -85,28 +86,26 @@ class EncoderConfig:
         return CHANNELS * self.tile_size ** 2
 
 
-def init_params(table: list, seed: int, dtype) -> Dict[str, Tensor]:
-    """Weights for a (name, shape, init) table, drawn in table order:
-    Normal(0, 0.02) for "normal", and constant "zeros"."""
-    rng = np.random.default_rng(seed)
-    draw = {"normal": lambda shape: rng.normal(0.0, 0.02, shape).astype(dtype),
-            "zeros": lambda shape: np.zeros(shape, dtype)}
-    return {name: Tensor(draw[init](shape), requires_grad=True)
-            for name, shape, init in table}
+def init_params(table: Dict[str, tuple], seed: int, dtype) -> Dict[str, Tensor]:
+    """Weights for a {name: shape} table, drawn in table order: a matrix
+    from Normal(0, 0.02), a vector (a bias) at zeros."""
+    rng = np.random.default_rng(as_int(seed, "seed", 0))
+    return {name: Tensor(rng.normal(0.0, 0.02, shape).astype(dtype)
+                         if len(shape) == 2 else np.zeros(shape, dtype),
+                         requires_grad=True)
+            for name, shape in table.items()}
 
 
-def encoder_table(cfg: EncoderConfig) -> list:
-    """(name, shape, init) of every encoder weight, in draw order."""
+def encoder_table(cfg: EncoderConfig) -> Dict[str, tuple]:
+    """{name: shape} of every encoder weight, in draw order."""
     d, hidden = cfg.dim, cfg.mlp_ratio * cfg.dim
-    block = [*[(f"attn.{m}", (d, d), "normal") for m in ("wq", "wk", "wv", "wo")],
-             *[(f"attn.{b}", (d,), "zeros") for b in ("bq", "bo")],
-             ("mlp.w1", (d, hidden), "normal"), ("mlp.b1", (hidden,), "zeros"),
-             ("mlp.w2", (hidden, d), "normal"), ("mlp.b2", (d,), "zeros")]
-    return ([("patch.w", (cfg.patch_dim, d), "normal"),
-             ("cls", (1, d), "normal"), ("reg", (cfg.registers, d), "normal"),
-             ("pos", (cfg.n_patches, d), "normal")]
-            + [(f"blk{i}.{name}", shape, init)
-               for i in range(cfg.depth) for name, shape, init in block])
+    block = {**{f"attn.{m}": (d, d) for m in ("wq", "wk", "wv", "wo")},
+             "attn.bq": (d,), "attn.bo": (d,), "mlp.w1": (d, hidden),
+             "mlp.b1": (hidden,), "mlp.w2": (hidden, d), "mlp.b2": (d,)}
+    return {"patch.w": (cfg.patch_dim, d), "cls": (1, d),
+            "reg": (cfg.registers, d), "pos": (cfg.n_patches, d),
+            **{f"blk{i}.{name}": shape
+               for i in range(cfg.depth) for name, shape in block.items()}}
 
 
 def init_encoder(cfg: EncoderConfig, seed: int = 0,
@@ -120,8 +119,6 @@ def embed(images: np.ndarray, w: EncoderWeights, cfg: EncoderConfig) -> Tensor:
     their positions, then prepend the class and register slots ->
     (B, seq_len, dim). The graph keeps the images, not their tiles."""
     images = np.asarray(images)
-    if images.ndim != 4:
-        raise DimensionError(f"expected (B, C, H, W), got {images.shape}")
     if images.shape[1:] != (CHANNELS, cfg.image_size, cfg.image_size):
         raise DimensionError(
             f"images {images.shape[1:]} do not match config "

@@ -54,14 +54,19 @@ def as_int(value, what: str, low=None) -> int:
     raise ParameterError(f"{what} must be an integer, got {value!r}")
 
 
+def as_real(value, what: str) -> float:
+    """``value`` as a Python float when it is a real number (Python or
+    numpy), else ParameterError: a bool, a string or None is no rate."""
+    if type(value) is bool or not isinstance(value, numbers.Real):
+        raise ParameterError(f"{what} must be a real number, got {value!r}")
+    return float(value)
+
+
 def settle(config, ints: dict, reals=()):
     """Store a frozen config's number fields as Python numbers, so it
     always JSON-dumps: ``ints`` maps each integer field to its ``as_int``
-    bound, and ``reals`` take any real number but a bool."""
+    bound, and ``reals`` go through ``as_real``."""
     for name, low in ints.items():
         object.__setattr__(config, name, as_int(getattr(config, name), name, low))
     for name in reals:
-        value = getattr(config, name)
-        if type(value) is bool or not isinstance(value, numbers.Real):
-            raise ParameterError(f"{name} must be a real number, got {value!r}")
-        object.__setattr__(config, name, float(value))
+        object.__setattr__(config, name, as_real(getattr(config, name), name))

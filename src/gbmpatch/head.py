@@ -31,12 +31,10 @@ class HeadConfig:
             raise ParameterError(f"dropout must be in [0, 1), got {self.dropout}")
 
 
-def head_table(cfg: HeadConfig, dim: int) -> list:
-    """(name, shape, init) of every head weight, in draw order."""
-    return [("w1", (2 * dim, cfg.bottleneck), "normal"),
-            ("b1", (cfg.bottleneck,), "zeros"),
-            ("w2", (cfg.bottleneck, N_CLASSES), "normal"),
-            ("b2", (N_CLASSES,), "zeros")]
+def head_table(cfg: HeadConfig, dim: int) -> Dict[str, tuple]:
+    """{name: shape} of every head weight, in draw order."""
+    return {"w1": (2 * dim, cfg.bottleneck), "b1": (cfg.bottleneck,),
+            "w2": (cfg.bottleneck, N_CLASSES), "b2": (N_CLASSES,)}
 
 
 def init_head(cfg: HeadConfig, dim: int, seed: int = 0,
@@ -61,7 +59,7 @@ def head_forward(features: Tensor, w: HeadWeights, cfg: HeadConfig,
         raise DimensionError(
             f"features {features.shape} do not match w1 {w['w1'].shape}")
     h = linear_silu(features, w["w1"], w["b1"])
-    h = dropout(h, cfg.dropout, seed=dropout_seed, training=train)
+    h = dropout(h, cfg.dropout if train else 0.0, seed=dropout_seed)
     return linear(h, w["w2"], w["b2"])
 
 

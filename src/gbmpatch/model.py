@@ -20,9 +20,8 @@ def parameter_shapes(enc_cfg: EncoderConfig,
                      head_cfg: HeadConfig) -> Dict[str, tuple]:
     """Every parameter's shape under its ``parameters()`` name, in order,
     from the configs alone: nothing is allocated."""
-    shapes = {f"enc.{n}": s for n, s, _ in encoder_table(enc_cfg)}
-    shapes.update({f"head.{n}": s for n, s, _ in head_table(head_cfg, enc_cfg.dim)})
-    return shapes
+    return {**{f"enc.{n}": s for n, s in encoder_table(enc_cfg).items()},
+            **{f"head.{n}": s for n, s in head_table(head_cfg, enc_cfg.dim).items()}}
 
 
 class PatchClassifier:
@@ -48,9 +47,9 @@ class PatchClassifier:
         model = cls.__new__(cls)
         model.enc_cfg, model.head_cfg = enc_cfg, head_cfg
         model.encoder = {n: Tensor(arrays[f"enc.{n}"], requires_grad=True)
-                         for n, _, _ in encoder_table(enc_cfg)}
+                         for n in encoder_table(enc_cfg)}
         model.head = {n: Tensor(arrays[f"head.{n}"], requires_grad=True)
-                      for n, _, _ in head_table(head_cfg, enc_cfg.dim)}
+                      for n in head_table(head_cfg, enc_cfg.dim)}
         return model
 
     def parameters(self) -> Dict[str, Tensor]:

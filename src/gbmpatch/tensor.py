@@ -18,9 +18,12 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ContractError, DataError, DimensionError, ParameterError
+from .errors import (ContractError, DataError, DimensionError, ParameterError,
+                     as_int, as_real)
 
 DEFAULT_DTYPE = np.float32
+
+_NORM_EPS = 1e-5   # layer_norm's variance floor
 
 # bytes of one attention chunk's score block: about half of a 2 MiB L2 cache
 _SCORE_BYTES = 1 << 20
@@ -314,8 +317,7 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     return _make(out, (x, w) if b is None else (x, w, b), backward, "linear")
 
 
-def tile_linear(images: np.ndarray, tile: int, w: Tensor,
-                b: Optional[Tensor] = None) -> Tensor:
+def tile_linear(images: np.ndarray, tile: int, w: Tensor, b: Tensor) -> Tensor:
     """``linear(Tensor(tile_image(images, tile)), w, b)`` as one node that
     keeps the images, not their tiles: backward cuts the tiles again for
     dW = tilesᵀ @ G, trading one cut for a copy of the input held through
@@ -329,7 +331,7 @@ def tile_linear(images: np.ndarray, tile: int, w: Tensor,
             return None, g
         return _affine_grads(tile_image(images, tile), w, g, False)[1], g
 
-    return _make(out, (w,) if b is None else (w, b), backward, "tile_linear")
+    return _make(out, (w, b), backward, "tile_linear")
 
 
 # ----------------------------------------------------------------------
@@ -431,7 +433,7 @@ def silu(x: Tensor) -> Tensor:
     return _make(x.data * sig, (x,), lambda g: (_silu_grad(g, x.data, sig),), "silu")
 
 
-def linear_silu(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
+def linear_silu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """``silu(linear(x, w, b))`` as one node, with the same bits forward
     and backward.
 
@@ -449,7 +451,7 @@ def linear_silu(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
         gz = _silu_grad(g, z, _sigmoid(z))
         return (*_affine_grads(x.data, w, gz, x.requires_grad), gz)
 
-    return _make(out, (x, w) if b is None else (x, w, b), backward, "linear_silu")
+    return _make(out, (x, w, b), backward, "linear_silu")
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -469,7 +471,7 @@ def tile_image(images: np.ndarray, tile: int) -> np.ndarray:
     tile pixels, then channel 1's, then channel 2's. Tiles are ordered
     left to right, top to bottom.
     """
-    img = np.asarray(images)
+    img, tile = np.asarray(images), as_int(tile, "tile size", 1)
     if img.ndim != 4:
         raise DimensionError(f"expected (B, C, H, W), got shape {img.shape}")
     b, c, h, wdt = img.shape
@@ -546,8 +548,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float) -> Tens
     whose score block fits in _SCORE_BYTES, reusing one block. Each slice
     takes its path on its own row sums, so the chunk size moves no bits.
     """
-    if heads < 1:
-        raise ParameterError(f"attention heads must be positive, got {heads}")
+    heads = as_int(heads, "attention heads", 1)
     if (q.ndim != 3 or k.ndim != 3 or v.ndim != 3 or k.shape[0] != q.shape[0]
             or k.shape[-1] != q.shape[-1] or v.shape[:-1] != k.shape[:-1]
             or q.shape[-1] % heads or v.shape[-1] % heads):
@@ -610,15 +611,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float) -> Tens
     return _make(out, (q, k, v), backward, "attention")
 
 
-def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor) -> Tensor:
     """Normalize the last axis to zero mean and unit variance, with no gain
     or bias: the linear map after it absorbs them (arXiv 1911.07013)."""
-    if eps <= 0:
-        raise ParameterError(f"layer_norm eps must be positive, got {eps}")
     mu = x.data.mean(axis=-1, keepdims=True)
     normed = x.data - mu   # centered, until it is scaled below
     var = (normed * normed).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _NORM_EPS)
     normed *= inv
 
     def backward(g):
@@ -634,15 +633,17 @@ def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
     return _make(normed, (x,), backward, "layer_norm")
 
 
-def dropout(x: Tensor, rate: float, seed: int = 0, training: bool = True) -> Tensor:
+def dropout(x: Tensor, rate: float, seed: int = 0) -> Tensor:
     """Zero elements with probability ``rate`` and rescale survivors.
 
     The mask is a pure function of ``seed``, so a fixed seed makes the op
-    deterministic and differentiable. Eval mode is the identity.
+    deterministic and differentiable. Rate 0, which eval passes, is the
+    identity.
     """
+    rate, seed = as_real(rate, "dropout rate"), as_int(seed, "dropout seed", 0)
     if not 0.0 <= rate < 1.0:
         raise ParameterError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
+    if rate == 0.0:
         return x
     rng = np.random.default_rng(seed)
     keep = (rng.random(x.shape) >= rate)

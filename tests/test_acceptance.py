@@ -71,8 +71,7 @@ def _op_cases(rng, att_rng):
         # the affine a linear map absorbs after the norm, as (5,) probes
         "layer_norm_gain": ((5,), lambda t: ((layer_norm(c35) * t + b5) * c35).sum()),
         "layer_norm_bias": ((5,), lambda t: ((layer_norm(c35) * g5 + t) * c35).sum()),
-        "dropout": ((3, 4), lambda t: (dropout(t, 0.4, seed=7, training=True)
-                                       * c34).sum()),
+        "dropout": ((3, 4), lambda t: (dropout(t, 0.4, seed=7) * c34).sum()),
         "cross_entropy": ((4, 6), lambda t: cross_entropy(t, labels)),
         "div_scalar": ((3, 4), lambda t: ((t / 3.0) * c34).sum()),
         "sub": ((3, 4), lambda t: ((t - c34) * c234.mean(axis=0)).sum()),

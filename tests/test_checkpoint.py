@@ -1,6 +1,7 @@
 import json
 import zlib
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from gbmpatch import checkpoint as checkpoint_module
 from gbmpatch import model as model_module
 from gbmpatch.checkpoint import MAGIC, load_model, save_model
 from gbmpatch.cli import main
+from gbmpatch.data import N_CLASSES
 from gbmpatch.encoder import EncoderConfig, encoder_table, init_encoder
 from gbmpatch.errors import DataError
 from gbmpatch.head import HeadConfig, head_table, init_head
@@ -145,20 +147,20 @@ class TestRawFormat:
         assert code == 3 and "weights section is damaged" in err
 
 
-def rename(rows):
-    return [("blk0.attn.wz" if n == "blk0.attn.wq" else n, s, i)
-            for n, s, i in rows]
+def rename(table):
+    return {"blk0.attn.wz" if n == "blk0.attn.wq" else n: s
+            for n, s in table.items()}
 
 
-def swap(rows):
-    names = [n for n, _, _ in rows]
+def swap(table):
+    names = list(table)
     a, b = names.index("blk0.attn.wq"), names.index("blk0.attn.wk")
-    rows[a], rows[b] = rows[b], rows[a]
-    return rows
+    names[a], names[b] = names[b], names[a]
+    return {n: table[n] for n in names}
 
 
-def transpose(rows):
-    return [(n, s[::-1] if n == "blk0.mlp.w1" else s, i) for n, s, i in rows]
+def transpose(table):
+    return {n: s[::-1] if n == "blk0.mlp.w1" else s for n, s in table.items()}
 
 
 class TestListingValidation:
@@ -266,16 +268,13 @@ class TestModelRoundTrip:
         path = tmp_path / "model.ckpt"
         save_model(path, model)
 
-        def rows(table):
-            return [(name, shape) for name, shape, _ in table]
-
         def shapes(weights):
             return [(name, t.shape) for name, t in weights.items()]
 
         # the tables the file's layout rests on are the ones init draws
-        assert shapes(init_encoder(enc_cfg)) == rows(encoder_table(enc_cfg))
+        assert shapes(init_encoder(enc_cfg)) == list(encoder_table(enc_cfg).items())
         assert (shapes(init_head(HEAD, enc_cfg.dim))
-                == rows(head_table(HEAD, enc_cfg.dim)))
+                == list(head_table(HEAD, enc_cfg.dim).items()))
         assert shapes(model.parameters()) == list(
             parameter_shapes(enc_cfg, HEAD).items())
         before = model.logits(IMAGES).data
@@ -330,3 +329,73 @@ class TestModelRoundTrip:
         write_file(path, {"foo": 1}, {"x": np.zeros(1, np.float32)})
         with pytest.raises(DataError, match="describe a model"):
             load_model(path)
+
+
+# a GBMPATCH-CKPT-3 file save_model wrote for FIXTURE_* at seed 7, before
+# the weight tables became {name: shape} maps with one init rule
+FIXTURE = Path(__file__).parent / "data" / "ckpt3-seed7.ckpt"
+FIXTURE_ENC = EncoderConfig(image_size=28, tile_size=7, dim=16, depth=1,
+                            heads=2, registers=2, mlp_ratio=2)
+FIXTURE_HEAD = HeadConfig(bottleneck=8)
+
+
+def reference_tables(enc_cfg, head_cfg):
+    """The (name, shape, init) rows the encoder and head tables once
+    spelled out, each row with its own init."""
+    d, hidden = enc_cfg.dim, enc_cfg.mlp_ratio * enc_cfg.dim
+    block = [*[(f"attn.{m}", (d, d), "normal") for m in ("wq", "wk", "wv", "wo")],
+             *[(f"attn.{b}", (d,), "zeros") for b in ("bq", "bo")],
+             ("mlp.w1", (d, hidden), "normal"), ("mlp.b1", (hidden,), "zeros"),
+             ("mlp.w2", (hidden, d), "normal"), ("mlp.b2", (d,), "zeros")]
+    encoder = ([("patch.w", (enc_cfg.patch_dim, d), "normal"),
+                ("cls", (1, d), "normal"),
+                ("reg", (enc_cfg.registers, d), "normal"),
+                ("pos", (enc_cfg.n_patches, d), "normal")]
+               + [(f"blk{i}.{name}", shape, init)
+                  for i in range(enc_cfg.depth) for name, shape, init in block])
+    head = [("w1", (2 * d, head_cfg.bottleneck), "normal"),
+            ("b1", (head_cfg.bottleneck,), "zeros"),
+            ("w2", (head_cfg.bottleneck, N_CLASSES), "normal"),
+            ("b2", (N_CLASSES,), "zeros")]
+    return encoder, head
+
+
+def reference_weights(enc_cfg, head_cfg, seed):
+    """Fresh weights as the reference tables drew them: the encoder's
+    from ``seed``, the head's from ``seed + 1``, each in row order."""
+    weights = {}
+    encoder, head = reference_tables(enc_cfg, head_cfg)
+    for prefix, table, stream in (("enc", encoder, seed), ("head", head, seed + 1)):
+        rng = np.random.default_rng(stream)
+        for name, shape, init in table:
+            weights[f"{prefix}.{name}"] = (
+                rng.normal(0.0, 0.02, shape).astype(np.float32)
+                if init == "normal" else np.zeros(shape, np.float32))
+    return weights
+
+
+def assert_same_bits(params, arrays):
+    assert list(params) == list(arrays)
+    for name, want in arrays.items():
+        got = params[name].data
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+        assert got.tobytes() == want.tobytes(), name
+
+
+class TestBitsAcrossVersions:
+    def test_fixture_holds_a_fresh_models_weights(self, tmp_path):
+        restored, meta = load_model(FIXTURE)
+        assert (restored.enc_cfg, restored.head_cfg) == (FIXTURE_ENC, FIXTURE_HEAD)
+        fresh = PatchClassifier(FIXTURE_ENC, FIXTURE_HEAD, seed=7)
+        assert_same_bits(fresh.parameters(),
+                         {n: p.data for n, p in restored.parameters().items()})
+        # and this version writes that model as the same bytes
+        save_model(tmp_path / "again.ckpt", fresh)
+        assert (tmp_path / "again.ckpt").read_bytes() == FIXTURE.read_bytes()
+
+    @pytest.mark.parametrize("enc_cfg", [
+        replace(TINY, registers=0), replace(TINY, depth=0), EncoderConfig(),
+        FIXTURE_ENC], ids=["registers0", "depth0", "paper224", "fixture"])
+    def test_fresh_weights_match_the_reference_tables(self, enc_cfg):
+        model = PatchClassifier(enc_cfg, HEAD, seed=5)
+        assert_same_bits(model.parameters(), reference_weights(enc_cfg, HEAD, 5))

@@ -782,16 +782,35 @@ class TestPixelCache:
         monkeypatch.setattr(data, "_BYTE_TABLE", -data._BYTE_TABLE)
         self.check_miss(dataset, monkeypatch)
 
-    @pytest.mark.parametrize("edit", ["relabel", "drop"])
+    @pytest.mark.parametrize("edit", ["add", "drop"])
     def test_manifest_edit_is_a_miss(self, dataset, monkeypatch, edit):
         load_preprocessed(dataset, size=12)
-        if edit == "relabel":
-            rel, label = dataset.entries[1]
-            dataset.entries[1] = (rel, (label + 1) % len(CLASS_CODES))
+        if edit == "add":
+            rel = dataset.entries[1][0]
+            save_ppm(255 - load_ppm(dataset.root / rel), dataset.root / "extra.ppm")
+            dataset.entries.append(("extra.ppm", 4))
         else:
             del dataset.entries[3]
         dataset.save()
         self.check_miss(DatasetManifest.load(dataset.root), monkeypatch)
+
+    def test_relabel_is_a_hit(self, dataset, monkeypatch):
+        # labels come from the manifest, never from the cache, so a new
+        # label decodes nothing and rewrites no cache
+        before, _ = load_preprocessed(dataset, size=12)
+        stamp = os.stat(self.cache(dataset)).st_mtime_ns
+        rel, label = dataset.entries[1]
+        dataset.entries[1] = (rel, (label + 1) % len(CLASS_CODES))
+        dataset.save()
+        relabelled = DatasetManifest.load(dataset.root)
+        calls = counting_calls(monkeypatch)
+        images, labels = load_preprocessed(relabelled, size=12)
+        assert calls == {"load_ppm": 0, "resize_bilinear": 0,
+                         "_scale_normalize": 0}
+        assert images.tobytes() == before.tobytes()
+        assert labels.tolist() == relabelled.labels.tolist()
+        assert labels[1] == (label + 1) % len(CLASS_CODES)
+        assert os.stat(self.cache(dataset)).st_mtime_ns == stamp
 
     @pytest.mark.parametrize("damage", ["truncate", "flip", "header"])
     def test_damaged_cache_is_a_miss_and_rewritten(self, dataset, monkeypatch,

@@ -109,6 +109,12 @@ class TestTiling:
         with pytest.raises(DimensionError):
             tile_image(np.zeros(shape, dtype=np.float32), 14)
 
+    @pytest.mark.parametrize("tile", [0, -2, 1.5, "2", True])
+    def test_tile_size_is_a_positive_integer(self, tile):
+        # 0 once raised a bare ZeroDivisionError, and True cut 1x1 tiles
+        with pytest.raises(ParameterError, match="tile size must be"):
+            tile_image(np.zeros((1, 3, 4, 4), dtype=np.float32), tile)
+
 
 class TestEmbed:
     def test_sequence_layout(self):
@@ -131,9 +137,11 @@ class TestEmbed:
             embed(np.zeros((1, 3, 42, 42), dtype=np.float32), w, TINY)
 
     def test_unbatched_rank_rejected(self):
+        # the shape check after the batch axis covers every other rank
         w = init_encoder(TINY, seed=0)
-        with pytest.raises(DimensionError):
-            embed(np.zeros((3, 28, 28), dtype=np.float32), w, TINY)
+        for shape in [(3, 28, 28), (1, 1, 3, 28, 28), (28,), ()]:
+            with pytest.raises(DimensionError, match="do not match config"):
+                embed(np.zeros(shape, dtype=np.float32), w, TINY)
 
 
 class TestEncode:

@@ -9,9 +9,9 @@ import math
 import numpy as np
 import pytest
 
-from gbmpatch.encoder import EncoderConfig, readout, tile_image
+from gbmpatch.encoder import EncoderConfig, init_encoder, readout, tile_image
 from gbmpatch.errors import DimensionError, ParameterError
-from gbmpatch.head import HeadConfig
+from gbmpatch.head import HeadConfig, init_head
 from gbmpatch.model import PatchClassifier
 from gbmpatch.tensor import (ComputationRecord, Tensor, attention,
                              broadcast_to, concat, layer_norm, linear, matmul,
@@ -49,6 +49,27 @@ def test_predict_rows_equals_predict_of_the_gathered_images(model, images, idx):
     got = model.predict(images, batch_size=2, rows=idx)
     assert got.dtype == np.int64
     assert got.tobytes() == model.predict(images[idx], batch_size=2).tobytes()
+
+
+@pytest.mark.parametrize("seed,match", [
+    (1.5, "seed must be an integer"), (True, "seed must be an integer"),
+    ("1", "seed must be an integer"), (-1, "seed must be >= 0")])
+@pytest.mark.parametrize("build", [
+    lambda seed: PatchClassifier(TINY, HeadConfig(bottleneck=4), seed=seed),
+    lambda seed: init_encoder(TINY, seed=seed),
+    lambda seed: init_head(HeadConfig(bottleneck=4), 8, seed=seed)],
+    ids=["model", "init_encoder", "init_head"])
+def test_seed_is_a_nonnegative_integer(build, seed, match):
+    # 1.5 and -1 once died in default_rng with a bare TypeError and
+    # ValueError, and True built the weights of seed 1
+    with pytest.raises(ParameterError, match=match):
+        build(seed)
+
+
+def test_numpy_seed_builds_the_same_model(model):
+    twin = PatchClassifier(TINY, HeadConfig(bottleneck=4), seed=np.int64(3))
+    for name, p in model.parameters().items():
+        assert twin.parameters()[name].data.tobytes() == p.data.tobytes()
 
 
 @pytest.mark.parametrize("bad", [0, 2.0, True])

@@ -19,8 +19,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from gbmpatch.checkpoint import load_model, save_model
-from gbmpatch.cli import (CV_CONFIGS, _build_configs, _settings, build_parser,
-                          main)
+from gbmpatch.cli import CV_CONFIGS, _build_configs, build_parser, main
 from gbmpatch.data import (CLASS_CODES, MANIFEST_NAME, DatasetManifest,
                            generate_synthetic, load_ppm, save_ppm)
 from gbmpatch.encoder import EncoderConfig
@@ -257,7 +256,7 @@ class TestCvFlags:
     def test_builds_valid_configs_or_rejects(self, flags):
         args = build_parser().parse_args(["cv", "--data", "d"] + flags)
         try:
-            _, enc_cfg, _ = _build_configs(_settings(args))
+            _, enc_cfg, _ = _build_configs(args)
         except GbmPatchError:
             return
         # a config that builds splits dim into heads of positive width

@@ -329,6 +329,13 @@ class TestAttention:
         with pytest.raises(ParameterError):
             T.attention(t, t, t, 0, 1.0)
 
+    @pytest.mark.parametrize("heads", [2.0, True, "2"])
+    def test_heads_must_be_an_integer(self, heads):
+        # 2.0 once died in the head split with a bare TypeError
+        t = Tensor(np.zeros((2, 7, 12)))
+        with pytest.raises(ParameterError, match="attention heads must be an integer"):
+            T.attention(t, t, t, heads, 1.0)
+
 
 class TestLinear:
     @pytest.mark.parametrize("x_shape", [(5, 4), (2, 5, 4)])
@@ -372,8 +379,7 @@ class TestLinear:
 
 
 class TestTileLinear:
-    @pytest.mark.parametrize("with_bias", [False, True])
-    def test_equals_linear_on_the_tiles_bit_for_bit(self, with_bias):
+    def test_equals_linear_on_the_tiles_bit_for_bit(self):
         # the paper's geometry: 256 tiles of 588, the embed product whose
         # reduction axis is longest
         rng = np.random.default_rng(11)
@@ -382,21 +388,17 @@ class TestTileLinear:
         runs = []
         for fused in (True, False):
             wt, bt = Tensor(w, requires_grad=True), Tensor(pos, requires_grad=True)
-            b = bt if with_bias else None
             if fused:
-                out = T.tile_linear(images, 14, wt, b)
+                out = T.tile_linear(images, 14, wt, bt)
             else:
-                out = T.linear(Tensor(T.tile_image(images, 14)), wt, b)
+                out = T.linear(Tensor(T.tile_image(images, 14)), wt, bt)
             T.mul(out, Tensor(g)).sum().backward()
             runs.append((out.data, wt.grad, bt.grad))
         (out, dw, dpos), (want, want_dw, want_dpos) = runs
         assert out.dtype == np.float32 and out.shape == (3, 256, 8)
         np.testing.assert_array_equal(out, want)
         np.testing.assert_array_equal(dw, want_dw)
-        if with_bias:
-            np.testing.assert_array_equal(dpos, want_dpos)
-        else:
-            assert dpos is None
+        np.testing.assert_array_equal(dpos, want_dpos)
 
 
 class TestLinearSilu:
@@ -474,13 +476,11 @@ class TestLayerNorm:
         np.testing.assert_array_equal((out @ w + b).data, [b.data])
 
     def test_hand_computed_row(self):
-        out = T.layer_norm(Tensor([1.0, 2.0, 3.0], dtype=np.float64), eps=1e-12)
+        # variance 2/3, floored by the 1e-5 eps
+        out = T.layer_norm(Tensor([1.0, 2.0, 3.0], dtype=np.float64))
         np.testing.assert_allclose(
-            out.data, [-1.22474487, 0.0, 1.22474487], atol=1e-5)
-
-    def test_eps_must_be_positive(self):
-        with pytest.raises(ParameterError):
-            T.layer_norm(Tensor([1.0, 2.0]), eps=0.0)
+            out.data, np.array([-1.0, 0.0, 1.0]) / np.sqrt(2 / 3 + 1e-5),
+            rtol=1e-14)
 
 
 def silu_composite(x, g):
@@ -528,29 +528,37 @@ def test_in_place_op_equals_its_composite(op, composite, dtype):
 class TestDropout:
     def test_rate_zero_identity(self):
         x = Tensor(np.arange(6.0).reshape(2, 3))
-        assert T.dropout(x, 0.0, seed=1, training=True) is x
-
-    def test_eval_mode_identity(self):
-        x = Tensor(np.arange(6.0).reshape(2, 3))
-        assert T.dropout(x, 0.9, seed=1, training=False) is x
+        assert T.dropout(x, 0.0, seed=1) is x
 
     def test_binomial_expectation(self):
         # E[mean] = 1.0, sd of the mean = 1/sqrt(n) at rate 0.5; 0.02 is ~4 sigma
         x = Tensor(np.ones(100_000))
-        out = T.dropout(x, 0.5, seed=7, training=True)
+        out = T.dropout(x, 0.5, seed=7)
         assert abs(out.data.mean() - 1.0) < 0.02
 
     def test_mask_is_pure_function_of_seed(self):
         x = Tensor(np.ones(64))
-        a = T.dropout(x, 0.5, seed=11, training=True).data
-        b = T.dropout(x, 0.5, seed=11, training=True).data
-        c = T.dropout(x, 0.5, seed=12, training=True).data
+        a = T.dropout(x, 0.5, seed=11).data
+        b = T.dropout(x, 0.5, seed=11).data
+        c = T.dropout(x, 0.5, seed=12).data
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_rate_one_rejected(self):
         with pytest.raises(ParameterError):
             T.dropout(Tensor([1.0]), 1.0)
+
+    @pytest.mark.parametrize("rate,seed", [("0.5", 0), (None, 0), (True, 0),
+                                           (0.5, -1), (0.5, 1.5), (0.5, "1")])
+    def test_rate_and_seed_follow_the_settings_rules(self, rate, seed):
+        with pytest.raises(ParameterError, match="dropout (rate|seed) must"):
+            T.dropout(Tensor([1.0]), rate, seed=seed)
+
+    def test_numpy_rate_and_seed_give_the_same_mask(self):
+        x = Tensor(np.ones(64))
+        np.testing.assert_array_equal(
+            T.dropout(x, np.float32(0.5), seed=np.int64(11)).data,
+            T.dropout(x, 0.5, seed=11).data)
 
 
 class TestCrossEntropy:
@@ -802,12 +810,14 @@ _LIN = {name: Tensor(a) for name, a in {
     "x_for_w": np.random.default_rng(6).normal(size=(2, 5, 3)),
     "b_for_w": np.linspace(-0.5, 0.5, 4),
     "x_for_b": np.random.default_rng(7).normal(size=(2, 3, 5)),
-    "w_for_b": np.linspace(-1, 1, 20).reshape(5, 4)}.items()}
+    "w_for_b": np.linspace(-1, 1, 20).reshape(5, 4),
+    "b_for_x": np.array([0.25, -0.5])}.items()}
 
-# fixed images for the tile_linear cases: two 3-channel images whose
-# 2x2 tiles make 12-wide rows for the (12, 1) probe weight, or whose
-# three 1x1 tiles take the (3, 4) probe as their position rows
+# fixed images for the tile_linear cases: two 3-channel images whose two
+# 2x2 tiles make 12-wide rows for the (12, 1) probe weight and its (2, 1)
+# position rows, or whose three 1x1 tiles take the (3, 4) probe as theirs
 _TILE = {"w": np.random.default_rng(8).normal(size=(2, 3, 4, 2)),
+         "b_for_w": Tensor(np.array([[0.3], [-0.2]])),
          "b": np.random.default_rng(9).normal(size=(2, 3, 1, 3)),
          "w_for_b": Tensor(np.linspace(-1, 1, 12).reshape(3, 4))}
 
@@ -825,7 +835,7 @@ GRAD_CASES = {
     "mean_axis": lambda t: T.silu(t.mean(axis=0)).sum(),
     "softmax": lambda t: T.mul(T.softmax(t, axis=-1), Tensor(np.arange(float(t.data.size)).reshape(t.shape))).sum(),
     "silu": lambda t: T.silu(t).sum(),
-    "dropout": lambda t: T.dropout(t, 0.4, seed=13, training=True).sum(),
+    "dropout": lambda t: T.dropout(t, 0.4, seed=13).sum(),
     "cross_entropy": lambda t: T.cross_entropy(t, np.arange(t.shape[0]) % t.shape[1]),
     "tensor_sum": lambda t: T.silu(T.tensor_sum(t, axis=1)).sum(),
     "tensor_mean": lambda t: T.silu(T.tensor_mean(t)).sum(),
@@ -840,13 +850,13 @@ GRAD_CASES = {
     "linear_b": lambda t: T.silu(
         T.linear(_LIN["x_for_b"], _LIN["w_for_b"], t)).sum(),
     "linear_silu_x": lambda t: T.linear_silu(
-        t.reshape((3, 1, 4)), _LIN["w_for_x"]).sum(),
+        t.reshape((3, 1, 4)), _LIN["w_for_x"], _LIN["b_for_x"]).sum(),
     "linear_silu_w": lambda t: T.linear_silu(
         _LIN["x_for_w"], t, _LIN["b_for_w"]).sum(),
     "linear_silu_b": lambda t: T.linear_silu(
         _LIN["x_for_b"], _LIN["w_for_b"], t).sum(),
     "tile_linear_w": lambda t: T.silu(
-        T.tile_linear(_TILE["w"], 2, t.reshape((12, 1)))).sum(),
+        T.tile_linear(_TILE["w"], 2, t.reshape((12, 1)), _TILE["b_for_w"])).sum(),
     "tile_linear_b": lambda t: T.silu(
         T.tile_linear(_TILE["b"], 1, _TILE["w_for_b"], t)).sum(),
 }
