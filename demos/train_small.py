@@ -26,11 +26,13 @@ images, labels = load_preprocessed(manifest, size=28)
 print(f"dataset: {images.shape[0]} patches, "
       f"{np.bincount(labels, minlength=9).tolist()}")
 
-# five stratified folds; every class is spread within +-1 across folds
-folds = stratified_kfold(labels, folds=5, seed=0)
-for a in folds[:2]:
-    val = np.bincount(labels[a.val_idx], minlength=9)
-    print(f"fold {a.fold}: train={len(a.train_idx)} val={len(a.val_idx)} "
+# five stratified folds, one fold id per image; every class is spread
+# within +-1 across folds
+fold_of = stratified_kfold(labels, folds=5, seed=0)
+for f in range(2):
+    held_out = fold_of == f
+    val = np.bincount(labels[held_out], minlength=9)
+    print(f"fold {f}: train={(~held_out).sum()} val={held_out.sum()} "
           f"per-class val={val.tolist()}")
 print("...")
 
@@ -63,5 +65,4 @@ for r in result.fold_results:
 print(f"\npooled confusion total = {result.confusion.total} "
       f"(= dataset size {len(labels)})")
 print()
-print(format_report([b.as_dict() for b in result.per_class],
-                    result.micro.as_dict()))
+print(format_report(result.per_class, result.micro))

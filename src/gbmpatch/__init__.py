@@ -8,9 +8,8 @@ long-tailed patch generator, and a CLI (``gbmpatch``).
 """
 
 from .checkpoint import load_model, save_model
-from .cv import (AdamState, CVResult, FoldAssignment, FoldResult,
-                 TrainConfig, adam_step, lr_at, run_folds, stratified_kfold,
-                 summarize, train_fold)
+from .cv import (AdamState, CVResult, FoldResult, TrainConfig, adam_step,
+                 lr_at, run_folds, stratified_kfold, summarize, train_fold)
 from .data import (CLASS_CODES, DEFAULT_PROFILE, DatasetManifest,
                    generate_synthetic, load_ppm, load_preprocessed, normalize,
                    preprocess, resize_bilinear, save_ppm, to_tensor)

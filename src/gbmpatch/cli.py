@@ -30,8 +30,8 @@ from .encoder import EncoderConfig
 from .errors import (ContractError, DataError, DimensionError, NumericError,
                      ParameterError)
 from .head import HeadConfig
-from .metrics import (METRIC_NAMES, accumulate, confusion_text, metrics_csv,
-                      score)
+from .metrics import (METRIC_NAMES, ConfusionMatrix, MetricBundle,
+                      accumulate, confusion_text, metrics_csv, score)
 
 RUN_MANIFEST = "run.json"
 
@@ -54,8 +54,9 @@ def _fail(msg: str):
     print(f"error: {msg}", file=sys.stderr, flush=True)
 
 
-def format_report(per_class: list, micro: dict) -> str:
-    """Fixed-width table: metric rows, one column per class plus Average.
+def format_report(per_class: list, micro: MetricBundle) -> str:
+    """Fixed-width table of ``score``'s bundles: metric rows, one column
+    per class plus Average.
 
     Per-class MCC cells render as -- (the summary column carries the
     multi-class coefficient).
@@ -65,11 +66,10 @@ def format_report(per_class: list, micro: dict) -> str:
     header += f"{'Average':>{width + 2}}"
     lines = [header, "-" * len(header)]
     for name in METRIC_NAMES:
-        cells = []
-        for bundle in per_class:
-            cells.append("--" if name == "mcc" else f"{bundle[name]:.4f}")
+        cells = ["--" if name == "mcc" else f"{getattr(bundle, name):.4f}"
+                 for bundle in per_class]
         row = name.ljust(12) + "".join(f"{c:>{width}}" for c in cells)
-        row += f"{micro[name]:>{width + 2}.4f}"
+        row += f"{getattr(micro, name):>{width + 2}.4f}"
         lines.append(row)
     return "\n".join(lines) + "\n"
 
@@ -168,8 +168,7 @@ def cmd_cv(args) -> int:
         write_atomic(run_dir / "confusion.txt",
                      confusion_text(result.confusion, CLASS_CODES) + "\n"
                      + confusion_text(result.confusion, CLASS_CODES, normalized=True))
-        report = format_report([b.as_dict() for b in result.per_class],
-                               result.micro.as_dict())
+        report = format_report(result.per_class, result.micro)
         write_atomic(run_dir / "report.txt", report)
         save_model(run_dir / "model.ckpt", best_model,
                    {"fold": best.fold, "micro_f1": float(best.micro.f1),
@@ -221,7 +220,7 @@ def cmd_eval(args) -> int:
                                        size=model.enc_cfg.image_size)
     cm = accumulate(model.predict(images), labels, N_CLASSES)
     per_class, micro = score(cm)
-    report = format_report([b.as_dict() for b in per_class], micro.as_dict())
+    report = format_report(per_class, micro)
     _say(f"checkpoint {args.checkpoint} "
          f"(trained fold {meta.get('fold', '?')}) on {args.data}:")
     _say("")
@@ -245,16 +244,14 @@ def cmd_report(args) -> int:
     if not path.is_file():
         raise DataError(f"{run_dir} has no {RUN_MANIFEST}; not a finished run")
     payload = parse_json_object(path.read_bytes(), str(path))
-    per_class = payload.get("per_class")
-    if isinstance(per_class, list) and len(per_class) != N_CLASSES:
-        raise DataError(f"{path} has {len(per_class)} per_class rows, not {N_CLASSES}")
     # the whole text is built before any of it prints, so a malformed
     # field fails the command without a partial table on stdout
     try:
+        # scored from the stored counts; the stored scores are not read
+        cm = ConfusionMatrix(N_CLASSES, payload["confusion"])
         lines = [f"run {run_dir} over {payload.get('data', '?')} "
                  f"({payload.get('created', '?')})", "",
-                 format_report(payload["per_class"],
-                               payload["micro"]).rstrip("\n"), ""]
+                 format_report(*score(cm)).rstrip("\n"), ""]
         # load_s, wall_s and epoch_losses are absent from older runs
         if payload.get("load_s") is not None:
             lines.append(f"data loaded in {payload['load_s']:.2f} s")
@@ -269,7 +266,7 @@ def cmd_report(args) -> int:
         avg = ", ".join(f"{k} {v:.4f}"
                         for k, v in payload["fold_average"].items())
     except (KeyError, TypeError, ValueError, AttributeError,
-            OverflowError) as exc:
+            OverflowError, ContractError) as exc:
         raise DataError(f"{path} has malformed fields: {exc!r}")
     lines.append(f"fold-average micro metrics: {avg}")
     _say("\n".join(lines))

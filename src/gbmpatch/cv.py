@@ -54,13 +54,6 @@ class TrainConfig:
                 f"weight_decay must be finite and nonnegative, got {self.weight_decay}")
 
 
-@dataclass(frozen=True)
-class FoldAssignment:
-    fold: int
-    train_idx: np.ndarray
-    val_idx: np.ndarray
-
-
 @dataclass
 class FoldResult:
     fold: int
@@ -86,11 +79,12 @@ class CVResult:
 
 
 def stratified_kfold(labels: Sequence[int], folds: int,
-                     seed: int = 0) -> List[FoldAssignment]:
+                     seed: int = 0) -> np.ndarray:
     """Per-class shuffle, then deal one fold id per image round-robin.
 
-    A fold's rows are the images holding its id, in ascending order.
-    Guarantees: folds partition the index range, and within every class
+    Returns the int64 fold id of every image. Fold f holds out the images
+    whose id is f, in ascending order, and trains on the rest, so the
+    folds partition the index range by construction. Within every class
     the fold sizes differ by at most one. A class with fewer samples than
     folds cannot be spread over every fold and is rejected by name.
     """
@@ -107,9 +101,7 @@ def stratified_kfold(labels: Sequence[int], folds: int,
                 f"{folds} folds")
         fold_of[members[rng.permutation(len(members))]] = (
             np.arange(len(members)) % folds)
-    return [FoldAssignment(fold=f, train_idx=np.flatnonzero(fold_of != f),
-                           val_idx=np.flatnonzero(fold_of == f))
-            for f in range(folds)]
+    return fold_of
 
 
 # ----------------------------------------------------------------------
@@ -120,8 +112,11 @@ def lr_at(step: int, total_steps: int, warmup_steps: int,
           lr_max: float, lr_min: float) -> float:
     """Linear warmup from 0 to lr_max, then cosine decay to lr_min.
 
-    lr(0) = 0 when warmup is on, lr(warmup_steps) = lr_max exactly, and
-    lr(total_steps - 1) = lr_min exactly.
+    lr(0) = 0 when warmup is on, lr(warmup_steps) = lr_max up to one
+    rounding, and lr(total_steps - 1) = lr_min exactly. Where those two
+    steps coincide, warmup decides: with it the step ends the schedule at
+    lr_min (lr_at(1, 2, 1, ...)); without it, a one-step schedule runs at
+    lr_max (lr_at(0, 1, 0, ...)).
     """
     # the warmup range is empty unless total_steps >= 1
     if not 0 <= warmup_steps < total_steps:
@@ -176,18 +171,18 @@ def adam_step(params: Dict[str, "object"], state: AdamState, lr: float,
 # training
 
 
-def train_fold(images: np.ndarray, labels: np.ndarray,
-               assignment: FoldAssignment, enc_cfg: EncoderConfig,
-               head_cfg: HeadConfig, cfg: TrainConfig):
-    """Train a fresh model on one fold for cfg.epochs epochs, then score
-    its held-out rows of ``images``; returns (FoldResult, model)."""
+def train_fold(images: np.ndarray, labels: np.ndarray, fold_of: np.ndarray,
+               fold: int, enc_cfg: EncoderConfig, head_cfg: HeadConfig,
+               cfg: TrainConfig):
+    """Train a fresh model on the images whose ``fold_of`` id is not
+    ``fold`` for cfg.epochs epochs, then score the held-out rows, whose id
+    is ``fold``; returns (FoldResult, model)."""
     labels = np.asarray(labels, dtype=np.int64)
-    model = PatchClassifier(enc_cfg, head_cfg,
-                            seed=cfg.seed * 1000 + assignment.fold)
+    model = PatchClassifier(enc_cfg, head_cfg, seed=cfg.seed * 1000 + fold)
     params = model.parameters()
     state = AdamState(params)
 
-    tr = assignment.train_idx
+    tr = np.flatnonzero(fold_of != fold)
     steps_per_epoch = math.ceil(len(tr) / cfg.batch_size)
     total_steps = steps_per_epoch * cfg.epochs
     warmup_steps = steps_per_epoch * cfg.warmup_epochs
@@ -199,18 +194,18 @@ def train_fold(images: np.ndarray, labels: np.ndarray,
     with np.errstate(all="ignore"):
         for epoch in range(cfg.epochs):
             order = np.random.default_rng(
-                [cfg.seed, assignment.fold, epoch]).permutation(len(tr))
+                [cfg.seed, fold, epoch]).permutation(len(tr))
             running = 0.0
             for b in range(steps_per_epoch):
                 batch = tr[order[b * cfg.batch_size:(b + 1) * cfg.batch_size]]
                 model.zero_grad()
                 loss = model.loss(images[batch], labels[batch], train=True,
                                   dropout_seed=cfg.seed * 1_000_003
-                                  + assignment.fold * 10_007 + step)
+                                  + fold * 10_007 + step)
                 value = loss.item()
                 if not math.isfinite(value):
                     raise NumericError(
-                        f"non-finite loss {value} at fold {assignment.fold} "
+                        f"non-finite loss {value} at fold {fold} "
                         f"epoch {epoch} step {step}")
                 loss.backward()
                 adam_step(params, state,
@@ -223,11 +218,11 @@ def train_fold(images: np.ndarray, labels: np.ndarray,
     for name, p in params.items():
         if not np.isfinite(p.data).all():
             raise NumericError(
-                f"non-finite parameter {name} after training fold {assignment.fold}")
+                f"non-finite parameter {name} after training fold {fold}")
 
-    val = assignment.val_idx
+    val = np.flatnonzero(fold_of == fold)
     cm = accumulate(model.predict(images, rows=val), labels[val], N_CLASSES)
-    return FoldResult(assignment.fold, cm, epoch_losses), model
+    return FoldResult(fold, cm, epoch_losses), model
 
 
 def run_folds(images: np.ndarray, labels: np.ndarray,
@@ -238,17 +233,16 @@ def run_folds(images: np.ndarray, labels: np.ndarray,
     Lazy: a fold trains only when the caller asks for it, so the caller
     can report, checkpoint or stop between folds.
     """
-    for assignment in stratified_kfold(labels, cfg.folds, cfg.seed):
-        yield train_fold(images, labels, assignment, enc_cfg, head_cfg, cfg)
+    fold_of = stratified_kfold(labels, cfg.folds, cfg.seed)
+    for fold in range(cfg.folds):
+        yield train_fold(images, labels, fold_of, fold, enc_cfg, head_cfg, cfg)
 
 
 def summarize(fold_results: Iterable[FoldResult]) -> CVResult:
     """Aggregate folds: summed confusion matrix, metrics of that matrix,
     and the plain mean of per-fold micro metrics."""
     results = list(fold_results)
-    total = ConfusionMatrix(N_CLASSES)
-    for result in results:
-        total = total.merge(result.confusion)
+    total = ConfusionMatrix(N_CLASSES, sum(r.confusion.counts for r in results))
     per_class, micro = score(total)
     fold_average = {
         name: float(np.mean([getattr(r.micro, name) for r in results]))

@@ -565,8 +565,9 @@ def generate_synthetic(root, counts: Sequence[int] = DEFAULT_PROFILE,
     Each class draws from its own texture family; per-sample jitter comes
     from a generator seeded by (seed, class, index), so the same seed
     reproduces every file bit for bit. Patches are rendered on every CPU
-    the process may run on, and the output is the same whatever their
-    number. Generator-named files (<class_code>/<digits>.ppm) that the new
+    the process may run on, or in-process where ``os`` cannot list them
+    (macOS, Windows), and the output is the same whatever their number.
+    Generator-named files (<class_code>/<digits>.ppm) that the new
     manifest does not list, left by an earlier dataset, are removed.
     """
     seed, size = as_int(seed, "seed", 0), as_int(size, "patch size", 1)
@@ -581,7 +582,8 @@ def generate_synthetic(root, counts: Sequence[int] = DEFAULT_PROFILE,
     write = functools.partial(_write_patch, root, seed, size)
     tasks = [(label, i) for label, count in enumerate(counts)
              for i in range(count)]
-    workers = min(len(os.sched_getaffinity(0)), len(tasks))
+    workers = (min(len(os.sched_getaffinity(0)), len(tasks))
+               if hasattr(os, "sched_getaffinity") else 1)
     created = []   # directories this call made, outermost first
     try:
         for label, count in enumerate(counts):

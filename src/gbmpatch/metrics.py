@@ -58,7 +58,9 @@ class MetricBundle:
 
 
 class ConfusionMatrix:
-    """K x K integer counts; counts[i, j] = true class i predicted as j."""
+    """K x K non-negative integer counts; counts[i, j] = true class i
+    predicted as j. Float, bool, string and object counts (ints wider
+    than int64) are refused, not coerced."""
 
     def __init__(self, n_classes: int, counts=None):
         if n_classes < 1:
@@ -66,7 +68,15 @@ class ConfusionMatrix:
         if counts is None:
             counts = np.zeros((n_classes, n_classes), dtype=np.int64)
         else:
-            counts = np.asarray(counts, dtype=np.int64)
+            try:
+                counts = np.asarray(counts)
+            except ValueError as exc:   # rows of unequal lengths
+                raise ContractError(f"confusion counts are not a matrix: {exc}")
+            if counts.dtype.kind not in "iu":
+                raise ContractError(
+                    f"confusion counts must be integers, got {counts.dtype}")
+            # a uint64 count past int64 wraps negative; the sign check refuses it
+            counts = counts.astype(np.int64, copy=False)
             if counts.shape != (n_classes, n_classes):
                 raise ContractError(
                     f"counts shape {counts.shape} does not match K={n_classes}")
@@ -94,13 +104,6 @@ class ConfusionMatrix:
                 raise DataError(
                     f"{name} contain indices outside [0, {self.n_classes})")
         np.add.at(self.counts, (labels, preds), 1)
-
-    def merge(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        """Elementwise sum, for combining per-fold or per-thread partials."""
-        if other.n_classes != self.n_classes:
-            raise ContractError(
-                f"cannot merge K={other.n_classes} into K={self.n_classes}")
-        return ConfusionMatrix(self.n_classes, self.counts + other.counts)
 
     def __eq__(self, other):
         return (isinstance(other, ConfusionMatrix)

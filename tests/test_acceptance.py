@@ -300,13 +300,12 @@ def test_stratification_balance():
     folds = 5
     worst_dev = 0.0
     for seed in range(10):
-        assignments = stratified_kfold(labels, folds, seed=seed)
-        stacked = np.concatenate([a.val_idx for a in assignments])
-        assert len(stacked) == len(labels)
-        assert len(np.unique(stacked)) == len(labels)
+        fold_of = stratified_kfold(labels, folds, seed=seed)
+        assert fold_of.shape == labels.shape
+        assert set(fold_of.tolist()) == set(range(folds))
         for cls, count in enumerate(DEFAULT_PROFILE):
-            for a in assignments:
-                size = int((labels[a.val_idx] == cls).sum())
+            for f in range(folds):
+                size = int((labels[fold_of == f] == cls).sum())
                 worst_dev = max(worst_dev, abs(size - count / folds))
     _line("stratification", worst_dev <= 1.0,
           f"10 seeds on profile {list(DEFAULT_PROFILE)}: folds partition the "
@@ -332,16 +331,16 @@ def test_learning_smoke(tmp_path):
     head = HeadConfig(bottleneck=16, dropout=0.5)
     cfg = TrainConfig(folds=5, epochs=30, warmup_epochs=2, batch_size=32,
                       lr_max=1e-2, lr_min=1e-3, weight_decay=0.01, seed=11)
-    assignment = stratified_kfold(labels, cfg.folds, cfg.seed)[0]
+    fold_of = stratified_kfold(labels, cfg.folds, cfg.seed)
 
     def run():
-        return train_fold(images, labels, assignment, enc, head, cfg)
+        return train_fold(images, labels, fold_of, 0, enc, head, cfg)
 
     result, model = run()
-    train_acc = float((model.predict(images[assignment.train_idx])
-                       == labels[assignment.train_idx]).mean())
+    train_acc = float((model.predict(images[fold_of != 0])
+                       == labels[fold_of != 0]).mean())
 
-    val_labels = labels[assignment.val_idx]
+    val_labels = labels[fold_of == 0]
     majority = max(np.bincount(val_labels, minlength=9)) / len(val_labels)
 
     result2, _ = run()

@@ -14,7 +14,7 @@ from gbmpatch import data
 from gbmpatch.cli import _make_run_dir, _point_latest, format_report, main
 from gbmpatch.data import (CLASS_CODES, DatasetManifest, generate_synthetic,
                            write_atomic)
-from gbmpatch.metrics import METRIC_NAMES
+from gbmpatch.metrics import METRIC_NAMES, MetricBundle
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SMALL_NET = ["--image-size", "28", "--tile-size", "14", "--dim", "8",
@@ -151,6 +151,20 @@ class TestGenData:
         monkeypatch.undo()
         assert main(["gen-data", "--out", str(out), "--size", "8",
                      "--counts", "1,1,1,1,1,1,1,1,1"]) == 0
+
+    def test_runs_where_os_cannot_list_cpus(self, tmp_path, monkeypatch,
+                                            pooled):
+        # macOS and Windows have no os.sched_getaffinity: the patches
+        # render in-process, into the bytes a pooled run writes
+        argv = ["--counts", "2,1,1,1,1,1,1,1,3", "--seed", "5", "--size", "16"]
+        assert main(["gen-data", "--out", str(tmp_path / "pooled")] + argv) == 0
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert main(["gen-data", "--out", str(tmp_path / "local")] + argv) == 0
+        assert pooled == ["fork"]
+        trees = [{p.relative_to(root): p.read_bytes()
+                  for p in sorted(root.rglob("*")) if p.is_file()}
+                 for root in (tmp_path / "pooled", tmp_path / "local")]
+        assert len(trees[0]) == 13 and trees[0] == trees[1]
 
     def test_bad_counts_string_is_usage_error(self, tmp_path):
         assert main(["gen-data", "--out", str(tmp_path / "x"),
@@ -535,12 +549,13 @@ class TestReport:
 
     @pytest.mark.parametrize("edit", [
         lambda p: p.update(folds=[{}]),
-        lambda p: p["micro"].update(f1="high"),
+        lambda p: p["confusion"][0].__setitem__(0, "high"),
         lambda p: p.update(fold_average=[1]),
         lambda p: p["folds"][0].update(epoch_losses=["low"]),
         lambda p: p["folds"][0].update(epoch_losses=3),
-    ], ids=["empty_fold", "text_f1", "list_fold_average", "text_epoch_loss",
-            "number_epoch_losses"])
+        lambda p: p.pop("confusion"),
+    ], ids=["empty_fold", "text_confusion_cell", "list_fold_average",
+            "text_epoch_loss", "number_epoch_losses", "no_confusion"])
     def test_malformed_run_json_is_data_error(self, finished_run, tmp_path,
                                               capsys, edit):
         _, run = finished_run
@@ -553,18 +568,44 @@ class TestReport:
         assert out == ""
         assert err.count("\n") == 1 and "Traceback" not in err
 
-    @pytest.mark.parametrize("n", [3, 12])
-    def test_per_class_count_other_than_nine_is_data_error(
-            self, finished_run, tmp_path, capsys, n):
+    @pytest.mark.parametrize("edit, says", [
+        (lambda m: m[:3], "counts shape (3, 9)"),
+        (lambda m: m + m[:3], "counts shape (12, 9)"),
+        (lambda m: [row[:8] for row in m], "counts shape (9, 8)"),
+        (lambda m: [m[0][:5]] + m[1:], "not a matrix"),
+        (lambda m: [[c + 0.5 for c in row] for row in m], "float64"),
+        (lambda m: [[c > 0 for c in row] for row in m], "bool"),
+        (lambda m: [[str(c) for c in row] for row in m], "<U"),
+        (lambda m: [[2 ** 70] + row[1:] for row in m], "object"),
+        (lambda m: [[-1] + row[1:] for row in m], "nonnegative"),
+        (lambda m: [[0] * 9 for _ in m], "at least one"),
+    ], ids=["rows3", "rows12", "columns8", "ragged", "float", "bool",
+            "string", "wide", "negative", "empty"])
+    def test_confusion_not_nine_by_nine_counts_is_data_error(
+            self, finished_run, tmp_path, capsys, edit, says):
+        # report scores the stored matrix; one that is not 9 x 9
+        # non-negative integers with a sample ends in one line, exit 3
         _, run = finished_run
         payload = json.loads((run / "run.json").read_text())
-        payload["per_class"] = (payload["per_class"] * 2)[:n]
+        payload["confusion"] = edit(payload["confusion"])
         (tmp_path / "run.json").write_text(json.dumps(payload))
         code = main(["report", "--run", str(tmp_path)])
         out, err = capsys.readouterr()
         assert code == 3
         assert out == ""
-        assert err.count("\n") == 1 and f"has {n} per_class rows" in err
+        assert err.count("\n") == 1 and says in err
+
+    def test_table_is_scored_from_the_confusion(self, finished_run, tmp_path,
+                                                capsys):
+        # the stored scores are not read: the table is cv's report.txt,
+        # scored again from the matrix
+        _, run = finished_run
+        payload = json.loads((run / "run.json").read_text())
+        payload["micro"] = payload["per_class"] = "not read"
+        (tmp_path / "run.json").write_text(json.dumps(payload))
+        assert main(["report", "--run", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines(keepends=True)
+        assert "".join(lines[2:10]) == (run / "report.txt").read_text()
 
 
 @pytest.mark.parametrize("argv", [
@@ -658,8 +699,8 @@ def test_unallocatable_size_exits_3(dataset, finished_run, tmp_path, capsys,
 
 class TestFormatReport:
     def test_layout(self):
-        per_class = [{m: 0.5 for m in METRIC_NAMES} for _ in range(9)]
-        micro = {m: 0.25 for m in METRIC_NAMES}
+        per_class = [MetricBundle(*[0.5] * len(METRIC_NAMES))] * 9
+        micro = MetricBundle(*[0.25] * len(METRIC_NAMES))
         text = format_report(per_class, micro)
         lines = text.splitlines()
         assert len(lines) == 2 + len(METRIC_NAMES)

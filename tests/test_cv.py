@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import gbmpatch.cv as cv
-from gbmpatch.cv import (ADAM_EPS, AdamState, CVResult, FoldAssignment,
-                         FoldResult, TrainConfig, adam_step, lr_at, run_folds,
+from gbmpatch.cv import (ADAM_EPS, AdamState, CVResult, FoldResult,
+                         TrainConfig, adam_step, lr_at, run_folds,
                          stratified_kfold, summarize, train_fold)
 from gbmpatch.data import DEFAULT_PROFILE, N_CLASSES
 from gbmpatch.encoder import EncoderConfig
@@ -37,22 +37,36 @@ def separable_dataset(rng, per_class=5, n_classes=9):
 class TestStratifiedKfold:
     def test_val_folds_partition_everything(self):
         labels = labels_from_counts([17, 11, 8, 23, 9, 7, 6, 5, 5])
-        folds = stratified_kfold(labels, 5, seed=0)
-        stacked = np.concatenate([f.val_idx for f in folds])
-        assert len(stacked) == len(labels)
-        assert len(np.unique(stacked)) == len(labels)
+        fold_of = stratified_kfold(labels, 5, seed=0)
+        assert fold_of.dtype == np.int64 and fold_of.shape == labels.shape
+        assert set(fold_of.tolist()) == set(range(5))
 
-    def test_train_is_complement_of_val(self):
-        labels = labels_from_counts([10, 10, 10])
-        for f in stratified_kfold(labels, 5, seed=1):
-            assert len(np.intersect1d(f.train_idx, f.val_idx)) == 0
-            assert len(f.train_idx) + len(f.val_idx) == len(labels)
+    def test_train_is_complement_of_val(self, monkeypatch):
+        # train_fold trains on exactly the rows outside its fold and
+        # scores exactly the rows inside it, in ascending order
+        rng = np.random.default_rng(8)
+        images, labels = separable_dataset(rng, per_class=3)
+        row_of = {image.tobytes(): i for i, image in enumerate(images)}
+        fold_of = stratified_kfold(labels, 3, seed=1)
+        seen = {True: [], False: []}
+        logits = PatchClassifier.logits
+
+        def recording(self, batch, train=False, *args, **kwargs):
+            seen[train] += [row_of[image.tobytes()] for image in batch]
+            return logits(self, batch, train, *args, **kwargs)
+
+        monkeypatch.setattr(PatchClassifier, "logits", recording)
+        cfg = TrainConfig(folds=3, epochs=1, warmup_epochs=0, batch_size=4)
+        train_fold(images, labels, fold_of, 2, TINY, HeadConfig(bottleneck=8),
+                   cfg)
+        assert sorted(seen[True]) == np.flatnonzero(fold_of != 2).tolist()
+        assert seen[False] == np.flatnonzero(fold_of == 2).tolist()
 
     def test_per_class_balance_within_one(self):
         labels = labels_from_counts(DEFAULT_PROFILE)
-        folds = stratified_kfold(labels, 5, seed=2)
+        fold_of = stratified_kfold(labels, 5, seed=2)
         for cls, count in enumerate(DEFAULT_PROFILE):
-            sizes = [(labels[f.val_idx] == cls).sum() for f in folds]
+            sizes = [(labels[fold_of == f] == cls).sum() for f in range(5)]
             assert max(sizes) - min(sizes) <= 1
             assert sum(sizes) == count
 
@@ -66,10 +80,8 @@ class TestStratifiedKfold:
         a = stratified_kfold(labels, 4, seed=7)
         b = stratified_kfold(labels, 4, seed=7)
         c = stratified_kfold(labels, 4, seed=8)
-        for fa, fb in zip(a, b):
-            assert np.array_equal(fa.val_idx, fb.val_idx)
-        assert any(not np.array_equal(fa.val_idx, fc.val_idx)
-                   for fa, fc in zip(a, c))
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_too_few_folds_rejected(self):
         with pytest.raises(ParameterError):
@@ -94,7 +106,7 @@ class TestStratifiedKfold:
         labels = labels_from_counts([5, 5])
         got = stratified_kfold(labels, np.int64(2), seed=np.int32(4))
         want = stratified_kfold(labels, 2, seed=4)
-        assert [a.val_idx.tolist() for a in got] == [a.val_idx.tolist() for a in want]
+        assert np.array_equal(got, want)
 
     @staticmethod
     def bucket_dealer(labels, folds, seed):
@@ -125,11 +137,11 @@ class TestStratifiedKfold:
             counts[rng.random(N_CLASSES) < 0.3] = 0
             counts[rng.integers(N_CLASSES)] = folds
             labels = rng.permutation(labels_from_counts(counts))
-            got = stratified_kfold(labels, folds, seed)
-            for f, (a, (train, val)) in enumerate(zip(got, self.bucket_dealer(
-                    labels, folds, seed))):
-                assert a.fold == f
-                for mine, ref in ((a.train_idx, train), (a.val_idx, val)):
+            fold_of = stratified_kfold(labels, folds, seed)
+            for f, (train, val) in enumerate(self.bucket_dealer(
+                    labels, folds, seed)):
+                for mine, ref in ((np.flatnonzero(fold_of != f), train),
+                                  (np.flatnonzero(fold_of == f), val)):
                     assert mine.dtype == ref.dtype
                     assert np.array_equal(mine, ref)
 
@@ -171,6 +183,12 @@ class TestSchedule:
 
     def test_zero_warmup_starts_at_peak(self):
         assert lr_at(0, 10, 0, 1e-5, 1e-6) == 1e-5
+
+    @pytest.mark.parametrize("step, total, warm, want", [
+        (0, 1, 0, 1e-3), (1, 2, 1, 1e-5)], ids=["no_warmup", "warmup"])
+    def test_warmup_decides_when_peak_and_last_step_coincide(
+            self, step, total, warm, want):
+        assert lr_at(step, total, warm, 1e-3, 1e-5) == want
 
     def test_out_of_range_step_rejected(self):
         with pytest.raises(ParameterError):
@@ -246,11 +264,11 @@ class TestTrainFold:
         rng = np.random.default_rng(0)
         images, labels = separable_dataset(rng)
         cfg = self.quick_cfg()
-        assignment = stratified_kfold(labels, cfg.folds, cfg.seed)[0]
-        result, model = train_fold(images, labels, assignment, TINY,
+        fold_of = stratified_kfold(labels, cfg.folds, cfg.seed)
+        result, model = train_fold(images, labels, fold_of, 0, TINY,
                                    self.HEAD, cfg)
-        train_acc = (model.predict(images[assignment.train_idx])
-                     == labels[assignment.train_idx]).mean()
+        train_acc = (model.predict(images[fold_of != 0])
+                     == labels[fold_of != 0]).mean()
         assert train_acc >= 0.99
         assert len(result.epoch_losses) == cfg.epochs
         assert result.epoch_losses[0] > result.epoch_losses[-1]
@@ -260,21 +278,20 @@ class TestTrainFold:
     def test_nan_input_raises_numeric_error(self):
         rng = np.random.default_rng(1)
         images, labels = separable_dataset(rng, per_class=3)
-        images[0] = np.nan
         cfg = self.quick_cfg(epochs=2)
-        assignment = FoldAssignment(fold=0,
-                                    train_idx=np.arange(len(labels)),
-                                    val_idx=np.arange(len(labels)))
+        fold_of = stratified_kfold(labels, cfg.folds, cfg.seed)
+        # the NaN image is one of fold 0's training rows
+        images[np.flatnonzero(fold_of != 0)[0]] = np.nan
         with pytest.raises(NumericError, match="non-finite"):
-            train_fold(images, labels, assignment, TINY, self.HEAD, cfg)
+            train_fold(images, labels, fold_of, 0, TINY, self.HEAD, cfg)
 
     def test_held_out_rows_are_scored_in_predict_chunks(self, monkeypatch):
         # 15 images per class over 2 folds: fold 0 holds 8 of each, 72 rows
         rng = np.random.default_rng(3)
         images, labels = separable_dataset(rng, per_class=15)
         cfg = self.quick_cfg(folds=2, epochs=1, warmup_epochs=0, batch_size=64)
-        assignment = stratified_kfold(labels, cfg.folds, cfg.seed)[0]
-        val = assignment.val_idx
+        fold_of = stratified_kfold(labels, cfg.folds, cfg.seed)
+        val = np.flatnonzero(fold_of == 0)
         assert len(val) > 64
         chunks = []
         logits = PatchClassifier.logits
@@ -285,7 +302,7 @@ class TestTrainFold:
             return logits(self, batch, train, *args, **kwargs)
 
         monkeypatch.setattr(PatchClassifier, "logits", recording)
-        result, model = train_fold(images, labels, assignment, TINY,
+        result, model = train_fold(images, labels, fold_of, 0, TINY,
                                    self.HEAD, cfg)
         monkeypatch.undo()
         # no forward exceeds a chunk, and the forwards cover the held-out
@@ -299,8 +316,8 @@ class TestTrainFold:
         rng = np.random.default_rng(2)
         images, labels = separable_dataset(rng, per_class=3)
         cfg = self.quick_cfg(epochs=3)
-        assignment = stratified_kfold(labels, cfg.folds, cfg.seed)[1]
-        result, _ = train_fold(images, labels, assignment, TINY, self.HEAD,
+        fold_of = stratified_kfold(labels, cfg.folds, cfg.seed)
+        result, _ = train_fold(images, labels, fold_of, 1, TINY, self.HEAD,
                                cfg)
         assert result.fold == 1
         assert len(result.epoch_losses) == 3
@@ -344,7 +361,7 @@ class TestCrossValidate:
         calls = []
 
         def counting(*args):
-            calls.append(args[2].fold)
+            calls.append(args[3])
             return train_fold(*args)
 
         monkeypatch.setattr(cv, "train_fold", counting)

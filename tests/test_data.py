@@ -198,6 +198,14 @@ class TestPpm:
                 "raster truncated at byte 18, expected 12 bytes from byte 11")):
             load_ppm(path)
 
+    @pytest.mark.parametrize("header", [b"0 2", b"2 0", b"0 0"],
+                             ids=["width", "height", "both"])
+    def test_zero_sized_header_rejected(self, tmp_path, header):
+        path = tmp_path / "empty.ppm"
+        path.write_bytes(b"P6\n" + header + b"\n255\n" + bytes(12))
+        with pytest.raises(PpmParseError, match="zero-sized image"):
+            load_ppm(path)
+
     def test_non_numeric_header(self, tmp_path):
         path = tmp_path / "junk.ppm"
         path.write_bytes(b"P6\ntwo 2\n255\n")

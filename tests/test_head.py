@@ -110,6 +110,14 @@ class TestHeadForward:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("shape", [(4, 2 * CFG.dim + 1), (2 * CFG.dim,),
+                                       (1, 4, 2 * CFG.dim)],
+                             ids=["wide", "rank1", "rank3"])
+    def test_features_must_match_w1(self, shape):
+        w = init_head(HeadConfig(), CFG.dim, seed=0)
+        with pytest.raises(DimensionError, match="do not match w1"):
+            head_forward(Tensor(np.zeros(shape, np.float32)), w, HeadConfig())
+
     def test_gradients_reach_all_params(self):
         rng = np.random.default_rng(5)
         hcfg = HeadConfig()
@@ -159,6 +167,12 @@ class TestPredict:
 
     def test_tensor_input(self):
         assert predict(Tensor([[0.0, 1.0]])).tolist() == [1]
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3, 4), ()],
+                             ids=["rank1", "rank3", "scalar"])
+    def test_logits_must_be_rank_two(self, shape):
+        with pytest.raises(DimensionError, match="n_classes"):
+            predict(Tensor(np.zeros(shape)))
 
     def test_config_validation(self):
         with pytest.raises(ParameterError):

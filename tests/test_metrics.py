@@ -275,13 +275,36 @@ class TestNormalizeRows:
             assert s == pytest.approx(0.0 if zero[i] else 1.0, abs=1e-12)
 
 
-class TestMergeAndRendering:
-    def test_merge_is_elementwise_add(self):
-        rng = np.random.default_rng(19)
-        a = random_cm(rng, k=4)
-        b = random_cm(rng, k=4)
-        np.testing.assert_array_equal(a.merge(b).counts, a.counts + b.counts)
+class TestCounts:
+    @pytest.mark.parametrize("counts", [
+        [[1.5, 0], [0, 1]],
+        [[True, False], [False, True]],
+        [["3", "0"], ["0", "1"]],
+        [[1, 0], [0]],
+        [[2 ** 70, 0], [0, 1]],
+        np.ones((2, 2), dtype=np.float32),
+    ], ids=["float", "bool", "string", "ragged", "wide", "float32"])
+    def test_non_integer_counts_rejected(self, counts):
+        # each was once coerced to int64: 1.5 to 1, True to 1, "3" to 3
+        with pytest.raises(ContractError, match="integers|not a matrix"):
+            ConfusionMatrix(2, counts)
 
+    @pytest.mark.parametrize("counts", [
+        [[1, 0, 0], [0, 1, 0]], [[1, -1], [0, 1]],
+        np.array([[2 ** 63, 0], [0, 1]], dtype=np.uint64)],
+        ids=["shape", "negative", "uint64_past_int64"])
+    def test_shape_and_sign_checked(self, counts):
+        with pytest.raises(ContractError):
+            ConfusionMatrix(2, counts)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int64])
+    def test_integer_counts_stored_as_int64(self, dtype):
+        cm = ConfusionMatrix(2, np.array([[3, 1], [0, 4]], dtype=dtype))
+        assert cm.counts.dtype == np.int64
+        assert cm.counts.tolist() == [[3, 1], [0, 4]]
+
+
+class TestMergeAndRendering:
     def test_csv_layout(self):
         cm = ConfusionMatrix(2, [[3, 1], [0, 4]])
         per_class = [M.basic_metrics(M.one_vs_rest(cm, i)) for i in range(2)]

@@ -341,3 +341,37 @@ def test_random_affine_folds_into_the_model(seed):
     assert got.dtype == np.float64
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
     assert np.abs(want).max() > 1e-2
+
+
+@pytest.mark.parametrize("image_size", [56, 224])
+def test_float32_stays_near_its_float64_twin(image_size):
+    """The float64 twin, built by ``from_arrays`` from the same weights,
+    gauges float32's accuracy: one training loss, its gradients and the
+    eval logits of a batch of 16. The weights are scaled x10 so that the
+    logits are not ~0. Measured at seed 0 on one OpenBLAS thread, 56/14
+    then 224/14: loss 9.1e-8 and 7.2e-8, gradients 2.0e-6 and 2.5e-6,
+    logits 8.3e-7 and 1.6e-6. Each bound is about ten times those."""
+    enc = EncoderConfig(image_size=image_size, tile_size=14)
+    head = HeadConfig()
+    fresh = PatchClassifier(enc, head, seed=0).parameters()
+    rng = np.random.default_rng(0)
+    images = rng.normal(size=(16, 3, image_size, image_size)).astype(np.float32)
+    labels = np.arange(16) % 9
+    runs = []
+    for dtype in (np.float32, np.float64):
+        model = PatchClassifier.from_arrays(
+            enc, head, {n: (p.data * 10).astype(dtype) for n, p in fresh.items()})
+        loss = model.loss(images.astype(dtype), labels, dropout_seed=3)
+        loss.backward()
+        assert loss.dtype == dtype
+        runs.append((loss.item(),
+                     {n: p.grad for n, p in model.parameters().items()},
+                     model.logits(images.astype(dtype)).data))
+    (loss32, grads32, logits32), (loss64, grads64, logits64) = runs
+    loss_err = abs(loss32 - loss64) / abs(loss64)
+    grad_err = max(np.abs(grads32[n] - g).max() / np.abs(g).max()
+                   for n, g in grads64.items())
+    logit_err = np.abs(logits32 - logits64).max() / np.abs(logits64).max()
+    assert loss_err < 1e-6
+    assert grad_err < 3e-5
+    assert logit_err < 1.5e-5

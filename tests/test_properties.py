@@ -267,8 +267,8 @@ def run_payload():
     """The fields ``report`` reads, shaped as ``cv`` writes them."""
     bundle = {name: 0.5 for name in METRIC_NAMES}
     return {"data": "d", "created": "t", "load_s": 0.5,
-            "per_class": [dict(bundle) for _ in CLASS_CODES],
-            "micro": dict(bundle), "fold_average": dict(bundle),
+            "confusion": np.eye(len(CLASS_CODES), dtype=int).tolist(),
+            "fold_average": dict(bundle),
             "folds": [{"fold": 0, "epochs_run": 1, "final_loss": 0.1,
                        "wall_s": 0.2, "micro": dict(bundle)}]}
 
@@ -279,7 +279,8 @@ class TestRunManifest:
            st.sampled_from(["fold", "final_loss", "wall_s", "micro", "f1",
                             None]),
            JSON | st.integers(10 ** 300, 10 ** 400))
-    @example("micro", "f1", 10 ** 400)
+    @example("fold_average", "f1", 10 ** 400)
+    @example("confusion", "f1", 10 ** 400)
     def test_report_renders_or_rejects(self, ckpt_dir, key, inner, value):
         """Replace the payload, a field, or a field inside one; ``report``
         must render it or exit 3."""
@@ -291,7 +292,8 @@ class TestRunManifest:
         else:
             target = payload[key]
             target = target[0] if isinstance(target, list) else target
-            target[inner] = value
+            # a confusion row takes the value as its first cell
+            target[0 if isinstance(target, list) else inner] = value
         (ckpt_dir / "run.json").write_text(json.dumps(payload))
         assert main(["report", "--run", str(ckpt_dir)]) in (0, 3)
 

@@ -579,6 +579,16 @@ class TestCrossEntropy:
         with pytest.raises(DataError):
             T.cross_entropy(logits, [0, 3])
 
+    @pytest.mark.parametrize("logits_shape, labels, error, says", [
+        ((3,), [0], DimensionError, "batch x classes"),
+        ((2, 3, 1), [0, 1], DimensionError, "batch x classes"),
+        ((2, 3), [0, 1, 2], DataError, "does not match batch size 2"),
+        ((2, 3), [[0], [1]], DataError, "does not match batch size 2"),
+    ], ids=["rank1_logits", "rank3_logits", "long_labels", "column_labels"])
+    def test_shape_mismatch_rejected(self, logits_shape, labels, error, says):
+        with pytest.raises(error, match=says):
+            T.cross_entropy(Tensor(np.zeros(logits_shape)), labels)
+
     def test_gradient_is_softmax_minus_onehot_over_batch(self):
         rng = np.random.default_rng(5)
         raw = rng.normal(size=(4, 9))
@@ -824,6 +834,12 @@ _TILE = {"w": np.random.default_rng(8).normal(size=(2, 3, 4, 2)),
 
 GRAD_CASES = {
     "add_broadcast": lambda t: (t + Tensor(np.arange(float(t.shape[-1])))).sum(),
+    # the probe's size-1 axis is broadcast, and its gradient summed back
+    "add_size_one_axis": lambda t: T.silu(
+        t.reshape((3, 1, 4)) + Tensor(np.linspace(-1, 1, 8).reshape(2, 4))).sum(),
+    "add_reflected": lambda t: T.silu(0.5 + t).sum(),
+    "add_reflected_sub": lambda t: T.silu(0.5 - t).sum(),
+    "mul_reflected": lambda t: T.silu(-1.5 * t).sum(),
     "mul": lambda t: T.mul(t, t).sum(),
     "neg": lambda t: (-t).sum(),
     "matmul": lambda t: (t @ Tensor(np.linspace(-1, 1, t.shape[-1] * 2).reshape(t.shape[-1], 2))).sum(),
@@ -849,6 +865,10 @@ GRAD_CASES = {
         T.linear(_LIN["x_for_w"], t, _LIN["b_for_w"])).sum(),
     "linear_b": lambda t: T.silu(
         T.linear(_LIN["x_for_b"], _LIN["w_for_b"], t)).sum(),
+    # a float32 product plus a float64 bias promotes to float64
+    "linear_b_promoted": lambda t: T.silu(T.linear(
+        Tensor(_LIN["x_for_b"].data.astype(np.float32)),
+        Tensor(_LIN["w_for_b"].data.astype(np.float32)), t)).sum(),
     "linear_silu_x": lambda t: T.linear_silu(
         t.reshape((3, 1, 4)), _LIN["w_for_x"], _LIN["b_for_x"]).sum(),
     "linear_silu_w": lambda t: T.linear_silu(
@@ -860,6 +880,18 @@ GRAD_CASES = {
     "tile_linear_b": lambda t: T.silu(
         T.tile_linear(_TILE["b"], 1, _TILE["w_for_b"], t)).sum(),
 }
+
+
+@pytest.mark.parametrize("expr, want", [
+    (lambda t: 0.5 + t, [0.5, 1.5, 2.5]),
+    (lambda t: 0.5 - t, [0.5, -0.5, -1.5]),
+    (lambda t: -1.5 * t, [-0.0, -1.5, -3.0]),
+], ids=["radd", "rsub", "rmul"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_reflected_operators_keep_the_scalar_on_the_left(expr, want, dtype):
+    out = expr(Tensor(np.arange(3, dtype=dtype)))
+    assert isinstance(out, Tensor) and out.dtype == dtype
+    assert out.data.tolist() == want
 
 
 def test_every_op_has_a_gradient_case():
