@@ -19,7 +19,9 @@ MLP's first projection and its SiLU are one ``linear_silu`` node, and
 ``attention`` takes the (B, tokens, dim) q, k and v and splits the heads
 itself, so a block records 11 nodes: two norms, five linears, one
 linear_silu, attention and two residual adds. The tile projection is one
-``tile_linear`` node over the images, which keeps them, not their tiles.
+``tile_linear`` node over the images, which keeps them, not their tiles:
+its forward cuts and projects a cache-sized block of images at a time
+into one reused buffer, and its backward cuts all the tiles once.
 
 Defaults are desk scale (dim 32, depth 2) so the whole pipeline trains in
 seconds on a CPU; the geometry (224 input, 14 tile) matches the full-scale

@@ -69,14 +69,18 @@ class ConfusionMatrix:
             counts = np.zeros((n_classes, n_classes), dtype=np.int64)
         else:
             try:
-                counts = np.asarray(counts)
+                cells = np.asarray(counts)
             except ValueError as exc:   # rows of unequal lengths
                 raise ContractError(f"confusion counts are not a matrix: {exc}")
-            if counts.dtype.kind not in "iu":
+            if cells.dtype.kind not in "iu":
                 raise ContractError(
-                    f"confusion counts must be integers, got {counts.dtype}")
+                    f"confusion counts must be integers, got {cells.dtype}")
+            # numpy reads [[1, 0], [0, True]] as int64, so each cell is checked
+            if any(isinstance(v, (bool, np.bool_))
+                   for v in np.asarray(counts, dtype=object).flat):
+                raise ContractError("confusion counts must be integers, got a bool")
             # a uint64 count past int64 wraps negative; the sign check refuses it
-            counts = counts.astype(np.int64, copy=False)
+            counts = cells.astype(np.int64, copy=False)
             if counts.shape != (n_classes, n_classes):
                 raise ContractError(
                     f"counts shape {counts.shape} does not match K={n_classes}")

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import copy
 from typing import Dict
 
 import numpy as np
@@ -85,7 +84,9 @@ class PatchClassifier:
         images = np.asarray(images)
         total = images.shape[0] if rows is None else len(rows)
         out = np.empty(total, dtype=np.int64)
-        frozen = copy.copy(self)
+        # built field by field: copy.copy would cache __slotnames__ on the class
+        frozen = type(self).__new__(type(self))
+        frozen.enc_cfg, frozen.head_cfg = self.enc_cfg, self.head_cfg
         frozen.encoder = {n: Tensor(p.data) for n, p in self.encoder.items()}
         frozen.head = {n: Tensor(p.data) for n, p in self.head.items()}
         for start in range(0, total, as_int(batch_size, "batch_size", 1)):

@@ -25,7 +25,8 @@ DEFAULT_DTYPE = np.float32
 
 _NORM_EPS = 1e-5   # layer_norm's variance floor
 
-# bytes of one attention chunk's score block: about half of a 2 MiB L2 cache
+# bytes of one attention chunk's score block, and of one block of tile_linear's
+# tiles: about half of a 2 MiB L2 cache
 _SCORE_BYTES = 1 << 20
 
 # an attention slice with a row sum below this is recomputed from its exact
@@ -319,12 +320,23 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
 
 def tile_linear(images: np.ndarray, tile: int, w: Tensor, b: Tensor) -> Tensor:
     """``linear(Tensor(tile_image(images, tile)), w, b)`` as one node that
-    keeps the images, not their tiles: backward cuts the tiles again for
-    dW = tilesᵀ @ G, trading one cut for a copy of the input held through
-    the step (Chen et al., arXiv 1604.06174). The images are a constant
-    and get no gradient; ``b`` is embed's (tiles, dim) position rows."""
+    keeps the images, not their tiles; the images are a constant with no
+    gradient, and ``b`` is embed's (tiles, dim) position rows.
+
+    Forward cuts a block of images at a time into one reused buffer of at
+    most _SCORE_BYTES and multiplies it while it is in cache (Cho & Brand,
+    arXiv 1706.06873); numpy's product is one GEMM per image, so no bit
+    moves. Backward cuts every tile again for dW = tilesᵀ @ G, trading a
+    cut for holding them (Chen et al., arXiv 1604.06174).
+    """
     images = _as_array(images)
-    out = _affine(tile_image(images, tile), w, b)
+    n, c, ny, nx, tile = _tiling(images, tile)
+    step = max(1, _SCORE_BYTES // max(1, images[:1].nbytes))   # one image's tiles
+    cut = np.empty((min(step, n), ny * nx, c * tile * tile), images.dtype)
+    out = np.empty((n, ny * nx) + w.shape[1:], np.result_type(images, w.data, b.data))
+    for start in range(0, max(n, 1), step):
+        block = tile_image(images[start:start + step], tile, out=cut[:n - start])
+        out[start:start + step] = _affine(block, w, b)
 
     def backward(g):
         if not w.requires_grad:
@@ -464,24 +476,39 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
         out_data * (g - (g * out_data).sum(axis=axis, keepdims=True)),), "softmax")
 
 
-def tile_image(images: np.ndarray, tile: int) -> np.ndarray:
-    """Cut (B, C, H, W) images into (B, tiles, patch_dim) flat tile rows.
+def _tiling(images: np.ndarray, tile) -> tuple:
+    """(B, C, H / tile, W / tile, tile) of images that ``tile`` cuts evenly."""
+    tile = as_int(tile, "tile size", 1)
+    if images.ndim != 4:
+        raise DimensionError(f"expected (B, C, H, W), got shape {images.shape}")
+    b, c, h, wdt = images.shape
+    if h % tile or wdt % tile:
+        raise DimensionError(
+            f"tile {tile} does not divide image {h}x{wdt}")
+    return b, c, h // tile, wdt // tile, tile
+
+
+def tile_image(images: np.ndarray, tile: int, out=None) -> np.ndarray:
+    """Cut (B, C, H, W) images into (B, tiles, patch_dim) flat tile rows,
+    written into ``out`` (a C-contiguous array of that shape and the
+    images' dtype) when it is given.
 
     Each row is one tile flattened channel-major: all of channel 0's
     tile pixels, then channel 1's, then channel 2's. Tiles are ordered
     left to right, top to bottom.
     """
-    img, tile = np.asarray(images), as_int(tile, "tile size", 1)
-    if img.ndim != 4:
-        raise DimensionError(f"expected (B, C, H, W), got shape {img.shape}")
-    b, c, h, wdt = img.shape
-    if h % tile or wdt % tile:
-        raise DimensionError(
-            f"tile {tile} does not divide image {h}x{wdt}")
-    ny, nx = h // tile, wdt // tile
-    return (img.reshape(b, c, ny, tile, nx, tile)
-               .transpose(0, 2, 4, 1, 3, 5)
-               .reshape(b, ny * nx, c * tile * tile))
+    img = np.asarray(images, order="C")
+    b, c, ny, nx, tile = _tiling(img, tile)
+    shape = (b, ny * nx, c * tile * tile)
+    if out is None:
+        out = np.empty(shape, img.dtype)
+    elif out.shape != shape or out.dtype != img.dtype or not out.flags.c_contiguous:
+        raise DimensionError(f"tile_image out must be a C-contiguous {shape} "
+                             f"{img.dtype} array, got {out.shape} {out.dtype}")
+    run = np.dtype((np.void, tile * img.itemsize))   # one tile-width pixel run
+    out.view(run).reshape(b, ny, nx, c, tile)[...] = (
+        img.view(run).reshape(b, c, ny, tile, nx).transpose(0, 2, 4, 1, 3))
+    return out
 
 
 def _split_heads(x: np.ndarray, heads: int, dtype, last=None,

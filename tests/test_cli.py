@@ -575,12 +575,13 @@ class TestReport:
         (lambda m: [m[0][:5]] + m[1:], "not a matrix"),
         (lambda m: [[c + 0.5 for c in row] for row in m], "float64"),
         (lambda m: [[c > 0 for c in row] for row in m], "bool"),
+        (lambda m: [[True] + m[0][1:]] + m[1:], "bool"),
         (lambda m: [[str(c) for c in row] for row in m], "<U"),
         (lambda m: [[2 ** 70] + row[1:] for row in m], "object"),
         (lambda m: [[-1] + row[1:] for row in m], "nonnegative"),
         (lambda m: [[0] * 9 for _ in m], "at least one"),
     ], ids=["rows3", "rows12", "columns8", "ragged", "float", "bool",
-            "string", "wide", "negative", "empty"])
+            "int_and_bool", "string", "wide", "negative", "empty"])
     def test_confusion_not_nine_by_nine_counts_is_data_error(
             self, finished_run, tmp_path, capsys, edit, says):
         # report scores the stored matrix; one that is not 9 x 9

@@ -283,9 +283,12 @@ class TestCounts:
         [[1, 0], [0]],
         [[2 ** 70, 0], [0, 1]],
         np.ones((2, 2), dtype=np.float32),
-    ], ids=["float", "bool", "string", "ragged", "wide", "float32"])
+        [[1, 0], [0, True]],
+    ], ids=["float", "bool", "string", "ragged", "wide", "float32",
+            "int_and_bool"])
     def test_non_integer_counts_rejected(self, counts):
-        # each was once coerced to int64: 1.5 to 1, True to 1, "3" to 3
+        # each was once coerced to int64: 1.5 to 1, True to 1, "3" to 3;
+        # numpy reads ints mixed with a bool as int64, so bools are per cell
         with pytest.raises(ContractError, match="integers|not a matrix"):
             ConfusionMatrix(2, counts)
 

@@ -5,6 +5,11 @@ value biases computes nothing the model's own weights cannot."""
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -127,6 +132,29 @@ def test_builds_no_graph(model, images, monkeypatch):
     assert len(built) == 3
     assert all(out._parents == () and not out.requires_grad for out in built)
     assert all(p.grad is None for p in model.parameters().values())
+
+
+def test_predict_leaves_the_class_as_it_found_it():
+    # in a fresh process: copy.copy once cached __slotnames__ on the class
+    # at the first predict, which an earlier test in this one may have run
+    script = textwrap.dedent("""
+        import numpy as np
+        from gbmpatch.encoder import EncoderConfig
+        from gbmpatch.head import HeadConfig
+        from gbmpatch.model import PatchClassifier
+        cfg = EncoderConfig(image_size=28, tile_size=14, dim=8, depth=1,
+                            heads=2, registers=2, mlp_ratio=2)
+        model = PatchClassifier(cfg, HeadConfig(bottleneck=4), seed=3)
+        before = set(vars(PatchClassifier))
+        model.predict(np.zeros((2, 3, 28, 28), np.float32))
+        print(sorted(set(vars(PatchClassifier)) ^ before))
+    """)
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_desk_loss_graph_is_small():

@@ -6,6 +6,7 @@ matmul, direct exp/sum evaluation, hand arithmetic) and frozen here.
 
 import ctypes
 import inspect
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -379,26 +380,98 @@ class TestLinear:
 
 
 class TestTileLinear:
-    def test_equals_linear_on_the_tiles_bit_for_bit(self):
-        # the paper's geometry: 256 tiles of 588, the embed product whose
-        # reduction axis is longest
+    @staticmethod
+    def operands(batch, size, dtype=np.float32):
+        tiles = (size // 14) ** 2
         rng = np.random.default_rng(11)
-        images, w, pos, g = (rng.normal(size=s).astype(np.float32) for s in
-                             ((3, 3, 224, 224), (588, 8), (256, 8), (3, 256, 8)))
+        return (rng.normal(size=s).astype(t) for s, t in (
+            ((batch, 3, size, size), dtype), ((588, 8), np.float32),
+            ((tiles, 8), np.float32), ((batch, tiles, 8), np.float32)))
+
+    def check(self, batch, size, dtype, step, blocks, monkeypatch):
+        """tile_linear's output and gradients are linear's on tile_image's
+        cut, bit for bit, and it cut the images in ``blocks``."""
+        images, w, pos, g = self.operands(batch, size, dtype)
+        images, g = images[::step], g[::step]   # step 2: a strided view
+        cut, cuts = T.tile_image, []
+
+        def counted(images, tile, out=None):
+            cuts.append(len(images))
+            return cut(images, tile, out=out)
+
         runs = []
         for fused in (True, False):
             wt, bt = Tensor(w, requires_grad=True), Tensor(pos, requires_grad=True)
             if fused:
-                out = T.tile_linear(images, 14, wt, bt)
+                with monkeypatch.context() as m:
+                    m.setattr(T, "tile_image", counted)
+                    out = T.tile_linear(images, 14, wt, bt)
             else:
                 out = T.linear(Tensor(T.tile_image(images, 14)), wt, bt)
             T.mul(out, Tensor(g)).sum().backward()
             runs.append((out.data, wt.grad, bt.grad))
         (out, dw, dpos), (want, want_dw, want_dpos) = runs
-        assert out.dtype == np.float32 and out.shape == (3, 256, 8)
+        assert cuts == blocks
+        assert out.dtype == dtype and out.shape == g.shape
         np.testing.assert_array_equal(out, want)
         np.testing.assert_array_equal(dw, want_dw)
         np.testing.assert_array_equal(dpos, want_dpos)
+
+    def test_equals_linear_on_the_tiles_bit_for_bit(self, monkeypatch):
+        # the paper's geometry: 256 tiles of 588, the embed product whose
+        # reduction axis is longest, cut one image per block
+        self.check(3, 224, np.float32, 1, [1, 1, 1], monkeypatch)
+
+    # 56/14 cuts 27 images per block, then the remainder
+    @pytest.mark.parametrize("batch, size, dtype, step, blocks", [
+        (29, 56, np.float32, 1, [27, 2]),
+        (64, 56, np.float32, 1, [27, 27, 10]),
+        (3, 224, np.float64, 1, [1, 1, 1]),
+        (6, 224, np.float32, 2, [1, 1, 1]),
+        (58, 56, np.float32, 2, [27, 2]),
+    ], ids=["56_remainder", "56_predict_chunk", "224_float64", "224_view",
+            "56_view"])
+    def test_blocks_equal_linear_on_the_tiles_bit_for_bit(
+            self, batch, size, dtype, step, blocks, monkeypatch):
+        self.check(batch, size, dtype, step, blocks, monkeypatch)
+
+    def test_cuts_into_out(self):
+        images = next(self.operands(2, 56))
+        buf = np.empty((2, 16, 588), np.float32)
+        assert T.tile_image(images, 14, out=buf) is buf
+        np.testing.assert_array_equal(buf, T.tile_image(images, 14))
+
+    @pytest.mark.parametrize("out", [
+        np.empty((2, 16, 587), np.float32), np.empty((1, 16, 588), np.float32),
+        np.empty((2, 16, 588), np.float64),
+        np.empty((2, 16, 1176), np.float32)[..., ::2]],
+        ids=["width", "batch", "dtype", "strided"])
+    def test_out_that_does_not_fit_rejected(self, out):
+        images = next(self.operands(2, 56))
+        with pytest.raises(DimensionError, match="out must be"):
+            T.tile_image(images, 14, out=out)
+
+    def test_forward_holds_no_full_cut(self):
+        # eight 224/14 images' tiles are (8, 256, 588) float32, 4.8 MB
+        images, w, pos, _ = self.operands(8, 224)
+        w, pos = Tensor(w), Tensor(pos)
+        tracemalloc.start()
+        try:
+            T.tile_linear(images, 14, w, pos)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 256 * 588 * 4
+
+    def test_logits_of_a_batch_join_those_of_its_halves(self):
+        # each image's logits are the same bits in any batch
+        cfg = EncoderConfig(image_size=224, tile_size=14, dim=8, depth=1,
+                            heads=2, registers=1, mlp_ratio=2)
+        model = PatchClassifier(cfg, HeadConfig(bottleneck=4), seed=2)
+        images = next(self.operands(6, 224))
+        whole = model.logits(images).data
+        halves = [model.logits(images[:3]).data, model.logits(images[3:]).data]
+        np.testing.assert_array_equal(whole, np.concatenate(halves))
 
 
 class TestLinearSilu:
