@@ -595,7 +595,9 @@ def generate_synthetic(root, counts: Sequence[int] = DEFAULT_PROFILE,
             # importing numpy again. Forking is safe here: a child only
             # draws random numbers, runs elementwise numpy and writes
             # files, and never calls into BLAS, whose threads do not
-            # survive a fork. Imported here, as cv and eval never fork.
+            # survive a fork. The engine's threads do not outlive the op
+            # call that started them either, so none is alive at a fork.
+            # Imported here, as cv and eval never fork.
             import multiprocessing
             with multiprocessing.get_context("fork").Pool(workers) as pool:
                 manifest.entries = list(pool.imap(write, tasks, _POOL_CHUNK))

@@ -13,7 +13,11 @@ stacked matmul) and nowhere else.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
+import functools
+import os
+import threading
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -41,6 +45,80 @@ try:
                      for param, value in ((-1, 256 << 20), (-3, 32 << 20)))
 except (AttributeError, OSError, TypeError):
     _MALLOPT = ()
+
+
+@functools.cache
+def _blas_query():
+    """The thread-count query of the OpenBLAS this process has mapped, or
+    None when no mapped library exports one."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split(None, 5)[-1].strip() for line in maps
+                            if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_get_num_threads64_",
+                     "scipy_openblas_get_num_threads",
+                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            query = getattr(lib, name, None)
+            if query is not None:
+                query.argtypes, query.restype = [], ctypes.c_int
+                return query
+    return None
+
+
+def _blas_threads() -> int:
+    """Threads the loaded BLAS runs one call on; 2 when it cannot be asked."""
+    query = _blas_query()
+    return 2 if query is None else query()
+
+
+def _in_parts(units: int, blocks: int, run: Callable[[int, int], None]):
+    """``run(start, stop)`` over contiguous parts of range(units), a loop of
+    ``blocks`` cache-sized blocks, one thread pinned to each CPU it uses.
+
+    It spreads only when every thread gets at least two blocks, over at
+    most one thread per CPU the process may run on, and only when the
+    loaded BLAS runs one thread per call; else the calling thread runs
+    range(units) as one part. Each part writes only its own rows, through
+    the same numpy calls as one part would, so no bit depends on the
+    parts. The threads end inside the call; the first part that raised
+    raises once every part has joined.
+    """
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+    parts = min(len(cpus), blocks // 2, units)
+    if parts < 2 or _blas_threads() != 1:
+        run(0, units)
+        return
+    cuts = [units * p // parts for p in range(parts + 1)]
+    errors = [None] * parts
+
+    def part(p):
+        try:
+            with contextlib.suppress(OSError):   # the pin is for speed only
+                os.sched_setaffinity(0, {cpus[p]})
+            run(cuts[p], cuts[p + 1])
+        except BaseException as exc:   # raised on the calling thread below
+            errors[p] = exc
+
+    started = []
+    try:
+        for p in range(parts):
+            thread = threading.Thread(target=part, args=(p,),
+                                      name=f"gbmpatch-cpu{cpus[p]}")
+            thread.start()
+            started.append(thread)
+    finally:
+        for thread in started:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
 
 
 def _as_array(data, dtype=None) -> np.ndarray:
@@ -323,20 +401,26 @@ def tile_linear(images: np.ndarray, tile: int, w: Tensor, b: Tensor) -> Tensor:
     keeps the images, not their tiles; the images are a constant with no
     gradient, and ``b`` is embed's (tiles, dim) position rows.
 
-    Forward cuts a block of images at a time into one reused buffer of at
+    Forward cuts a block of images at a time into a reused buffer of at
     most _SCORE_BYTES and multiplies it while it is in cache (Cho & Brand,
-    arXiv 1706.06873); numpy's product is one GEMM per image, so no bit
-    moves. Backward cuts every tile again for dW = tilesᵀ @ G, trading a
-    cut for holding them (Chen et al., arXiv 1604.06174).
+    arXiv 1706.06873), one buffer per part of the block loop; numpy's
+    product is one GEMM per image, so no bit moves. Backward cuts every
+    tile again for dW = tilesᵀ @ G, one GEMM, trading a cut for holding
+    them (Chen et al., arXiv 1604.06174).
     """
     images = _as_array(images)
     n, c, ny, nx, tile = _tiling(images, tile)
-    step = max(1, _SCORE_BYTES // max(1, images[:1].nbytes))   # one image's tiles
-    cut = np.empty((min(step, n), ny * nx, c * tile * tile), images.dtype)
+    step, blocks = _image_blocks(images)
     out = np.empty((n, ny * nx) + w.shape[1:], np.result_type(images, w.data, b.data))
-    for start in range(0, max(n, 1), step):
-        block = tile_image(images[start:start + step], tile, out=cut[:n - start])
-        out[start:start + step] = _affine(block, w, b)
+
+    def embed(first, stop):
+        cut = np.empty((min(step, n), ny * nx, c * tile * tile), images.dtype)
+        for start in range(first * step, min(stop * step, max(n, 1)), step):
+            block = np.asarray(images[start:start + step], order="C")
+            _cut(block, tile, cut[:len(block)])
+            out[start:start + step] = _affine(cut[:len(block)], w, b)
+
+    _in_parts(blocks, blocks, embed)
 
     def backward(g):
         if not w.requires_grad:
@@ -505,6 +589,23 @@ def tile_image(images: np.ndarray, tile: int, out=None) -> np.ndarray:
     elif out.shape != shape or out.dtype != img.dtype or not out.flags.c_contiguous:
         raise DimensionError(f"tile_image out must be a C-contiguous {shape} "
                              f"{img.dtype} array, got {out.shape} {out.dtype}")
+    step, blocks = _image_blocks(img)
+    _in_parts(blocks, blocks, lambda first, stop: _cut(
+        img[first * step:stop * step], tile, out[first * step:stop * step]))
+    return out
+
+
+def _image_blocks(images: np.ndarray) -> tuple:
+    """(images per block, blocks) of a loop over images: a block's tiles
+    fill at most _SCORE_BYTES or are one image's; no image is one block."""
+    step = max(1, _SCORE_BYTES // max(1, images[:1].nbytes))
+    return step, -(-max(len(images), 1) // step)
+
+
+def _cut(img: np.ndarray, tile: int, out: np.ndarray) -> np.ndarray:
+    """``tile_image``'s cut of C-contiguous images into ``out``, unchecked."""
+    b, c, h, wdt = img.shape
+    ny, nx = h // tile, wdt // tile
     run = np.dtype((np.void, tile * img.itemsize))   # one tile-width pixel run
     out.view(run).reshape(b, ny, nx, c, tile)[...] = (
         img.view(run).reshape(b, c, ny, tile, nx).transpose(0, 2, 4, 1, 3))
@@ -512,16 +613,17 @@ def tile_image(images: np.ndarray, tile: int, out=None) -> np.ndarray:
 
 
 def _split_heads(x: np.ndarray, heads: int, dtype, last=None,
-                 transpose: bool = False) -> np.ndarray:
-    """(B, n, heads·w) -> (B·heads, n, w) slices, one per head. ``last``
-    adds column w, as in ``[k | 1]``; ``transpose`` stores each slice
+                 transpose: bool = False, out=None) -> np.ndarray:
+    """(B, n, heads·w) -> (B·heads, n, w) slices, one per head, in ``out``
+    (a C-contiguous array of that shape) when it is given. ``last`` adds
+    column w, as in ``[k | 1]``; ``transpose`` stores each slice
     transposed, so that a matmul reads it as a contiguous right operand."""
     b, n, width = x.shape
     w = width // heads
     parts = x.reshape(b, n, heads, w).transpose(0, 2, 1, 3)
     cols = w if last is None else w + 1
     shape = (b, heads, cols, n) if transpose else (b, heads, n, cols)
-    out = np.empty(shape, dtype)
+    out = np.empty(shape, dtype) if out is None else out.reshape(shape)
     view = out.swapaxes(-1, -2) if transpose else out
     view[..., :w] = parts
     if last is not None:
@@ -541,10 +643,13 @@ def _recentre(i, qa, kt, va, scores, summed):
     qa[i, :, w:] = -row_max
 
 
-def _merge_heads(x: np.ndarray, b: int) -> np.ndarray:
-    """(B·heads, n, w) -> (B, n, heads·w), the inverse of ``_split_heads``."""
-    s, n, w = x.shape
-    return x.reshape(b, s // b, n, w).transpose(0, 2, 1, 3).reshape(b, n, -1)
+def _merge_heads(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """(B·heads, n, w) slices into ``out``, a C-contiguous (B, n, heads·w)
+    array: the inverse of ``_split_heads``."""
+    b, n, _ = out.shape
+    s, _, w = x.shape
+    out.reshape(b, n, s // b, w)[...] = x.reshape(b, s // b, n, w).transpose(0, 2, 1, 3)
+    return out
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float) -> Tensor:
@@ -572,8 +677,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float) -> Tens
 
     Every right operand is stored contiguous, as BLAS reads a transposed
     one about 1.7x slower here. Both passes walk the slices in chunks
-    whose score block fits in _SCORE_BYTES, reusing one block. Each slice
-    takes its path on its own row sums, so the chunk size moves no bits.
+    whose score block fits in _SCORE_BYTES, reusing one block, and split
+    the images into parts that each prepare, walk and write back their
+    own slices (FlashAttention-2's batch·head parallelism). Each slice
+    takes its path on its own row sums, so neither the chunks nor the
+    parts move bits.
     """
     heads = as_int(heads, "attention heads", 1)
     if (q.ndim != 3 or k.ndim != 3 or v.ndim != 3 or k.shape[0] != q.shape[0]
@@ -585,55 +693,78 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float) -> Tens
     b, n, m = q.shape[0], q.shape[1], k.shape[1]
     qw, vw = q.shape[-1] // heads, v.shape[-1] // heads
     dtype = np.result_type(q.data, k.data, v.data)
-    qa = _split_heads(q.data * scale, heads, dtype, 0.0)   # [q·s | −bound]
-    kt = _split_heads(k.data, heads, dtype, 1.0, transpose=True)
-    va = _split_heads(v.data, heads, dtype, 1.0)
     slices = b * heads
     step = max(1, _SCORE_BYTES // max(1, n * m * np.dtype(dtype).itemsize))
-    chunks = [slice(i, min(i + step, slices)) for i in range(0, slices, step)]
-    block = (min(step, slices), n, m)
-
-    qs, ks = qa[..., :qw], kt[:, :qw]
-    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite bound falls back
-        qa[..., qw] = np.sqrt(np.einsum("snw,snw->sn", qs, qs))
-        qa[..., qw] *= -np.sqrt(np.einsum("swm,swm->sm", ks, ks).max(-1, keepdims=True))
-    scores = np.empty(block, dtype)
+    chunks = -(-slices // step)
+    qa = np.empty((slices, n, qw + 1), dtype)   # [q·s | −bound], then [q·s | −lse]
+    kt = np.empty((slices, qw + 1, m), dtype)
+    va = np.empty((slices, m, vw + 1), dtype)
     summed = np.empty((slices, n, vw + 1), dtype)   # [P @ v | rowsum(P)]
-    for c in chunks:
-        p = np.matmul(qa[c], kt[c], out=scores[:c.stop - c.start])   # ≤ 0
-        np.exp(p, out=p)
-        np.matmul(p, va[c], out=summed[c])
-    total = summed[..., vw:]
-    for i in np.flatnonzero(~(total >= _SUM_FLOOR).all(axis=(1, 2))):
-        _recentre(i, qa, kt, va, scores[0], summed)
-    qa[..., qw:] -= np.log(total)   # [q·s | −lse], lse = shift + log(rowsum)
-    nlse = qa[..., qw].reshape(b, heads, n).copy()
+    nlse = np.empty((b, heads, n), dtype)
     out = np.empty((b, n, heads, vw), dtype)
-    np.divide(summed[..., :vw].reshape(b, heads, n, vw),
-              total.reshape(b, heads, n, 1), out=out.transpose(0, 2, 1, 3))
+
+    def forward(first, stop):   # images [first, stop)
+        rows = slice(first * heads, stop * heads)
+        _split_heads(q.data[first:stop] * scale, heads, dtype, 0.0, out=qa[rows])
+        _split_heads(k.data[first:stop], heads, dtype, 1.0, transpose=True, out=kt[rows])
+        _split_heads(v.data[first:stop], heads, dtype, 1.0, out=va[rows])
+        qs, ks = qa[rows, :, :qw], kt[rows, :qw]
+        with np.errstate(over="ignore", invalid="ignore"):   # a non-finite bound falls back
+            qa[rows, :, qw] = np.sqrt(np.einsum("snw,snw->sn", qs, qs))
+            qa[rows, :, qw] *= -np.sqrt(
+                np.einsum("swm,swm->sm", ks, ks).max(-1, keepdims=True))
+        scores = np.empty((min(step, rows.stop - rows.start), n, m), dtype)
+        for start in range(rows.start, rows.stop, step):
+            c = slice(start, min(start + step, rows.stop))
+            p = np.matmul(qa[c], kt[c], out=scores[:c.stop - c.start])   # ≤ 0
+            np.exp(p, out=p)
+            np.matmul(p, va[c], out=summed[c])
+        total = summed[rows, :, vw:]
+        for i in rows.start + np.flatnonzero(~(total >= _SUM_FLOOR).all(axis=(1, 2))):
+            _recentre(i, qa, kt, va, scores[0], summed)
+        qa[rows, :, qw:] -= np.log(total)   # [q·s | −lse], lse = shift + log(rowsum)
+        images = stop - first
+        nlse[first:stop] = qa[rows, :, qw].reshape(images, heads, n)
+        np.divide(summed[rows, :, :vw].reshape(images, heads, n, vw),
+                  total.reshape(images, heads, n, 1),
+                  out=out[first:stop].transpose(0, 2, 1, 3))
+
+    _in_parts(b, chunks, forward)
     out = out.reshape(b, n, heads * vw)
 
     def backward(g):
-        qa = _split_heads(q.data * scale, heads, dtype, nlse)   # as forward left it
-        kt = _split_heads(k.data, heads, dtype, 1.0, transpose=True)
-        d = (g * out).reshape(b, n, heads, vw).sum(axis=-1)
-        ga = _split_heads(g, heads, dtype, -d.transpose(0, 2, 1))   # [g | −D]
-        vt = _split_heads(v.data, heads, dtype, 1.0, transpose=True)
-        ks = _split_heads(k.data, heads, dtype)
-        dq, dk = np.empty((slices, n, qw), dtype), np.empty((slices, m, qw), dtype)
-        dv = np.empty((slices, m, vw), dtype)
-        scores, ds = np.empty(block, dtype), np.empty(block, dtype)
-        for c in chunks:
-            rows = c.stop - c.start
-            p = np.matmul(qa[c], kt[c], out=scores[:rows])
-            np.exp(p, out=p)
-            np.matmul(np.swapaxes(p, -1, -2), ga[c, :, :vw], out=dv[c])
-            dp = np.matmul(ga[c], vt[c], out=ds[:rows])   # dP − D
-            dp *= p
-            np.matmul(dp, ks[c], out=dq[c])
-            np.matmul(np.swapaxes(dp, -1, -2), qa[c, :, :qw], out=dk[c])
-        dq *= scale
-        return _merge_heads(dq, b), _merge_heads(dk, b), _merge_heads(dv, b)
+        gq, gk = np.empty((b, n, heads * qw), dtype), np.empty((b, m, heads * qw), dtype)
+        gv = np.empty((b, m, heads * vw), dtype)
+
+        def grads(first, stop):   # images [first, stop)
+            images, count = stop - first, (stop - first) * heads
+            qa = _split_heads(q.data[first:stop] * scale, heads, dtype,
+                              nlse[first:stop])   # as forward left it
+            kt = _split_heads(k.data[first:stop], heads, dtype, 1.0, transpose=True)
+            d = (g[first:stop] * out[first:stop]).reshape(images, n, heads, vw).sum(axis=-1)
+            ga = _split_heads(g[first:stop], heads, dtype, -d.transpose(0, 2, 1))   # [g | −D]
+            vt = _split_heads(v.data[first:stop], heads, dtype, 1.0, transpose=True)
+            ks = _split_heads(k.data[first:stop], heads, dtype)
+            dq, dk = np.empty((count, n, qw), dtype), np.empty((count, m, qw), dtype)
+            dv = np.empty((count, m, vw), dtype)
+            block = (min(step, count), n, m)
+            scores, ds = np.empty(block, dtype), np.empty(block, dtype)
+            for start in range(0, count, step):
+                c = slice(start, min(start + step, count))
+                rows = c.stop - c.start
+                p = np.matmul(qa[c], kt[c], out=scores[:rows])
+                np.exp(p, out=p)
+                np.matmul(np.swapaxes(p, -1, -2), ga[c, :, :vw], out=dv[c])
+                dp = np.matmul(ga[c], vt[c], out=ds[:rows])   # dP − D
+                dp *= p
+                np.matmul(dp, ks[c], out=dq[c])
+                np.matmul(np.swapaxes(dp, -1, -2), qa[c, :, :qw], out=dk[c])
+            dq *= scale
+            for part, whole in ((dq, gq), (dk, gk), (dv, gv)):
+                _merge_heads(part, whole[first:stop])
+
+        _in_parts(b, chunks, grads)
+        return gq, gk, gv
 
     return _make(out, (q, k, v), backward, "attention")
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gbmpatch import data
+from gbmpatch import data, tensor
 from gbmpatch.data import (_BASE_COLORS, _BLOB_COUNTS, _STRIPE_FREQS,
                            CLASS_CODES, DEFAULT_PROFILE, MANIFEST_NAME,
                            DatasetManifest, IMAGENET_STD, _render_patch,
@@ -20,8 +20,11 @@ from gbmpatch.data import (_BASE_COLORS, _BLOB_COUNTS, _STRIPE_FREQS,
                            load_preprocessed, normalize, parse_json_object,
                            preprocess, resize_bilinear, save_ppm, to_tensor,
                            write_atomic)
+from gbmpatch.encoder import EncoderConfig
 from gbmpatch.errors import (DataError, DimensionError, ParameterError,
                              PpmParseError)
+from gbmpatch.head import HeadConfig
+from gbmpatch.model import PatchClassifier
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -624,6 +627,36 @@ class TestGeneratorPool:
         assert seen[0] == seen[1]
         assert seen[0][0] is (DataError if isinstance(error, OSError)
                               else ParameterError)
+
+    def test_no_engine_thread_alive_at_a_fork_after_a_spread_predict(
+            self, tmp_path, monkeypatch, pooled):
+        # a 224/14 predict spreads embed's and attention's block loops over
+        # two threads, which end inside each op: the pool then forks a
+        # process in which no engine thread runs
+        monkeypatch.setattr(tensor, "_blas_threads", lambda: 1)
+        ran, cut = set(), tensor._cut
+
+        def spy(*args):
+            ran.add(threading.current_thread().name)
+            return cut(*args)
+
+        monkeypatch.setattr(tensor, "_cut", spy)
+        cfg = EncoderConfig(image_size=224, tile_size=14, dim=8, depth=1,
+                            heads=2, registers=1, mlp_ratio=2)
+        model = PatchClassifier(cfg, HeadConfig(bottleneck=4), seed=0)
+        model.predict(np.zeros((8, 3, 224, 224), np.float32))
+        assert ran == {"gbmpatch-cpu0", "gbmpatch-cpu1"}
+        alive, fork = [], os.fork
+
+        def counted_fork():
+            alive.append([t.name for t in threading.enumerate()
+                          if t.name.startswith("gbmpatch-")])
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        manifest = generate_synthetic(tmp_path, [2] * 9, seed=0, size=16)
+        assert pooled == ["fork"] and len(manifest.entries) == 18
+        assert alive and not any(alive)
 
 
 class TestLoadPreprocessed:

@@ -6,8 +6,14 @@ matmul, direct exp/sum evaluation, hand arithmetic) and frozen here.
 
 import ctypes
 import inspect
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -111,12 +117,12 @@ def composite_attention(q, k, v, heads, scale):
 
 class TestAttention:
     @staticmethod
-    def operands(spread):
+    def operands(spread, shape=(2, 4, 7, 8)):
         """float32 (batch, rows, heads·width) q, k, v and output weights
         from (batch, heads, rows, width) draws, with a scale that puts the
         largest score at +-``spread``."""
         rng = np.random.default_rng(3)
-        q, k, v, w = (rng.normal(size=(2, 4, 7, 8)).astype(np.float32)
+        q, k, v, w = (rng.normal(size=shape).astype(np.float32)
                       for _ in range(4))
         scale = spread / float(np.abs(q @ np.swapaxes(k, -1, -2)).max())
         return (*(heads_last(a) for a in (q, k, v, w)), scale)
@@ -204,7 +210,7 @@ class TestAttention:
         dq = np.matmul(dp, ks) * np.float32(scale)
         dk = np.matmul(np.swapaxes(dp, -1, -2), qa[:, :, :w])
         for fused, want in zip(got, (dq, dk, dv)):
-            np.testing.assert_array_equal(fused, T._merge_heads(want, b))
+            np.testing.assert_array_equal(fused, T._merge_heads(want, np.empty_like(fused)))
 
     def test_recentres_the_slices_under_the_floor(self, monkeypatch):
         # at +-1000 every slice has a row whose scores all sit hundreds
@@ -390,28 +396,29 @@ class TestTileLinear:
 
     def check(self, batch, size, dtype, step, blocks, monkeypatch):
         """tile_linear's output and gradients are linear's on tile_image's
-        cut, bit for bit, and it cut the images in ``blocks``."""
+        cut, bit for bit, and its forward cut the images in ``blocks``, in
+        any order, as parts of the block loop may run at once."""
         images, w, pos, g = self.operands(batch, size, dtype)
         images, g = images[::step], g[::step]   # step 2: a strided view
-        cut, cuts = T.tile_image, []
+        cut, cuts = T._cut, []
 
-        def counted(images, tile, out=None):
+        def counted(images, tile, out):
             cuts.append(len(images))
-            return cut(images, tile, out=out)
+            return cut(images, tile, out)
 
         runs = []
         for fused in (True, False):
             wt, bt = Tensor(w, requires_grad=True), Tensor(pos, requires_grad=True)
             if fused:
                 with monkeypatch.context() as m:
-                    m.setattr(T, "tile_image", counted)
+                    m.setattr(T, "_cut", counted)
                     out = T.tile_linear(images, 14, wt, bt)
             else:
                 out = T.linear(Tensor(T.tile_image(images, 14)), wt, bt)
             T.mul(out, Tensor(g)).sum().backward()
             runs.append((out.data, wt.grad, bt.grad))
         (out, dw, dpos), (want, want_dw, want_dpos) = runs
-        assert cuts == blocks
+        assert sorted(cuts) == sorted(blocks)
         assert out.dtype == dtype and out.shape == g.shape
         np.testing.assert_array_equal(out, want)
         np.testing.assert_array_equal(dw, want_dw)
@@ -472,6 +479,133 @@ class TestTileLinear:
         whole = model.logits(images).data
         halves = [model.logits(images[:3]).data, model.logits(images[3:]).data]
         np.testing.assert_array_equal(whole, np.concatenate(halves))
+
+
+class TestParts:
+    """attention's and tile_linear's block loops in parts, one thread per
+    CPU, when the BLAS runs one thread per call."""
+
+    @staticmethod
+    def use(monkeypatch, cpus, blas=1):
+        """The loops see CPUs 0..cpus−1 (a pin to one that is not there is
+        skipped) and a BLAS of ``blas`` threads per call."""
+        monkeypatch.setattr(T, "_blas_threads", lambda: blas)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+    @staticmethod
+    def threads(monkeypatch, name):
+        """The names of the threads that call ``T.<name>``."""
+        seen, real = set(), getattr(T, name)
+
+        def spy(*args, **kwargs):
+            seen.add(threading.current_thread().name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(T, name, spy)
+        return seen
+
+    @pytest.mark.parametrize("blas, cpus, blocks, want", [
+        (1, 4, 8, [(0, 2), (2, 4), (4, 6), (6, 8)]),
+        (1, 4, 5, [(0, 4), (4, 8)]),   # two blocks a thread at least
+        (1, 4, 3, [(0, 8)]),
+        (1, 1, 8, [(0, 8)]),
+        (2, 4, 8, [(0, 8)]),           # a BLAS that threads each call
+    ], ids=["all_cpus", "two_of_four", "too_few_blocks", "one_cpu", "blas_2"])
+    def test_parts_follow_cpus_blocks_and_blas(self, monkeypatch, blas, cpus,
+                                               blocks, want):
+        self.use(monkeypatch, cpus, blas)
+        ran = []
+        T._in_parts(8, blocks, lambda start, stop: ran.append(
+            (start, stop, threading.current_thread().name)))
+        assert sorted(r[:2] for r in ran) == want
+        names = {r[2] for r in ran}
+        assert names == ({"MainThread"} if len(want) == 1 else
+                         {f"gbmpatch-cpu{p}" for p in range(len(want))})
+
+    def test_blas_threads_reads_the_loaded_blas(self):
+        if T._blas_query() is None:
+            pytest.skip("the loaded BLAS exports no OpenBLAS thread query")
+        src = str(Path(T.__file__).resolve().parents[1])
+        code = "from gbmpatch import tensor; print(tensor._blas_threads())"
+        got = [subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, timeout=60, env=dict(os.environ, PYTHONPATH=src,
+                                              OPENBLAS_NUM_THREADS=str(n))).stdout
+               for n in (1, 2)]
+        assert got == ["1\n", "2\n"]
+
+    @pytest.mark.parametrize("spread", [1.0, 1000.0])
+    def test_attention_parts_move_no_bits(self, monkeypatch, spread):
+        # 4 images of 4 heads over 261 tokens, the paper's 224/14 sequence:
+        # 16 slices in chunks of 3, so 3 parts of 4 CPUs. At 1000 the
+        # recentred slices go through the parts too
+        q, k, v, w, scale = TestAttention.operands(spread, (4, 4, 261, 8))
+        seen = TestAttention.recentred(monkeypatch)
+        threads = self.threads(monkeypatch, "_split_heads")
+        runs, used = [], []
+        for cpus in (1, 4):
+            self.use(monkeypatch, cpus)
+            leaves = [Tensor(a, requires_grad=True) for a in (q, k, v)]
+            out = T.attention(*leaves, 4, scale)
+            (out * Tensor(w)).sum().backward()
+            runs.append([out.data] + [t.grad for t in leaves])
+            used.append(set(threads))
+            threads.clear()
+        assert used == [{"MainThread"}, {f"gbmpatch-cpu{p}" for p in range(3)}]
+        # one part recentres in slice order, the parts in any order
+        assert seen[:len(seen) // 2] == sorted(seen[len(seen) // 2:])
+        assert bool(seen) == (spread == 1000.0)
+        for got, want in zip(*runs):
+            np.testing.assert_array_equal(got, want)
+
+    def test_tile_linear_parts_move_no_bits(self, monkeypatch):
+        # eight 224/14 images are eight one-image blocks: 4 parts of 4 CPUs,
+        # forward and backward's full cut; dW stays one GEMM
+        images, w, pos, g = TestTileLinear.operands(8, 224)
+        threads = self.threads(monkeypatch, "_cut")
+        runs, used = [], []
+        for cpus in (1, 4):
+            self.use(monkeypatch, cpus)
+            wt, bt = Tensor(w, requires_grad=True), Tensor(pos, requires_grad=True)
+            out = T.tile_linear(images, 14, wt, bt)
+            T.mul(out, Tensor(g)).sum().backward()
+            runs.append((out.data, wt.grad, bt.grad))
+            used.append(set(threads))
+            threads.clear()
+        assert used == [{"MainThread"}, {f"gbmpatch-cpu{p}" for p in range(4)}]
+        for got, want in zip(*runs):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("op", ["tile_linear", "attention"])
+    def test_a_failed_part_raises_once_every_part_joined(self, monkeypatch, op):
+        # one-slice chunks and one-image blocks: 4 parts of 8 images. Part
+        # 0 fails at once, and the op raises only after the others finish
+        monkeypatch.setattr(T, "_SCORE_BYTES", 1)
+        self.use(monkeypatch, 4)
+        name = {"tile_linear": "_cut", "attention": "_split_heads"}[op]
+        real, finished = getattr(T, name), set()
+
+        def block(*args, **kwargs):
+            me = threading.current_thread().name
+            if me == "gbmpatch-cpu0":
+                raise MemoryError("part 0")
+            time.sleep(0.05)
+            out = real(*args, **kwargs)
+            finished.add(me)
+            return out
+
+        monkeypatch.setattr(T, name, block)
+        rng = np.random.default_rng(4)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="part 0"):
+            if op == "tile_linear":
+                images, w, pos, _ = TestTileLinear.operands(8, 56)
+                T.tile_linear(images, 14, Tensor(w), Tensor(pos))
+            else:
+                q = Tensor(rng.normal(size=(8, 21, 32)).astype(np.float32))
+                T.attention(q, q, q, 4, 0.3)
+        assert threading.active_count() == before
+        assert finished == {"gbmpatch-cpu1", "gbmpatch-cpu2", "gbmpatch-cpu3"}
 
 
 class TestLinearSilu:
