@@ -17,6 +17,7 @@ import contextlib
 import ctypes
 import functools
 import os
+import queue
 import threading
 from typing import Callable, Optional, Sequence
 
@@ -78,47 +79,133 @@ def _blas_threads() -> int:
     return 2 if query is None else query()
 
 
+class _Pool:
+    """One daemon thread per CPU of ``cpus``, named ``gbmpatch-cpu<N>`` and
+    pinned to CPU N, that runs the parts handed to it in turn."""
+
+    def __init__(self, cpus: tuple):
+        self.cpus, self.tasks, self.threads = cpus, [], []
+        try:
+            for cpu in cpus:
+                self.tasks.append(queue.SimpleQueue())
+                self.threads.append(threading.Thread(
+                    target=self._serve, args=(cpu, self.tasks[-1]),
+                    name=f"gbmpatch-cpu{cpu}", daemon=True))
+                self.threads[-1].start()
+        except BaseException:
+            self.stop()
+            raise
+
+    @staticmethod
+    def _serve(cpu: int, tasks: queue.SimpleQueue):
+        with contextlib.suppress(OSError):   # the pin is for speed only
+            os.sched_setaffinity(0, {cpu})
+        for task in iter(tasks.get, None):
+            task()
+
+    def run(self, units: int, parts: int, run: Callable[[int, int], None]):
+        """``run`` over ``parts`` contiguous parts of range(units), part p on
+        thread p; the first part that raised raises once every part is done."""
+        cuts = [units * p // parts for p in range(parts + 1)]
+        errors, done = [None] * parts, queue.SimpleQueue()
+
+        def part(p):
+            try:
+                run(cuts[p], cuts[p + 1])
+            except BaseException as exc:   # raised on the calling thread below
+                errors[p] = exc
+            done.put(p)
+
+        for p in range(parts):
+            self.tasks[p].put(functools.partial(part, p))
+        for _ in range(parts):
+            done.get()
+        for exc in errors:
+            if exc is not None:
+                raise exc
+
+    def stop(self):
+        """End and join every thread, once it has run what it was handed."""
+        for tasks, thread in zip(self.tasks, self.threads):
+            if thread.ident is not None:
+                tasks.put(None)
+                thread.join()
+
+
+_pool: Optional[_Pool] = None   # started by the first spread, for the process
+_pool_lock = threading.Lock()   # held by the one call that uses or stops _pool
+
+
 def _in_parts(units: int, blocks: int, run: Callable[[int, int], None]):
     """``run(start, stop)`` over contiguous parts of range(units), a loop of
-    ``blocks`` cache-sized blocks, one thread pinned to each CPU it uses.
+    ``blocks`` cache-sized blocks, on the pool's pinned threads.
 
     It spreads only when every thread gets at least two blocks, over at
-    most one thread per CPU the process may run on, and only when the
-    loaded BLAS runs one thread per call; else the calling thread runs
-    range(units) as one part. Each part writes only its own rows, through
-    the same numpy calls as one part would, so no bit depends on the
-    parts. The threads end inside the call; the first part that raised
-    raises once every part has joined.
+    most one thread per CPU the process may run on, when the loaded BLAS
+    runs one thread per call, and when no other call is using the pool (a
+    part that spreads again, or a second Python thread); else the calling
+    thread runs range(units) as one part. Each part writes only its own
+    rows, through the same numpy calls as one part would, so no bit
+    depends on the parts. A changed set of CPUs replaces the pool.
     """
-    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
-    parts = min(len(cpus), blocks // 2, units)
-    if parts < 2 or _blas_threads() != 1:
-        run(0, units)
-        return
-    cuts = [units * p // parts for p in range(parts + 1)]
-    errors = [None] * parts
+    global _pool
+    if blocks >= 4 and hasattr(os, "sched_getaffinity"):
+        cpus = tuple(sorted(os.sched_getaffinity(0)))
+        parts = min(len(cpus), blocks // 2, units)
+        if parts > 1 and _blas_threads() == 1 and _pool_lock.acquire(blocking=False):
+            try:
+                if _pool is None or _pool.cpus != cpus:
+                    old, _pool = _pool, None
+                    if old is not None:
+                        old.stop()
+                    _pool = _Pool(cpus)
+                _pool.run(units, parts, run)
+            finally:
+                _pool_lock.release()
+            return
+    run(0, units)
 
-    def part(p):
-        try:
-            with contextlib.suppress(OSError):   # the pin is for speed only
-                os.sched_setaffinity(0, {cpus[p]})
-            run(cuts[p], cuts[p + 1])
-        except BaseException as exc:   # raised on the calling thread below
-            errors[p] = exc
 
-    started = []
-    try:
-        for p in range(parts):
-            thread = threading.Thread(target=part, args=(p,),
-                                      name=f"gbmpatch-cpu{cpus[p]}")
-            thread.start()
-            started.append(thread)
-    finally:
-        for thread in started:
-            thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
+def _stop_pool():
+    """Join the pool's threads, as before a fork; the next spread starts
+    new ones."""
+    global _pool
+    with _pool_lock:
+        old, _pool = _pool, None
+        if old is not None:
+            old.stop()
+
+
+def _forget_pool():
+    """A forked child runs none of its parent's threads, and its copy of
+    the lock may be held by one of them: it starts with no pool."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+# bytes of one block of a row loop over images; at 56/14 no array reaches
+# four blocks, so those loops stay on the calling thread (see README)
+_ROW_BYTES = _SCORE_BYTES // 4
+
+
+def _rows(run: Callable, *arrays: np.ndarray):
+    """``run(*rows)`` over the images (first axis) of ``arrays``, each
+    call given the same range of every array's rows, through _in_parts in
+    blocks of _ROW_BYTES of the largest array; a loop run as one part gets
+    the arrays themselves. Arrays of fewer than three axes, as the head's
+    (batch, features) rows, are one image: a one-row product would take
+    numpy's matrix-vector path and other bits."""
+    images = len(arrays[0]) if arrays[0].ndim > 2 else 1
+
+    def part(first, stop):
+        run(*(arrays if stop - first == images else
+              [a[first:stop] for a in arrays]))
+
+    _in_parts(images, max(a.nbytes for a in arrays) // _ROW_BYTES, part)
 
 
 def _as_array(data, dtype=None) -> np.ndarray:
@@ -357,27 +444,46 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data @ b.data, (a, b), backward, "matmul")
 
 
-def _affine(x: np.ndarray, w: Tensor, b: Optional[Tensor]) -> np.ndarray:
-    """x @ w + b over x's last axis, for ``linear`` and the ops built on it."""
+def _affine(x: np.ndarray, w: Tensor, b: Optional[Tensor],
+            silu: Optional[np.ndarray] = None) -> np.ndarray:
+    """x @ w + b over x's last axis, for ``linear`` and the ops built on it,
+    in a row loop over x's images: numpy's product is one GEMM per image
+    either way. ``silu``, an array of the output's shape and dtype, gets
+    silu of it too."""
     shape = x.shape[:-1] + w.shape[1:]
     if (x.ndim < 1 or w.ndim != 2 or x.shape[-1] != w.shape[0] or b is not None
             and (b.ndim > len(shape) or shape[len(shape) - b.ndim:] != b.shape)):
         raise DimensionError(f"linear shapes incompatible: {x.shape} x {w.shape}"
                              + ("" if b is None else f" + {b.shape}"))
-    out = x @ w.data
-    if b is not None and np.result_type(out, b.data) == out.dtype:
-        out += b.data   # in place: a second fresh array pays its page faults again
-    elif b is not None:
-        out = out + b.data
+    product = np.result_type(x, w.data)
+    out = np.empty(shape, product if b is None else np.result_type(product, b.data))
+    # a bias with an images axis is cut with the rows it is added to
+    cut = [b.data] if b is not None and b.ndim == len(shape) else []
+
+    def rows(x, out, *rest):   # rest: the cut bias's rows, then silu's
+        if out.dtype == product:
+            np.matmul(x, w.data, out=out)
+        else:   # a wider bias: the product, widened, plus the bias
+            out[...] = x @ w.data
+        if b is not None:
+            out += rest[0] if cut else b.data
+        if silu is not None:
+            np.multiply(_sigmoid(out, rest[-1]), out, out=rest[-1])
+
+    _rows(rows, x, out, *cut, *([] if silu is None else [silu]))
     return out
 
 
 def _affine_grads(x: np.ndarray, w: Tensor, g: np.ndarray, with_dx: bool):
-    """(dX, dW) of x @ w under G = g, each one 2-D GEMM over all of x's
-    rows; an operand that needs no gradient gets None."""
-    rows, g2 = x.reshape(-1, w.shape[0]), g.reshape(-1, w.shape[1])
-    return ((g2 @ w.data.T).reshape(x.shape) if with_dx else None,
-            rows.T @ g2 if w.requires_grad else None)
+    """(dX, dW) of x @ w under G = g: dX = G @ Wᵀ in a row loop over x's
+    images, and dW = Xᵀ @ G one 2-D GEMM over all of x's rows; an operand
+    that needs no gradient gets None."""
+    k, n = w.shape
+    dx = np.empty(x.shape, np.result_type(g, w.data)) if with_dx else None
+    if with_dx:
+        _rows(lambda g, dx: np.matmul(g.reshape(-1, n), w.data.T,
+                                      out=dx.reshape(-1, k)), g, dx)
+    return dx, x.reshape(-1, k).T @ g.reshape(-1, n) if w.requires_grad else None
 
 
 def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
@@ -385,8 +491,8 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     against the output: a (k,) bias or one row per token.
 
     Gradients: dX = G @ Wᵀ (skipped, as in ``matmul``, when x needs none)
-    and dW = Xᵀ @ G, each one 2-D GEMM over all of x's rows, and dB = G,
-    which the engine sums down to b's shape.
+    in a row loop over x's images, dW = Xᵀ @ G one 2-D GEMM over all of
+    x's rows, and dB = G, which the engine sums down to b's shape.
     """
     out = _affine(x.data, w, b)
 
@@ -504,18 +610,21 @@ def tensor_mean(x: Tensor, axis=None) -> Tensor:
 # costs its page faults on every call.
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """0.5 * (1 + tanh(x * 0.5))."""
-    sig = np.multiply(x, 0.5, out=np.empty_like(x))   # an array at 0-d too
+def _sigmoid(x: np.ndarray, out=None) -> np.ndarray:
+    """0.5 * (1 + tanh(x * 0.5)), in ``out`` when it is given."""
+    out = np.empty_like(x) if out is None else out
+    sig = np.multiply(x, 0.5, out=out)   # an array at 0-d too
     np.tanh(sig, out=sig)
     sig += 1
     sig *= 0.5
     return sig
 
 
-def _silu_grad(g: np.ndarray, x: np.ndarray, sig: np.ndarray) -> np.ndarray:
-    """g * sig * (1.0 + x * (1.0 - sig)): silu's input gradient."""
-    grad = g * sig
+def _silu_grad(g: np.ndarray, x: np.ndarray, sig: np.ndarray,
+               out=None) -> np.ndarray:
+    """g * sig * (1.0 + x * (1.0 - sig)): silu's input gradient, in ``out``
+    when it is given."""
+    grad = np.multiply(g, sig, out=out)
     inner = np.subtract(1.0, sig)
     inner *= x
     inner += 1.0
@@ -539,12 +648,13 @@ def linear_silu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     the hidden width where ``linear`` then ``silu`` hold three. The
     gradients of x, w and b are ``linear``'s under silu's gradient.
     """
-    z = _affine(x.data, w, b)
-    out = _sigmoid(z)
-    out *= z
+    out = np.empty(x.shape[:-1] + w.shape[1:],
+                   np.result_type(x.data, w.data, b.data))
+    z = _affine(x.data, w, b, silu=out)
 
     def backward(g):
-        gz = _silu_grad(g, z, _sigmoid(z))
+        gz = np.empty(z.shape, np.result_type(g, z))
+        _rows(lambda g, z, gz: _silu_grad(g, z, _sigmoid(z), gz), g, z, gz)
         return (*_affine_grads(x.data, w, gz, x.requires_grad), gz)
 
     return _make(out, (x, w, b), backward, "linear_silu")
@@ -771,21 +881,32 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float) -> Tens
 
 def layer_norm(x: Tensor) -> Tensor:
     """Normalize the last axis to zero mean and unit variance, with no gain
-    or bias: the linear map after it absorbs them (arXiv 1911.07013)."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    normed = x.data - mu   # centered, until it is scaled below
-    var = (normed * normed).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + _NORM_EPS)
-    normed *= inv
+    or bias: the linear map after it absorbs them (arXiv 1911.07013). Both
+    passes are row loops over x's images."""
+    normed = np.empty(x.shape, x.dtype)
+    inv = np.empty(x.shape[:-1] + (1,), x.dtype)
+
+    def forward(x, normed, inv):
+        # normed is centered, until it is scaled below
+        np.subtract(x, x.mean(axis=-1, keepdims=True), out=normed)
+        var = (normed * normed).mean(axis=-1, keepdims=True)
+        np.divide(1.0, np.sqrt(var + _NORM_EPS), out=inv)
+        normed *= inv
+
+    _rows(forward, x.data, normed, inv)
 
     def backward(g):
         # inv * (g - mean(g) - normed * mean(g * normed))
-        m1 = g.mean(axis=-1, keepdims=True)
-        scratch = g * normed
-        m2 = scratch.mean(axis=-1, keepdims=True)
-        grad = g - m1
-        grad -= np.multiply(normed, m2, out=scratch)
-        grad *= inv
+        grad = np.empty(g.shape, g.dtype)
+
+        def rows(g, normed, inv, grad):
+            scratch = g * normed
+            m2 = scratch.mean(axis=-1, keepdims=True)
+            np.subtract(g, g.mean(axis=-1, keepdims=True), out=grad)
+            grad -= np.multiply(normed, m2, out=scratch)
+            grad *= inv
+
+        _rows(rows, g, normed, inv, grad)
         return (grad,)
 
     return _make(normed, (x,), backward, "layer_norm")

@@ -7,11 +7,14 @@ matmul, direct exp/sum evaluation, hand arithmetic) and frozen here.
 import ctypes
 import inspect
 import os
+import select
+import signal
 import subprocess
 import sys
 import threading
 import time
 import tracemalloc
+import warnings
 import weakref
 from pathlib import Path
 
@@ -482,8 +485,8 @@ class TestTileLinear:
 
 
 class TestParts:
-    """attention's and tile_linear's block loops in parts, one thread per
-    CPU, when the BLAS runs one thread per call."""
+    """The engine's block and row loops in parts on the pool's threads, one
+    per CPU, when the BLAS runs one thread per call."""
 
     @staticmethod
     def use(monkeypatch, cpus, blas=1):
@@ -504,6 +507,32 @@ class TestParts:
         monkeypatch.setattr(T, name, spy)
         return seen
 
+    @staticmethod
+    def loops(monkeypatch):
+        """One set per ``_in_parts`` call: the names of the threads that ran
+        its parts."""
+        seen, real = [], T._in_parts
+
+        def spy(units, blocks, run):
+            names = set()
+            seen.append(names)
+
+            def part(start, stop):
+                names.add(threading.current_thread().name)
+                run(start, stop)
+
+            real(units, blocks, part)
+
+        monkeypatch.setattr(T, "_in_parts", spy)
+        return seen
+
+    @staticmethod
+    def finish(*threads):
+        """Join each thread, which must end within a minute."""
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+
     @pytest.mark.parametrize("blas, cpus, blocks, want", [
         (1, 4, 8, [(0, 2), (2, 4), (4, 6), (6, 8)]),
         (1, 4, 5, [(0, 4), (4, 8)]),   # two blocks a thread at least
@@ -521,6 +550,108 @@ class TestParts:
         names = {r[2] for r in ran}
         assert names == ({"MainThread"} if len(want) == 1 else
                          {f"gbmpatch-cpu{p}" for p in range(len(want))})
+
+    def test_a_loop_under_four_blocks_asks_for_no_cpus(self, monkeypatch):
+        # no machine spreads it, so it reads neither the CPUs nor the BLAS
+        def refuse(*args):
+            raise AssertionError("asked")
+
+        monkeypatch.setattr(os, "sched_getaffinity", refuse)
+        monkeypatch.setattr(T, "_blas_threads", refuse)
+        ran = []
+        T._in_parts(8, 3, lambda start, stop: ran.append(
+            (start, stop, threading.current_thread().name)))
+        assert ran == [(0, 8, "MainThread")]
+
+    def test_the_same_threads_serve_every_call(self, monkeypatch):
+        self.use(monkeypatch, 4)
+        runs = []
+        for _ in range(3):
+            idents = set()
+            T._in_parts(8, 8, lambda start, stop: idents.add(threading.get_ident()))
+            runs.append(idents)
+        assert len(runs[0]) == 4 and runs[0] == runs[1] == runs[2]
+        assert threading.get_ident() not in runs[0]
+
+    def test_a_nested_call_runs_on_its_part_thread(self, monkeypatch):
+        self.use(monkeypatch, 4)
+        inner = []
+
+        def outer(start, stop):
+            T._in_parts(8, 8, lambda first, last: inner.append(
+                (first, last, threading.current_thread().name)))
+
+        caller = threading.Thread(target=T._in_parts, args=(8, 8, outer), daemon=True)
+        caller.start()
+        self.finish(caller)
+        assert sorted(inner) == [(0, 8, f"gbmpatch-cpu{p}") for p in range(4)]
+
+    def test_a_second_python_thread_runs_inline_while_the_pool_works(
+            self, monkeypatch):
+        self.use(monkeypatch, 4)
+        busy, free, ran = threading.Event(), threading.Event(), []
+
+        def hold(start, stop):
+            busy.set()
+            free.wait(60)
+
+        def second():
+            busy.wait(60)
+            T._in_parts(8, 8, lambda start, stop: ran.append(
+                (start, stop, threading.current_thread().name)))
+            free.set()
+
+        threads = [threading.Thread(target=second, name="second", daemon=True),
+                   threading.Thread(target=T._in_parts, args=(8, 8, hold),
+                                    daemon=True)]
+        for thread in threads:
+            thread.start()
+        self.finish(*threads)
+        assert ran == [(0, 8, "second")]
+
+    def test_a_changed_cpu_set_joins_the_old_pool(self, monkeypatch):
+        def pool():
+            return [t for t in threading.enumerate() if t.name.startswith("gbmpatch-")]
+
+        self.use(monkeypatch, 4)
+        T._in_parts(8, 8, lambda start, stop: None)
+        old = pool()
+        assert sorted(t.name for t in old) == [f"gbmpatch-cpu{p}" for p in range(4)]
+        self.use(monkeypatch, 2)
+        names = set()
+        T._in_parts(8, 8, lambda start, stop: names.add(threading.current_thread().name))
+        assert not any(t.is_alive() for t in old)
+        assert names == {t.name for t in pool()} == {"gbmpatch-cpu0", "gbmpatch-cpu1"}
+
+    def test_a_child_forked_after_a_spread_spreads_again(self, monkeypatch):
+        self.use(monkeypatch, 2)
+        x = np.random.default_rng(5).normal(size=(9, 261, 256)).astype(np.float32)
+        loops = self.loops(monkeypatch)
+        want = T.layer_norm(Tensor(x)).data
+        assert loops == [{"gbmpatch-cpu0", "gbmpatch-cpu1"}]
+        loops.clear()
+        read, write = os.pipe()
+        with warnings.catch_warnings():   # Python 3.12 warns of a fork with threads
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:   # the child: report, then leave without pytest's teardown
+            try:
+                fresh = T._pool is None
+                same = np.array_equal(T.layer_norm(Tensor(x)).data, want)
+                spread = loops == [{"gbmpatch-cpu0", "gbmpatch-cpu1"}]
+                os.write(write, bytes([fresh, same, spread]))
+            finally:
+                os._exit(0)
+        os.close(write)
+        try:
+            ready, _, _ = select.select([read], [], [], 60)
+            got = os.read(read, 3) if ready else b""
+        finally:
+            if not got:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(read)
+        assert got == bytes([True, True, True])
 
     def test_blas_threads_reads_the_loaded_blas(self):
         if T._blas_query() is None:
@@ -594,18 +725,81 @@ class TestParts:
             finished.add(me)
             return out
 
-        monkeypatch.setattr(T, name, block)
-        rng = np.random.default_rng(4)
-        before = threading.active_count()
-        with pytest.raises(MemoryError, match="part 0"):
+        images, w, pos, _ = TestTileLinear.operands(8, 56)
+        q = Tensor(np.random.default_rng(4).normal(size=(8, 21, 32)).astype(np.float32))
+
+        def call():
             if op == "tile_linear":
-                images, w, pos, _ = TestTileLinear.operands(8, 56)
                 T.tile_linear(images, 14, Tensor(w), Tensor(pos))
             else:
-                q = Tensor(rng.normal(size=(8, 21, 32)).astype(np.float32))
                 T.attention(q, q, q, 4, 0.3)
+
+        call()   # the pool is running before the failing call
+        before = threading.active_count()
+        monkeypatch.setattr(T, name, block)
+        with pytest.raises(MemoryError, match="part 0"):
+            call()
         assert threading.active_count() == before
         assert finished == {"gbmpatch-cpu1", "gbmpatch-cpu2", "gbmpatch-cpu3"}
+        monkeypatch.setattr(T, name, real)
+        call()   # the pool serves the next call
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("op, loops", [
+        ("layer_norm", 2), ("linear", 2), ("linear_silu", 3)])
+    def test_row_loop_parts_move_no_bits(self, monkeypatch, op, loops, dtype):
+        # 9 images of 261 tokens, 256 wide: 2.4 MB in float32, 9 row blocks,
+        # so 4 parts of 4 CPUs (2, 2, 2 and 3 images). The loops: forward
+        # and dX, and linear_silu's gradient; dW is one GEMM
+        rng = np.random.default_rng(13)
+        x, g = (rng.normal(size=(9, 261, 256)).astype(dtype) for _ in range(2))
+        w, b = rng.normal(size=(256, 256)).astype(dtype) / 16, rng.normal(size=256)
+        seen = self.loops(monkeypatch)
+        runs, used = [], []
+        for cpus in (1, 4):
+            self.use(monkeypatch, cpus)
+            leaves = [Tensor(a, requires_grad=True)
+                      for a in ([x] if op == "layer_norm" else [x, w, b.astype(dtype)])]
+            out = getattr(T, op)(*leaves)
+            T.mul(out, Tensor(g)).sum().backward()
+            runs.append([out.data] + [t.grad for t in leaves])
+            used.append(list(seen))
+            seen.clear()
+        assert used == [[{"MainThread"}] * loops,
+                        [{f"gbmpatch-cpu{p}" for p in range(4)}] * loops]
+        for got, want in zip(*runs):
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got, want)
+
+    def test_a_bias_per_image_is_cut_with_its_rows(self, monkeypatch):
+        # a (9, 261, 256) bias, one row per image and token, is added part
+        # by part; the float64 bias widens the float32 product
+        rng = np.random.default_rng(17)
+        x = rng.normal(size=(9, 261, 256)).astype(np.float32)
+        w = rng.normal(size=(256, 256)).astype(np.float32) / 16
+        b = rng.normal(size=(9, 261, 256))
+        seen = self.loops(monkeypatch)
+        outs = []
+        for cpus in (1, 4):
+            self.use(monkeypatch, cpus)
+            outs.append(T.linear(Tensor(x), Tensor(w), Tensor(b)).data)
+        assert seen == [{"MainThread"}, {f"gbmpatch-cpu{p}" for p in range(4)}]
+        assert outs[0].dtype == np.float64
+        np.testing.assert_array_equal(outs[0], outs[1])
+        np.testing.assert_array_equal(outs[0], x @ w + b)
+
+    def test_a_56_predict_chunk_runs_every_loop_on_the_caller(self, monkeypatch):
+        # its largest array is (64, 21, 128) float32, 688 KB: two row blocks
+        self.use(monkeypatch, 4)
+        seen = self.loops(monkeypatch)
+        cfg = EncoderConfig(image_size=56, tile_size=14, dim=32, depth=2, heads=4,
+                            registers=4, mlp_ratio=4)
+        model = PatchClassifier(cfg, HeadConfig(bottleneck=4), seed=0)
+        model.predict(np.ones((64, 3, 56, 56), np.float32))
+        # per block 2 norms, 5 linears and linear_silu, and the final norm
+        assert len(seen) >= 2 * 8 + 1
+        assert all(names == {"MainThread"} for names in seen)
 
 
 class TestLinearSilu:
