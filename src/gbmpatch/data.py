@@ -35,7 +35,6 @@ except ImportError:   # not POSIX: writers of one path are not serialised
 
 import numpy as np
 
-from . import tensor
 from .errors import DataError, DimensionError, PpmParseError, as_int
 
 CLASS_CODES = ("CT", "PN", "MP", "NC", "IC", "WM", "LI", "DM", "PL")
@@ -596,13 +595,8 @@ def generate_synthetic(root, counts: Sequence[int] = DEFAULT_PROFILE,
             # importing numpy again. Forking is safe here: a child only
             # draws random numbers, runs elementwise numpy and writes
             # files, and never calls into BLAS, whose threads do not
-            # survive a fork. The engine's pool of pinned threads lives as
-            # long as the process, so it is stopped first: no thread of it
-            # is alive at the fork, and this process's next spread op
-            # starts a new pool. A forked child starts with no pool.
-            # Imported here, as cv and eval never fork.
+            # survive a fork. Imported here, as cv and eval never fork.
             import multiprocessing
-            tensor._stop_pool()
             with multiprocessing.get_context("fork").Pool(workers) as pool:
                 manifest.entries = list(pool.imap(write, tasks, _POOL_CHUNK))
         else:

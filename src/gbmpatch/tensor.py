@@ -142,11 +142,12 @@ def _in_parts(units: int, blocks: int, run: Callable[[int, int], None]):
 
     It spreads only when every thread gets at least two blocks, over at
     most one thread per CPU the process may run on, when the loaded BLAS
-    runs one thread per call, and when no other call is using the pool (a
-    part that spreads again, or a second Python thread); else the calling
-    thread runs range(units) as one part. Each part writes only its own
-    rows, through the same numpy calls as one part would, so no bit
-    depends on the parts. A changed set of CPUs replaces the pool.
+    runs one thread per call, when no other call is using the pool (a
+    part that spreads again, or a second Python thread) and when the
+    pool's threads can start; else the calling thread runs range(units)
+    as one part. Each part writes only its own rows, through the same
+    numpy calls as one part would, so no bit depends on the parts. A
+    changed set of CPUs replaces the pool.
     """
     global _pool
     if blocks >= 4 and hasattr(os, "sched_getaffinity"):
@@ -155,36 +156,38 @@ def _in_parts(units: int, blocks: int, run: Callable[[int, int], None]):
         if parts > 1 and _blas_threads() == 1 and _pool_lock.acquire(blocking=False):
             try:
                 if _pool is None or _pool.cpus != cpus:
-                    old, _pool = _pool, None
-                    if old is not None:
-                        old.stop()
-                    _pool = _Pool(cpus)
-                _pool.run(units, parts, run)
+                    _stop_pool()
+                    # a host at its thread limit runs the loop on the caller
+                    with contextlib.suppress(RuntimeError):
+                        _pool = _Pool(cpus)
+                if _pool is not None:
+                    _pool.run(units, parts, run)
+                    return
             finally:
                 _pool_lock.release()
-            return
     run(0, units)
 
 
 def _stop_pool():
-    """Join the pool's threads, as before a fork; the next spread starts
-    new ones."""
+    """Join the pool's threads, under ``_pool_lock``; the next spread
+    starts new ones."""
     global _pool
-    with _pool_lock:
-        old, _pool = _pool, None
-        if old is not None:
-            old.stop()
+    old, _pool = _pool, None
+    if old is not None:
+        old.stop()
 
 
-def _forget_pool():
-    """A forked child runs none of its parent's threads, and its copy of
-    the lock may be held by one of them: it starts with no pool."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
+def _before_fork():
+    """Wait for any spread to finish, then join the pool: no engine thread
+    is alive at a fork, and the child starts with no pool. The lock is
+    released on both sides of the fork."""
+    _pool_lock.acquire()
+    _stop_pool()
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
+    os.register_at_fork(before=_before_fork, after_in_parent=_pool_lock.release,
+                        after_in_child=_pool_lock.release)
 
 
 # bytes of one block of a row loop over images; at 56/14 no array reaches
@@ -192,20 +195,23 @@ if hasattr(os, "register_at_fork"):
 _ROW_BYTES = _SCORE_BYTES // 4
 
 
-def _rows(run: Callable, *arrays: np.ndarray):
+def _rows(run: Callable, *arrays: np.ndarray, blocks: Optional[int] = None):
     """``run(*rows)`` over the images (first axis) of ``arrays``, each
     call given the same range of every array's rows, through _in_parts in
-    blocks of _ROW_BYTES of the largest array; a loop run as one part gets
-    the arrays themselves. Arrays of fewer than three axes, as the head's
-    (batch, features) rows, are one image: a one-row product would take
-    numpy's matrix-vector path and other bits."""
+    ``blocks`` blocks, by default blocks of _ROW_BYTES of the largest
+    array; a loop run as one part gets the arrays themselves. Arrays of
+    fewer than three axes, as the head's (batch, features) rows, are one
+    image: a one-row product would take numpy's matrix-vector path and
+    other bits."""
     images = len(arrays[0]) if arrays[0].ndim > 2 else 1
+    if blocks is None:
+        blocks = max(a.nbytes for a in arrays) // _ROW_BYTES
 
     def part(first, stop):
         run(*(arrays if stop - first == images else
               [a[first:stop] for a in arrays]))
 
-    _in_parts(images, max(a.nbytes for a in arrays) // _ROW_BYTES, part)
+    _in_parts(images, blocks, part)
 
 
 def _as_array(data, dtype=None) -> np.ndarray:
@@ -449,28 +455,23 @@ def _affine(x: np.ndarray, w: Tensor, b: Optional[Tensor],
     """x @ w + b over x's last axis, for ``linear`` and the ops built on it,
     in a row loop over x's images: numpy's product is one GEMM per image
     either way. ``silu``, an array of the output's shape and dtype, gets
-    silu of it too."""
+    silu of it too. A wider bias widens the output, and numpy writes the
+    product into it widened."""
     shape = x.shape[:-1] + w.shape[1:]
     if (x.ndim < 1 or w.ndim != 2 or x.shape[-1] != w.shape[0] or b is not None
-            and (b.ndim > len(shape) or shape[len(shape) - b.ndim:] != b.shape)):
+            and (b.ndim > 2 or shape[len(shape) - b.ndim:] != b.shape)):
         raise DimensionError(f"linear shapes incompatible: {x.shape} x {w.shape}"
                              + ("" if b is None else f" + {b.shape}"))
-    product = np.result_type(x, w.data)
-    out = np.empty(shape, product if b is None else np.result_type(product, b.data))
-    # a bias with an images axis is cut with the rows it is added to
-    cut = [b.data] if b is not None and b.ndim == len(shape) else []
+    out = np.empty(shape, np.result_type(x, w.data, *([] if b is None else [b.data])))
 
-    def rows(x, out, *rest):   # rest: the cut bias's rows, then silu's
-        if out.dtype == product:
-            np.matmul(x, w.data, out=out)
-        else:   # a wider bias: the product, widened, plus the bias
-            out[...] = x @ w.data
+    def rows(x, out, *silu):
+        np.matmul(x, w.data, out=out)
         if b is not None:
-            out += rest[0] if cut else b.data
-        if silu is not None:
-            np.multiply(_sigmoid(out, rest[-1]), out, out=rest[-1])
+            out += b.data
+        if silu:
+            np.multiply(_sigmoid(out, silu[0]), out, out=silu[0])
 
-    _rows(rows, x, out, *cut, *([] if silu is None else [silu]))
+    _rows(rows, x, out, *([] if silu is None else [silu]))
     return out
 
 
@@ -519,14 +520,15 @@ def tile_linear(images: np.ndarray, tile: int, w: Tensor, b: Tensor) -> Tensor:
     step, blocks = _image_blocks(images)
     out = np.empty((n, ny * nx) + w.shape[1:], np.result_type(images, w.data, b.data))
 
-    def embed(first, stop):
-        cut = np.empty((min(step, n), ny * nx, c * tile * tile), images.dtype)
-        for start in range(first * step, min(stop * step, max(n, 1)), step):
+    def embed(images, out):   # one part's images
+        cut = np.empty((min(step, len(images)), ny * nx, c * tile * tile), images.dtype)
+        # an empty batch takes one pass too, through _affine's shape check
+        for start in range(0, max(len(images), 1), step):
             block = np.asarray(images[start:start + step], order="C")
             _cut(block, tile, cut[:len(block)])
             out[start:start + step] = _affine(cut[:len(block)], w, b)
 
-    _in_parts(blocks, blocks, embed)
+    _rows(embed, images, out, blocks=blocks)
 
     def backward(g):
         if not w.requires_grad:
@@ -682,10 +684,8 @@ def _tiling(images: np.ndarray, tile) -> tuple:
     return b, c, h // tile, wdt // tile, tile
 
 
-def tile_image(images: np.ndarray, tile: int, out=None) -> np.ndarray:
-    """Cut (B, C, H, W) images into (B, tiles, patch_dim) flat tile rows,
-    written into ``out`` (a C-contiguous array of that shape and the
-    images' dtype) when it is given.
+def tile_image(images: np.ndarray, tile: int) -> np.ndarray:
+    """Cut (B, C, H, W) images into (B, tiles, patch_dim) flat tile rows.
 
     Each row is one tile flattened channel-major: all of channel 0's
     tile pixels, then channel 1's, then channel 2's. Tiles are ordered
@@ -693,15 +693,9 @@ def tile_image(images: np.ndarray, tile: int, out=None) -> np.ndarray:
     """
     img = np.asarray(images, order="C")
     b, c, ny, nx, tile = _tiling(img, tile)
-    shape = (b, ny * nx, c * tile * tile)
-    if out is None:
-        out = np.empty(shape, img.dtype)
-    elif out.shape != shape or out.dtype != img.dtype or not out.flags.c_contiguous:
-        raise DimensionError(f"tile_image out must be a C-contiguous {shape} "
-                             f"{img.dtype} array, got {out.shape} {out.dtype}")
-    step, blocks = _image_blocks(img)
-    _in_parts(blocks, blocks, lambda first, stop: _cut(
-        img[first * step:stop * step], tile, out[first * step:stop * step]))
+    out = np.empty((b, ny * nx, c * tile * tile), img.dtype)
+    _rows(lambda img, out: _cut(img, tile, out), img, out,
+          blocks=_image_blocks(img)[1])
     return out
 
 
@@ -803,58 +797,55 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float) -> Tens
     b, n, m = q.shape[0], q.shape[1], k.shape[1]
     qw, vw = q.shape[-1] // heads, v.shape[-1] // heads
     dtype = np.result_type(q.data, k.data, v.data)
-    slices = b * heads
     step = max(1, _SCORE_BYTES // max(1, n * m * np.dtype(dtype).itemsize))
-    chunks = -(-slices // step)
-    qa = np.empty((slices, n, qw + 1), dtype)   # [q·s | −bound], then [q·s | −lse]
-    kt = np.empty((slices, qw + 1, m), dtype)
-    va = np.empty((slices, m, vw + 1), dtype)
-    summed = np.empty((slices, n, vw + 1), dtype)   # [P @ v | rowsum(P)]
+    chunks = -(-b * heads // step)
+    qa = np.empty((b, heads, n, qw + 1), dtype)   # [q·s | −bound], then [q·s | −lse]
+    kt = np.empty((b, heads, qw + 1, m), dtype)
+    va = np.empty((b, heads, m, vw + 1), dtype)
+    summed = np.empty((b, heads, n, vw + 1), dtype)   # [P @ v | rowsum(P)]
     nlse = np.empty((b, heads, n), dtype)
     out = np.empty((b, n, heads, vw), dtype)
 
-    def forward(first, stop):   # images [first, stop)
-        rows = slice(first * heads, stop * heads)
-        _split_heads(q.data[first:stop] * scale, heads, dtype, 0.0, out=qa[rows])
-        _split_heads(k.data[first:stop], heads, dtype, 1.0, transpose=True, out=kt[rows])
-        _split_heads(v.data[first:stop], heads, dtype, 1.0, out=va[rows])
-        qs, ks = qa[rows, :, :qw], kt[rows, :qw]
+    def forward(q, k, v, qa, kt, va, summed, nlse, out):   # one part's images
+        qa = _split_heads(q * scale, heads, dtype, 0.0, out=qa)
+        kt = _split_heads(k, heads, dtype, 1.0, transpose=True, out=kt)
+        va = _split_heads(v, heads, dtype, 1.0, out=va)
+        count = len(qa)
+        summed = summed.reshape(count, n, vw + 1)
+        qs, ks = qa[:, :, :qw], kt[:, :qw]
         with np.errstate(over="ignore", invalid="ignore"):   # a non-finite bound falls back
-            qa[rows, :, qw] = np.sqrt(np.einsum("snw,snw->sn", qs, qs))
-            qa[rows, :, qw] *= -np.sqrt(
+            qa[:, :, qw] = np.sqrt(np.einsum("snw,snw->sn", qs, qs))
+            qa[:, :, qw] *= -np.sqrt(
                 np.einsum("swm,swm->sm", ks, ks).max(-1, keepdims=True))
-        scores = np.empty((min(step, rows.stop - rows.start), n, m), dtype)
-        for start in range(rows.start, rows.stop, step):
-            c = slice(start, min(start + step, rows.stop))
+        scores = np.empty((min(step, count), n, m), dtype)
+        for start in range(0, count, step):
+            c = slice(start, min(start + step, count))
             p = np.matmul(qa[c], kt[c], out=scores[:c.stop - c.start])   # ≤ 0
             np.exp(p, out=p)
             np.matmul(p, va[c], out=summed[c])
-        total = summed[rows, :, vw:]
-        for i in rows.start + np.flatnonzero(~(total >= _SUM_FLOOR).all(axis=(1, 2))):
+        total = summed[:, :, vw:]
+        for i in np.flatnonzero(~(total >= _SUM_FLOOR).all(axis=(1, 2))):
             _recentre(i, qa, kt, va, scores[0], summed)
-        qa[rows, :, qw:] -= np.log(total)   # [q·s | −lse], lse = shift + log(rowsum)
-        images = stop - first
-        nlse[first:stop] = qa[rows, :, qw].reshape(images, heads, n)
-        np.divide(summed[rows, :, :vw].reshape(images, heads, n, vw),
-                  total.reshape(images, heads, n, 1),
-                  out=out[first:stop].transpose(0, 2, 1, 3))
+        qa[:, :, qw:] -= np.log(total)   # [q·s | −lse], lse = shift + log(rowsum)
+        nlse[...] = qa[:, :, qw].reshape(nlse.shape)
+        np.divide(summed[:, :, :vw].reshape(len(out), heads, n, vw),
+                  total.reshape(len(out), heads, n, 1), out=out.transpose(0, 2, 1, 3))
 
-    _in_parts(b, chunks, forward)
+    _rows(forward, q.data, k.data, v.data, qa, kt, va, summed, nlse, out, blocks=chunks)
     out = out.reshape(b, n, heads * vw)
 
     def backward(g):
         gq, gk = np.empty((b, n, heads * qw), dtype), np.empty((b, m, heads * qw), dtype)
         gv = np.empty((b, m, heads * vw), dtype)
 
-        def grads(first, stop):   # images [first, stop)
-            images, count = stop - first, (stop - first) * heads
-            qa = _split_heads(q.data[first:stop] * scale, heads, dtype,
-                              nlse[first:stop])   # as forward left it
-            kt = _split_heads(k.data[first:stop], heads, dtype, 1.0, transpose=True)
-            d = (g[first:stop] * out[first:stop]).reshape(images, n, heads, vw).sum(axis=-1)
-            ga = _split_heads(g[first:stop], heads, dtype, -d.transpose(0, 2, 1))   # [g | −D]
-            vt = _split_heads(v.data[first:stop], heads, dtype, 1.0, transpose=True)
-            ks = _split_heads(k.data[first:stop], heads, dtype)
+        def grads(q, k, v, out, g, nlse, gq, gk, gv):   # one part's images
+            images, count = len(q), len(q) * heads
+            qa = _split_heads(q * scale, heads, dtype, nlse)   # as forward left it
+            kt = _split_heads(k, heads, dtype, 1.0, transpose=True)
+            d = (g * out).reshape(images, n, heads, vw).sum(axis=-1)
+            ga = _split_heads(g, heads, dtype, -d.transpose(0, 2, 1))   # [g | −D]
+            vt = _split_heads(v, heads, dtype, 1.0, transpose=True)
+            ks = _split_heads(k, heads, dtype)
             dq, dk = np.empty((count, n, qw), dtype), np.empty((count, m, qw), dtype)
             dv = np.empty((count, m, vw), dtype)
             block = (min(step, count), n, m)
@@ -871,9 +862,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float) -> Tens
                 np.matmul(np.swapaxes(dp, -1, -2), qa[c, :, :qw], out=dk[c])
             dq *= scale
             for part, whole in ((dq, gq), (dk, gk), (dv, gv)):
-                _merge_heads(part, whole[first:stop])
+                _merge_heads(part, whole)
 
-        _in_parts(b, chunks, grads)
+        _rows(grads, q.data, k.data, v.data, out, g, nlse, gq, gk, gv, blocks=chunks)
         return gq, gk, gv
 
     return _make(out, (q, k, v), backward, "attention")

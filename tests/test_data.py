@@ -631,8 +631,9 @@ class TestGeneratorPool:
     def test_no_engine_thread_alive_at_a_fork_after_a_spread_predict(
             self, tmp_path, monkeypatch, pooled):
         # a 224/14 predict spreads embed's and attention's block loops over
-        # two threads, which end inside each op: the pool then forks a
-        # process in which no engine thread runs
+        # two pinned threads, which the engine's fork hook joins: the fork
+        # that starts the process pool leaves no engine thread alive. The
+        # hook runs inside os.fork, so the parent counts them once it returns
         monkeypatch.setattr(tensor, "_blas_threads", lambda: 1)
         ran, cut = set(), tensor._cut
 
@@ -649,9 +650,11 @@ class TestGeneratorPool:
         alive, fork = [], os.fork
 
         def counted_fork():
-            alive.append([t.name for t in threading.enumerate()
-                          if t.name.startswith("gbmpatch-")])
-            return fork()
+            pid = fork()
+            if pid:
+                alive.append([t.name for t in threading.enumerate()
+                              if t.name.startswith("gbmpatch-")])
+            return pid
 
         monkeypatch.setattr(os, "fork", counted_fork)
         manifest = generate_synthetic(tmp_path, [2] * 9, seed=0, size=16)

@@ -136,9 +136,12 @@ class TestAttention:
         call order."""
         seen, real = [], T._recentre
 
-        def spy(i, *arrays):
-            seen.append(int(i))
-            real(i, *arrays)
+        def spy(i, qa, *arrays):
+            # a part counts i from its own first slice; the slice's place in
+            # the op's whole qa array is its index among all of them
+            whole = qa if qa.base is None else qa.base
+            seen.append((qa[i].ctypes.data - whole.ctypes.data) // qa.strides[0])
+            real(i, qa, *arrays)
 
         monkeypatch.setattr(T, "_recentre", spy)
         return seen
@@ -445,22 +448,6 @@ class TestTileLinear:
             self, batch, size, dtype, step, blocks, monkeypatch):
         self.check(batch, size, dtype, step, blocks, monkeypatch)
 
-    def test_cuts_into_out(self):
-        images = next(self.operands(2, 56))
-        buf = np.empty((2, 16, 588), np.float32)
-        assert T.tile_image(images, 14, out=buf) is buf
-        np.testing.assert_array_equal(buf, T.tile_image(images, 14))
-
-    @pytest.mark.parametrize("out", [
-        np.empty((2, 16, 587), np.float32), np.empty((1, 16, 588), np.float32),
-        np.empty((2, 16, 588), np.float64),
-        np.empty((2, 16, 1176), np.float32)[..., ::2]],
-        ids=["width", "batch", "dtype", "strided"])
-    def test_out_that_does_not_fit_rejected(self, out):
-        images = next(self.operands(2, 56))
-        with pytest.raises(DimensionError, match="out must be"):
-            T.tile_image(images, 14, out=out)
-
     def test_forward_holds_no_full_cut(self):
         # eight 224/14 images' tiles are (8, 256, 588) float32, 4.8 MB
         images, w, pos, _ = self.operands(8, 224)
@@ -653,6 +640,71 @@ class TestParts:
             os.close(read)
         assert got == bytes([True, True, True])
 
+    @staticmethod
+    def fork(report=lambda: b""):
+        """Fork; the child writes ``report()`` to a pipe and leaves. Returns
+        what the child wrote, read within a minute, and the names of the
+        engine threads alive in the parent once the fork returned."""
+        read, write = os.pipe()
+        with warnings.catch_warnings():   # Python 3.12 warns of a fork with threads
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:   # the child: report, then leave without pytest's teardown
+            try:
+                os.write(write, report() + b".")
+            finally:
+                os._exit(0)
+        alive = [t.name for t in threading.enumerate() if t.name.startswith("gbmpatch-")]
+        os.close(write)
+        got = b""
+        try:
+            ready, _, _ = select.select([read], [], [], 60)
+            got = os.read(read, 64) if ready else b""
+        finally:
+            if not got:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(read)
+        return got, alive
+
+    def test_no_engine_thread_is_alive_at_a_bare_fork(self, monkeypatch):
+        self.use(monkeypatch, 2)
+        T._in_parts(8, 8, lambda start, stop: None)
+        assert {t.name for t in threading.enumerate()} >= {"gbmpatch-cpu0",
+                                                           "gbmpatch-cpu1"}
+        assert self.fork() == (b".", [])
+
+    def test_a_forked_child_has_no_pool_and_a_free_lock(self, monkeypatch):
+        self.use(monkeypatch, 2)
+        T._in_parts(8, 8, lambda start, stop: None)
+        got, _ = self.fork(lambda: bytes(
+            [T._pool is None, T._pool_lock.acquire(blocking=False)]))
+        assert got == bytes([True, True]) + b"."
+
+    def test_a_fork_waits_for_a_spread_in_progress(self, monkeypatch):
+        # the fork starts while four parts wait; it returns only once all
+        # of them have finished, and then no engine thread is alive
+        self.use(monkeypatch, 4)
+        busy, free, finished = threading.Event(), threading.Event(), []
+
+        def hold(start, stop):
+            busy.set()
+            free.wait(60)
+            finished.append(start)
+
+        caller = threading.Thread(target=T._in_parts, args=(8, 8, hold), daemon=True)
+        caller.start()
+        assert busy.wait(60)
+        release = threading.Timer(0.2, free.set)
+        release.start()
+        try:
+            got, alive = self.fork()
+            done = sorted(finished)
+        finally:
+            free.set()
+            self.finish(caller, release)
+        assert (got, alive, done) == (b".", [], [0, 2, 4, 6])
+
     def test_blas_threads_reads_the_loaded_blas(self):
         if T._blas_query() is None:
             pytest.skip("the loaded BLAS exports no OpenBLAS thread query")
@@ -772,22 +824,58 @@ class TestParts:
             assert got.dtype == dtype
             np.testing.assert_array_equal(got, want)
 
-    def test_a_bias_per_image_is_cut_with_its_rows(self, monkeypatch):
-        # a (9, 261, 256) bias, one row per image and token, is added part
-        # by part; the float64 bias widens the float32 product
+    @pytest.mark.parametrize("op", ["linear", "linear_silu"])
+    def test_a_bias_with_an_images_axis_is_rejected(self, op):
+        # a bias is a (k,) row or one row per token, never one per image
         rng = np.random.default_rng(17)
         x = rng.normal(size=(9, 261, 256)).astype(np.float32)
         w = rng.normal(size=(256, 256)).astype(np.float32) / 16
-        b = rng.normal(size=(9, 261, 256))
+        b = rng.normal(size=(9, 261, 256)).astype(np.float32)
+        with pytest.raises(DimensionError, match="linear shapes incompatible"):
+            getattr(T, op)(Tensor(x), Tensor(w), Tensor(b))
+
+    def test_a_wider_bias_widens_the_product_bit_for_bit(self, monkeypatch):
+        # a float64 (256,) bias over float32 x and w: numpy writes the
+        # float32 product into the float64 output, then adds the bias
+        rng = np.random.default_rng(17)
+        x = rng.normal(size=(9, 261, 256)).astype(np.float32)
+        w = rng.normal(size=(256, 256)).astype(np.float32) / 16
+        b = rng.normal(size=256)
         seen = self.loops(monkeypatch)
-        outs = []
         for cpus in (1, 4):
             self.use(monkeypatch, cpus)
-            outs.append(T.linear(Tensor(x), Tensor(w), Tensor(b)).data)
+            out = T.linear(Tensor(x), Tensor(w), Tensor(b)).data
+            assert out.dtype == np.float64
+            np.testing.assert_array_equal(out, x @ w + b)
         assert seen == [{"MainThread"}, {f"gbmpatch-cpu{p}" for p in range(4)}]
-        assert outs[0].dtype == np.float64
-        np.testing.assert_array_equal(outs[0], outs[1])
-        np.testing.assert_array_equal(outs[0], x @ w + b)
+
+    def test_a_pool_that_cannot_start_runs_the_loop_on_the_caller(
+            self, monkeypatch):
+        # 8 images at 224/14 spread embed and attention; with no thread to
+        # start, every loop runs on the calling thread, with the same bits,
+        # and the next call, with threads to start, spreads them
+        def refuse(thread):
+            raise RuntimeError("can't start new thread")
+
+        self.use(monkeypatch, 2)
+        with T._pool_lock:   # no pool: the next spread starts one
+            T._stop_pool()
+        cfg = EncoderConfig(image_size=224, tile_size=14, dim=8, depth=1,
+                            heads=2, registers=1, mlp_ratio=2)
+        model = PatchClassifier(cfg, HeadConfig(bottleneck=4), seed=0)
+        x = np.random.default_rng(19).normal(size=(8, 3, 224, 224)).astype(np.float32)
+        seen, runs, used = self.loops(monkeypatch), [], []
+        for start in (refuse, threading.Thread.start):
+            monkeypatch.setattr(threading.Thread, "start", start)
+            runs.append(model.logits(x).data)
+            used.append(set().union(*seen))
+            seen.clear()
+            if start is refuse:   # nor is an engine thread left behind
+                assert not [t for t in threading.enumerate()
+                            if t.name.startswith("gbmpatch-")]
+        assert used[0] == {"MainThread"}
+        assert used[1] >= {"gbmpatch-cpu0", "gbmpatch-cpu1"}
+        np.testing.assert_array_equal(runs[0], runs[1])
 
     def test_a_56_predict_chunk_runs_every_loop_on_the_caller(self, monkeypatch):
         # its largest array is (64, 21, 128) float32, 688 KB: two row blocks
