@@ -19,6 +19,7 @@ import functools
 import os
 import queue
 import threading
+import time
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -48,35 +49,34 @@ except (AttributeError, OSError, TypeError):
     _MALLOPT = ()
 
 
-@functools.cache
-def _blas_query():
-    """The thread-count query of the OpenBLAS this process has mapped, or
-    None when no mapped library exports one."""
+def _one_blas_thread() -> bool:
+    """Set the OpenBLAS this process has mapped to one thread per call;
+    False when no mapped library exports a setter."""
     try:
         with open("/proc/self/maps") as maps:
             paths = sorted({line.split(None, 5)[-1].strip() for line in maps
                             if "openblas" in line.lower()})
     except OSError:
-        return None
+        return False
     for path in paths:
         try:
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        for name in ("scipy_openblas_get_num_threads64_",
-                     "scipy_openblas_get_num_threads",
-                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
-            query = getattr(lib, name, None)
-            if query is not None:
-                query.argtypes, query.restype = [], ctypes.c_int
-                return query
-    return None
+        for name in ("scipy_openblas_set_num_threads64_",
+                     "scipy_openblas_set_num_threads",
+                     "openblas_set_num_threads64_", "openblas_set_num_threads"):
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                return True
+    return False
 
 
-def _blas_threads() -> int:
-    """Threads the loaded BLAS runs one call on; 2 when it cannot be asked."""
-    query = _blas_query()
-    return 2 if query is None else query()
+# True once OpenBLAS runs one thread: the engine's pool is then the only
+# parallelism, and no bit depends on the environment or the CPUs
+_BLAS_ONE_THREAD = _one_blas_thread()
 
 
 class _Pool:
@@ -125,11 +125,18 @@ class _Pool:
                 raise exc
 
     def stop(self):
-        """End and join every thread, once it has run what it was handed."""
+        """End and join every thread, once it has run what it was handed,
+        then wait up to about a second for its OS thread to leave
+        /proc/self/task: on Python 3.11 ``join`` can return before it has."""
         for tasks, thread in zip(self.tasks, self.threads):
             if thread.ident is not None:
                 tasks.put(None)
                 thread.join()
+                task = f"/proc/self/task/{thread.native_id}"
+                for _ in range(1000):
+                    if not os.path.exists(task):
+                        break
+                    time.sleep(0.001)
 
 
 _pool: Optional[_Pool] = None   # started by the first spread, for the process
@@ -141,19 +148,19 @@ def _in_parts(units: int, blocks: int, run: Callable[[int, int], None]):
     ``blocks`` cache-sized blocks, on the pool's pinned threads.
 
     It spreads only when every thread gets at least two blocks, over at
-    most one thread per CPU the process may run on, when the loaded BLAS
-    runs one thread per call, when no other call is using the pool (a
-    part that spreads again, or a second Python thread) and when the
-    pool's threads can start; else the calling thread runs range(units)
-    as one part. Each part writes only its own rows, through the same
-    numpy calls as one part would, so no bit depends on the parts. A
-    changed set of CPUs replaces the pool.
+    most one thread per CPU the process may run on, when the import set
+    the loaded OpenBLAS to one thread, when no other call is using the
+    pool (a part that spreads again, or a second Python thread) and when
+    the pool's threads can start; else the calling thread runs
+    range(units) as one part. Each part writes only its own rows, through
+    the same numpy calls as one part would, so no bit depends on the
+    parts. A changed set of CPUs replaces the pool.
     """
     global _pool
     if blocks >= 4 and hasattr(os, "sched_getaffinity"):
         cpus = tuple(sorted(os.sched_getaffinity(0)))
         parts = min(len(cpus), blocks // 2, units)
-        if parts > 1 and _blas_threads() == 1 and _pool_lock.acquire(blocking=False):
+        if parts > 1 and _BLAS_ONE_THREAD and _pool_lock.acquire(blocking=False):
             try:
                 if _pool is None or _pool.cpus != cpus:
                     _stop_pool()
@@ -456,7 +463,12 @@ def _affine(x: np.ndarray, w: Tensor, b: Optional[Tensor],
     in a row loop over x's images: numpy's product is one GEMM per image
     either way. ``silu``, an array of the output's shape and dtype, gets
     silu of it too. A wider bias widens the output, and numpy writes the
-    product into it widened."""
+    product into it widened.
+
+    A 2-D x, as the head's (batch, features) rows, is multiplied a row at
+    a time, each as row 0 of a two-row product, so no row's bits depend
+    on the rows beside it: numpy multiplies a lone row as a matrix-vector
+    product, and a BLAS may round a row by the row count."""
     shape = x.shape[:-1] + w.shape[1:]
     if (x.ndim < 1 or w.ndim != 2 or x.shape[-1] != w.shape[0] or b is not None
             and (b.ndim > 2 or shape[len(shape) - b.ndim:] != b.shape)):
@@ -465,7 +477,10 @@ def _affine(x: np.ndarray, w: Tensor, b: Optional[Tensor],
     out = np.empty(shape, np.result_type(x, w.data, *([] if b is None else [b.data])))
 
     def rows(x, out, *silu):
-        np.matmul(x, w.data, out=out)
+        if x.ndim == 2:
+            out[...] = np.matmul(np.repeat(x[:, None], 2, axis=1), w.data)[:, 0]
+        else:
+            np.matmul(x, w.data, out=out)
         if b is not None:
             out += b.data
         if silu:

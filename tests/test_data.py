@@ -634,7 +634,7 @@ class TestGeneratorPool:
         # two pinned threads, which the engine's fork hook joins: the fork
         # that starts the process pool leaves no engine thread alive. The
         # hook runs inside os.fork, so the parent counts them once it returns
-        monkeypatch.setattr(tensor, "_blas_threads", lambda: 1)
+        monkeypatch.setattr(tensor, "_BLAS_ONE_THREAD", True)
         ran, cut = set(), tensor._cut
 
         def spy(*args):

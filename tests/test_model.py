@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gbmpatch import tensor
 from gbmpatch.encoder import EncoderConfig, init_encoder, readout, tile_image
 from gbmpatch.errors import DimensionError, ParameterError
 from gbmpatch.head import HeadConfig, init_head
@@ -403,3 +404,65 @@ def test_float32_stays_near_its_float64_twin(image_size):
     assert loss_err < 1e-6
     assert grad_err < 3e-5
     assert logit_err < 1.5e-5
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("image_size", [56, 224])
+def test_an_image_scores_the_same_in_any_chunk(image_size, dtype):
+    """Every image's logits are the same bits whatever chunk it is scored
+    in: alone, beside one to six others, in a chunk of 64, or in the
+    whole batch of 67."""
+    enc = EncoderConfig(image_size=image_size, tile_size=14)
+    fresh = PatchClassifier(enc, HeadConfig(), seed=7).parameters()
+    model = PatchClassifier.from_arrays(
+        enc, HeadConfig(), {n: p.data.astype(dtype) for n, p in fresh.items()})
+    images = np.random.default_rng(7).normal(
+        size=(67, 3, image_size, image_size)).astype(dtype)
+    whole = model.logits(images).data
+    for chunk in (1, 2, 3, 7, 64):
+        got = np.concatenate([model.logits(images[start:start + chunk]).data
+                              for start in range(0, len(images), chunk)])
+        np.testing.assert_array_equal(got, whole, err_msg=f"chunk {chunk}")
+
+
+def test_a_run_replays_under_any_openblas_thread_count():
+    """Importing gbmpatch runs OpenBLAS on one thread, so three training
+    steps and the eval logits at 224/14 hash the same under every
+    OPENBLAS_NUM_THREADS, set or not."""
+    if not tensor._BLAS_ONE_THREAD:
+        pytest.skip("the loaded BLAS exports no OpenBLAS thread setter")
+    script = textwrap.dedent("""
+        import hashlib
+        import numpy as np
+        from gbmpatch.cv import AdamState, TrainConfig, adam_step
+        from gbmpatch.encoder import EncoderConfig
+        from gbmpatch.head import HeadConfig
+        from gbmpatch.model import PatchClassifier
+        model = PatchClassifier(EncoderConfig(image_size=224, tile_size=14),
+                                HeadConfig(), seed=7)
+        images = np.random.default_rng(7).normal(
+            size=(8, 3, 224, 224)).astype(np.float32)
+        labels = np.arange(8) % 9
+        params = model.parameters()
+        state, digest = AdamState(params), hashlib.sha256()
+        for step in range(3):
+            model.zero_grad()
+            loss = model.loss(images, labels, dropout_seed=step)
+            loss.backward()
+            digest.update(loss.data.tobytes())
+            adam_step(params, state, 1e-3, TrainConfig())
+        digest.update(model.logits(images).data.tobytes())
+        print(digest.hexdigest())
+    """)
+    src = Path(__file__).resolve().parents[1] / "src"
+    hashes = {}
+    for threads in ("1", "2", "3", None):
+        env = dict(os.environ, PYTHONPATH=str(src))
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        hashes[threads] = proc.stdout
+    assert len(set(hashes.values())) == 1, hashes

@@ -11,6 +11,7 @@ import select
 import signal
 import subprocess
 import sys
+import textwrap
 import threading
 import time
 import tracemalloc
@@ -473,13 +474,14 @@ class TestTileLinear:
 
 class TestParts:
     """The engine's block and row loops in parts on the pool's threads, one
-    per CPU, when the BLAS runs one thread per call."""
+    per CPU, when the import set the BLAS to one thread per call."""
 
     @staticmethod
-    def use(monkeypatch, cpus, blas=1):
+    def use(monkeypatch, cpus, blas=True):
         """The loops see CPUs 0..cpus−1 (a pin to one that is not there is
-        skipped) and a BLAS of ``blas`` threads per call."""
-        monkeypatch.setattr(T, "_blas_threads", lambda: blas)
+        skipped) and a BLAS the import did (``blas``) or did not set to one
+        thread."""
+        monkeypatch.setattr(T, "_BLAS_ONE_THREAD", blas)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
 
     @staticmethod
@@ -521,11 +523,11 @@ class TestParts:
             assert not thread.is_alive()
 
     @pytest.mark.parametrize("blas, cpus, blocks, want", [
-        (1, 4, 8, [(0, 2), (2, 4), (4, 6), (6, 8)]),
-        (1, 4, 5, [(0, 4), (4, 8)]),   # two blocks a thread at least
-        (1, 4, 3, [(0, 8)]),
-        (1, 1, 8, [(0, 8)]),
-        (2, 4, 8, [(0, 8)]),           # a BLAS that threads each call
+        (True, 4, 8, [(0, 2), (2, 4), (4, 6), (6, 8)]),
+        (True, 4, 5, [(0, 4), (4, 8)]),   # two blocks a thread at least
+        (True, 4, 3, [(0, 8)]),
+        (True, 1, 8, [(0, 8)]),
+        (False, 4, 8, [(0, 8)]),          # no setter found: no spread
     ], ids=["all_cpus", "two_of_four", "too_few_blocks", "one_cpu", "blas_2"])
     def test_parts_follow_cpus_blocks_and_blas(self, monkeypatch, blas, cpus,
                                                blocks, want):
@@ -539,12 +541,11 @@ class TestParts:
                          {f"gbmpatch-cpu{p}" for p in range(len(want))})
 
     def test_a_loop_under_four_blocks_asks_for_no_cpus(self, monkeypatch):
-        # no machine spreads it, so it reads neither the CPUs nor the BLAS
+        # no machine spreads it, so it does not read the CPUs
         def refuse(*args):
             raise AssertionError("asked")
 
         monkeypatch.setattr(os, "sched_getaffinity", refuse)
-        monkeypatch.setattr(T, "_blas_threads", refuse)
         ran = []
         T._in_parts(8, 3, lambda start, stop: ran.append(
             (start, stop, threading.current_thread().name)))
@@ -705,17 +706,50 @@ class TestParts:
             self.finish(caller, release)
         assert (got, alive, done) == (b".", [], [0, 2, 4, 6])
 
-    def test_blas_threads_reads_the_loaded_blas(self):
-        if T._blas_query() is None:
-            pytest.skip("the loaded BLAS exports no OpenBLAS thread query")
+    def test_no_pool_thread_outlives_the_fork_hook(self, monkeypatch):
+        # Thread.join can return before the OS thread has left
+        # /proc/self/task, where a fork would still count it
+        if not os.path.isdir("/proc/self/task"):
+            pytest.skip("no /proc/self/task to count threads in")
+        self.use(monkeypatch, 2)
+        left = []
+        for _ in range(50):
+            T._in_parts(8, 8, lambda start, stop: None)
+            ids = [thread.native_id for thread in T._pool.threads]
+            T._before_fork()
+            try:
+                left += [i for i in ids if os.path.exists(f"/proc/self/task/{i}")]
+            finally:
+                T._pool_lock.release()
+        assert left == []
+
+    def test_import_runs_the_loaded_blas_on_one_thread(self):
+        # a process started under OPENBLAS_NUM_THREADS=2 asks the OpenBLAS
+        # it mapped, by a lookup of its own, after importing gbmpatch
+        if not T._BLAS_ONE_THREAD:
+            pytest.skip("the loaded BLAS exports no OpenBLAS thread setter")
+        code = textwrap.dedent("""
+            import ctypes
+            import gbmpatch
+            paths = sorted({line.split(None, 5)[-1].strip()
+                            for line in open("/proc/self/maps")
+                            if "openblas" in line.lower()})
+            for path in paths:
+                lib = ctypes.CDLL(path)
+                for name in ("scipy_openblas_get_num_threads64_",
+                             "scipy_openblas_get_num_threads",
+                             "openblas_get_num_threads64_",
+                             "openblas_get_num_threads"):
+                    if hasattr(lib, name):
+                        print(getattr(lib, name)())
+                        raise SystemExit
+        """)
         src = str(Path(T.__file__).resolve().parents[1])
-        code = "from gbmpatch import tensor; print(tensor._blas_threads())"
-        got = [subprocess.run(
+        got = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True,
             check=True, timeout=60, env=dict(os.environ, PYTHONPATH=src,
-                                              OPENBLAS_NUM_THREADS=str(n))).stdout
-               for n in (1, 2)]
-        assert got == ["1\n", "2\n"]
+                                              OPENBLAS_NUM_THREADS="2")).stdout
+        assert got == "1\n"
 
     @pytest.mark.parametrize("spread", [1.0, 1000.0])
     def test_attention_parts_move_no_bits(self, monkeypatch, spread):
